@@ -32,6 +32,8 @@ from .solver import SolverConfig, continuation_solve, solve
 from .system import (
     CyclicSpec,
     LogMetricState,
+    arrow_coefficients,
+    arrow_kernel,
     expand_log_metrics,
     make_system,
 )
@@ -51,11 +53,7 @@ def margin_threshold(grid: Grid, solver_tol: float, coeff: float) -> float:
 
 def arrow_terms(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
     """All n arrow terms |gamma_k|^2 h_k^{-1} h_{k+1}, (N, n), t^2 included."""
-    grid = state.grid
-    w = expand_log_metrics(spec, state)
-    G = np.column_stack([eval_norm_squared(d, grid).values for d in spec.cyclic_data()])
-    G[:, -1] *= abs(spec.t) ** 2
-    return G * np.exp(np.roll(w, -1, axis=1) - w)
+    return arrow_kernel(arrow_coefficients(spec, state.grid), expand_log_metrics(spec, state))
 
 
 def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
@@ -339,13 +337,14 @@ class DominationReport:
         }
 
 
-def _log_margin_report(quantity, lower_fields, upper_fields, region, grid,
+def _log_margin_report(quantity, lower_fields, upper_fields, masks, region, grid,
                        solver_tol, notes=""):
+    """Per-field min of log(hi) - log(lo) over each field's mask, thresholded."""
     margins, thresholds = [], []
     floor = 10.0 * solver_tol
-    for lo, hi in zip(lower_fields, upper_fields):
+    for lo, hi, mask in zip(lower_fields, upper_fields, masks):
         with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.log(hi[region]) - np.log(lo[region])
+            m = np.log(hi[mask]) - np.log(lo[mask])
         margins.append(float(np.min(m)))
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         thresholds.append(max(floor, MARGIN_COEFF_PAIRED * grid.spacing**2 * scale))
@@ -376,8 +375,8 @@ def compare_states(
     if quantity == "pullback_metric":
         ga = pullback_metric(spec_a, state_a).density
         gb = pullback_metric(spec_b, state_b).density
-        return _log_margin_report("pullback_metric", [ga], [gb], region, grid,
-                                  solver_tol)
+        return _log_margin_report("pullback_metric", [ga], [gb], [region], region,
+                                  grid, solver_tol)
     if quantity == "ratio_fields":
         ra = metric_ratio_fields(spec_a, state_a)
         rb = metric_ratio_fields(spec_b, state_b)
@@ -385,8 +384,8 @@ def compare_states(
         los = [ra[:, k] for k in range(k_max)]
         his = [rb[:, k] for k in range(k_max)]
         note = "corner ratio included" if k_max == spec_a.n else "corner ratio skipped (zero scale)"
-        return _log_margin_report("ratio_fields", los, his, region, grid,
-                                  solver_tol, note)
+        return _log_margin_report("ratio_fields", los, his, [region] * k_max, region,
+                                  grid, solver_tol, note)
     if quantity == "harmonic_components":
         return _harmonic_domination(spec_a, state_a, spec_b, state_b, region,
                                     grid, solver_tol)
@@ -406,22 +405,16 @@ def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_
     mu_sq = eval_norm_squared(spec.middle_datum(), grid).values
     rung_sq = [eval_norm_squared(d, grid).values for d in spec.rung_data()]
     mu_weight = np.sqrt(mu_sq) if n % 2 == 0 else mu_sq
-    margins, thresholds = [], []
-    floor = 10.0 * solver_tol
+    lows, highs, masks = [], [], []
     for k in range(1, m + 1):
         w = mu_weight.copy()
         for j in range(k - 1, m - 1):
             w = w * rung_sq[j]
-        hk = np.exp(state.u[:, k - 1])
-        hk_ref = np.exp(state_hit.u[:, k - 1])
-        sel = region & (w > 0.0)
-        vals = np.log(hk[sel]) - np.log(w[sel] * hk_ref[sel])
-        margins.append(float(np.min(vals)))
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        thresholds.append(max(floor, MARGIN_COEFF_PAIRED * grid.spacing**2 * scale))
-    verdict = bool(all(x > t for x, t in zip(margins, thresholds)))
-    return DominationReport("harmonic_components", verdict, margins, thresholds,
-                            int(region.sum()), "weight zero set excluded")
+        lows.append(w * np.exp(state_hit.u[:, k - 1]))
+        highs.append(np.exp(state.u[:, k - 1]))
+        masks.append(region & (w > 0.0))
+    return _log_margin_report("harmonic_components", lows, highs, masks, region,
+                              grid, solver_tol, "weight zero set excluded")
 
 
 # -- theorem runners -------------------------------------------------------

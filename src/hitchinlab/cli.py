@@ -8,13 +8,14 @@ tabulates the derived quantities per member.
 Exit codes partition outcomes: 0 pass, 1 usage error or refusal,
 2 numerical failure (non-convergence or a false verdict), 3 I/O failure.
 All outputs are written atomically (temp file + rename) and verdicts are
-byte-reproducible from config + seed on the direct solver path.
+byte-reproducible from config + seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -176,7 +177,7 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -203,18 +204,11 @@ def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def _default_boundary(grid: Grid) -> str:

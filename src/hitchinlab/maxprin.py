@@ -29,15 +29,14 @@ comparison by the same mechanism as the continuum argument.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .geometry import Grid, hyperbolic_metric
-from .system import CyclicSpec, LogMetricState, expand_log_metrics
-from .geometry import eval_norm_squared
+from .system import CyclicSpec, LogMetricState, arrow_coefficients, expand_log_metrics
 
 DEFAULT_POLE_VALUE = 1.0e6
 
@@ -383,7 +382,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     n = spec_a.n
     N = grid.n_nodes
     g0 = hyperbolic_metric(grid).values
-    G = np.column_stack([eval_norm_squared(d, grid).values for d in spec_a.cyclic_data()])
+    G = arrow_coefficients(replace(spec_a, t=1.0), grid)        # t enters through v
 
     w_a = expand_log_metrics(spec_a, state_a)
     w_b = expand_log_metrics(spec_b, state_b)

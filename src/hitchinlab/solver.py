@@ -1,9 +1,8 @@
 """Damped Newton solver for the assembled log-metric systems.
 
 The outer iteration is plain Newton with backtracking on the residual
-max-norm; the inner linear solve is either a sparse direct factorisation
-(deterministic; the radial systems are narrow-banded in node-major order)
-or ILU-preconditioned LGMRES for the larger 2-D problems.
+max-norm; the inner linear solve is a sparse direct LU factorisation
+(deterministic; the radial systems are narrow-banded in node-major order).
 
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
@@ -16,12 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .system import BlowupError, HitchinSystem, LogMetricState
-
-LINEAR_SOLVERS = ("direct", "krylov")
 
 
 @dataclass
@@ -31,13 +27,8 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     min_step: float = 1e-8
     sufficient_decrease: float = 1e-4
-    linear_solver: str = "direct"
-    krylov_tol: float = 1e-12
-    krylov_maxiter: int = 400
 
     def __post_init__(self):
-        if self.linear_solver not in LINEAR_SOLVERS:
-            raise ValueError(f"linear_solver must be one of {LINEAR_SOLVERS}")
         if not (0 < self.backtrack_factor < 1):
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.tol_residual <= 0 or self.max_newton_iters < 1:
@@ -68,20 +59,6 @@ class SolveReport:
             "message": self.message,
             "wall_time_s": self.wall_time,
         }
-
-
-def _linear_solve(J: sparse.csr_matrix, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
-    if config.linear_solver == "direct":
-        lu = spla.splu(J.tocsc())
-        return lu.solve(rhs)
-    ilu = spla.spilu(J.tocsc(), drop_tol=1e-6, fill_factor=20)
-    M = spla.LinearOperator(J.shape, ilu.solve)
-    sol, info = spla.lgmres(
-        J, rhs, M=M, rtol=config.krylov_tol, atol=0.0, maxiter=config.krylov_maxiter
-    )
-    if info != 0:
-        raise RuntimeError(f"Krylov solver did not converge (info={info})")
-    return sol
 
 
 def _norm(r: np.ndarray) -> float:
@@ -120,7 +97,7 @@ def solve(
                                "converged", time.perf_counter() - t0)
         try:
             J = system.jacobian_matrix(u)
-            delta = _linear_solve(J, -r.ravel(), config)
+            delta = spla.splu(J.tocsc()).solve(-r.ravel())
         except BlowupError as exc:
             state = LogMetricState(system.grid, u, rnorm)
             return SolveReport(state, False, it, norms, steps, str(exc),
@@ -135,11 +112,12 @@ def solve(
         accepted = False
         while alpha >= config.min_step:
             trial = u + alpha * delta
-            trial_norm = _norm(system.residual_array(trial))
+            if np.array_equal(trial, u):
+                break  # the step rounds away, and every shorter one does too
+            trial_r = system.residual_array(trial)
+            trial_norm = _norm(trial_r)
             if trial_norm <= (1.0 - config.sufficient_decrease * alpha) * rnorm:
-                u = trial
-                r = system.residual_array(u)
-                rnorm = trial_norm
+                u, r, rnorm = trial, trial_r, trial_norm
                 accepted = True
                 break
             alpha *= config.backtrack_factor

@@ -2,30 +2,34 @@
 
 A rank-n cyclic bundle carries n "arrow" coefficients (gamma_1, ..., gamma_n);
 the harmonic metric is diagonal, h = diag(h_1, ..., h_n) with det h = 1, and
-its logs satisfy the Toda-type system
+its logs w_k = log h_k satisfy the Toda-type system
 
-    Delta log h_k + |gamma_k|^2 h_k^{-1} h_{k+1} - |gamma_{k-1}|^2 h_{k-1}^{-1} h_k = 0
+    Delta w_k + a_k - a_{k-1} = 0,    a_k = |gamma_k|^2 h_k^{-1} h_{k+1},
 
-with indices mod n and Delta = del_z del_zbar.  The determinant constraint is
-eliminated algebraically (the last log-metric is minus the sum of the others),
-so the discrete unknowns are genuinely independent.
+with indices mod n and Delta = del_z del_zbar.  Every variant is this one
+system read through a constant n x m embedding E of its independent
+unknowns u (an (N, m) array): w = u E^T, and the equations solved are the
+first m rows.
 
 Variants
 --------
-* ``general_cyclic``     : data (gamma_1..gamma_n), n-1 unknowns.
-* ``hitchin_component``  : data (q_n); the real form with all interior arrows 1
-                           forces h_{n+1-k} = h_k^{-1}, leaving floor(n/2) unknowns.
-* ``slnr_even``/``slnr_odd`` : data (nu, gamma_1..gamma_{m-1}, mu), m = floor(n/2);
-                           same symmetric reduction with general coefficients.
-* ``sp4_gothen``         : data (mu, nu); rank 4 with arrows (1, mu, 1, nu) and
-                           two unknowns (h_1, h_2).
+* ``general_cyclic``     : data (gamma_1..gamma_n); E = [I_{n-1}; -1^T], so
+                           det h = 1 eliminates the last log-metric.
+* ``hitchin_component``  : data (q_n); all interior arrows are 1.
+* ``slnr_even``/``slnr_odd`` : data (nu, gamma_1..gamma_{m-1}, mu).
+* ``sp4_gothen``         : data (mu, nu); rank 4 with arrows (1, mu, 1, nu).
+
+The symmetric variants (all but ``general_cyclic``) impose
+h_{n+1-k} = h_k^{-1}, leaving m = floor(n/2) unknowns:
+E = [I_m; -J_m] for even n and [I_m; 0; -J_m] for odd n, with J the flip.
+Their arrows unfold as in ``CyclicSpec.cyclic_data``.
 
 The scale parameter ``t`` always multiplies the final arrow (gamma_n or nu).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +124,18 @@ class CyclicSpec:
     @property
     def is_symmetric(self) -> bool:
         return self.variant in SYMMETRIC_VARIANTS
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """The (n, m) matrix E taking unknowns to all log-metrics, w = u E^T."""
+        n, m = self.n, self.n_unknowns
+        E = np.zeros((n, m))
+        E[:m] = np.eye(m)
+        if self.is_symmetric:
+            E[n - m:] = -np.eye(m)[::-1]
+        else:
+            E[n - 1] = -1.0
+        return E
 
     def corner_datum(self) -> HolomorphicDatum:
         """The final arrow (gamma_n, q_n, or nu), before scaling by t."""
@@ -234,35 +250,25 @@ def fuchsian_log_metrics(n: int, n_unknowns: int, grid: Grid) -> np.ndarray:
     """Log-metrics of the uniformising solution (vanishing corner arrow).
 
     The consecutive metric ratios are h_k^{-1} h_{k+1} = (1/2) k (n-k) g0;
-    combined with det h = 1 this fixes every h_k.  Returned as an (N, m)
-    array matching either the symmetric reduction (m = floor(n/2)) or the
-    eliminated cyclic formulation (m = n-1).
+    the solution is antisymmetric, w_{n+1-k} = -w_k, which together with
+    those ratios fixes every w_k.  They are built from the middle index
+    outwards and returned as the first ``n_unknowns`` columns: the
+    symmetric reduction (m = floor(n/2)) or the eliminated cyclic
+    formulation (m = n-1).
     """
-    g0 = hyperbolic_metric(grid).values
-    log_g0 = np.log(g0)
-    N = grid.n_nodes
-    step = [np.log(0.5 * k * (n - k)) + log_g0 for k in range(1, n)]
-    m_sym = n // 2
-    if n_unknowns == m_sym and n_unknowns != n - 1:
-        u = np.empty((N, m_sym))
-        if n % 2 == 0:
-            u[:, m_sym - 1] = -0.5 * (np.log(0.5 * m_sym**2) + log_g0)
-        else:
-            u[:, m_sym - 1] = -(np.log(0.5 * m_sym * (m_sym + 1)) + log_g0)
-        for k in range(m_sym - 1, 0, -1):
-            u[:, k - 1] = u[:, k] - step[k - 1]
-        return u
-    if n_unknowns == n - 1:
-        # w_k = w_1 + sum_{j<k} step_j with sum_k w_k = 0
-        w1 = -sum((n - j) * step[j - 1] for j in range(1, n)) / n
-        u = np.empty((N, n - 1))
-        acc = w1.copy()
-        u[:, 0] = acc
-        for k in range(1, n - 1):
-            acc = acc + step[k - 1]
-            u[:, k] = acc
-        return u
-    raise ValueError("n_unknowns must be floor(n/2) or n-1")
+    if n_unknowns not in (n // 2, n - 1):
+        raise ValueError("n_unknowns must be floor(n/2) or n-1")
+    log_g0 = np.log(hyperbolic_metric(grid).values)
+    m = n // 2
+    w = np.zeros((grid.n_nodes, n))
+    if n % 2 == 0:
+        w[:, m - 1] = -0.5 * (np.log(0.5 * m**2) + log_g0)
+    else:
+        w[:, m - 1] = -(np.log(0.5 * m * (m + 1)) + log_g0)
+    for k in range(m - 1, 0, -1):
+        w[:, k - 1] = w[:, k] - (np.log(0.5 * k * (n - k)) + log_g0)
+    w[:, n - m:] = -w[:, m - 1::-1]
+    return w[:, :n_unknowns].copy()
 
 
 def fuchsian_state(spec: CyclicSpec, grid: Grid) -> LogMetricState:
@@ -273,20 +279,15 @@ def fuchsian_state(spec: CyclicSpec, grid: Grid) -> LogMetricState:
 
 
 def expand_log_metrics(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
-    """All n log-metrics (log h_1 .. log h_n) of the cyclic bundle, (N, n).
+    """All n log-metrics (log h_1 .. log h_n) of the cyclic bundle, (N, n)."""
+    return state.u @ spec.embedding.T
 
-    Uses det h = 1 for the eliminated formulation and the symmetry
-    h_{n+1-k} = h_k^{-1} for the symmetric variants.
-    """
-    u = state.u
-    n = spec.n
-    if spec.variant == "general_cyclic":
-        return np.column_stack([u, -u.sum(axis=1)])
-    m = n // 2
-    if n % 2 == 0:
-        return np.column_stack([u, -u[:, ::-1]])
-    zero = np.zeros((u.shape[0], 1))
-    return np.column_stack([u, zero, -u[:, ::-1]])
+
+def arrow_kernel(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Arrow terms a_k = G_k h_k^{-1} h_{k+1} from squared coefficients G and
+    log-metrics w, both (N, n); overflow is left to the caller to detect."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return G * np.exp(np.roll(w, -1, axis=1) - w)
 
 
 # -- assembled system ------------------------------------------------------
@@ -296,8 +297,9 @@ class HitchinSystem:
     """A spec bound to a grid with boundary data and coefficient fields.
 
     The nonlinear residual for the independent unknowns u (an (N, m) array)
-    is R(u) = Lap u + F(u), where F collects the exponential couplings; the
-    rows at Dirichlet nodes read u - boundary_value instead.
+    is R(u) = Lap u + F(u), where F holds the first m columns of
+    a_k - a_{k-1} at w = u E^T; the rows at Dirichlet nodes read
+    u - boundary_value instead.
     """
 
     def __init__(
@@ -319,81 +321,23 @@ class HitchinSystem:
                 raise ValueError("boundary value array has wrong shape")
             self.boundary_values = bv
         self._kron_lap = sparse.kron(grid.lap, sparse.identity(self.m), format="csr")
-        if spec.variant == "general_cyclic":
-            self._d_mat = self._cyclic_derivative_matrix(spec.n)
-
-    @staticmethod
-    def _cyclic_derivative_matrix(n: int) -> np.ndarray:
-        """d[i, j] = d(log arrow_i ratio)/d(w_j) for the eliminated unknowns."""
-        m = n - 1
-        d = np.zeros((n, m))
-        for i in range(n):
-            head, tail = (i + 1) % n, i
-            for j in range(m):
-                c = 0.0
-                c += (1.0 if head == j else 0.0) if head < m else -1.0
-                c -= (1.0 if tail == j else 0.0) if tail < m else -1.0
-                d[i, j] = c
-        return d
+        self._embedding = E = spec.embedding
+        # d[i, j] = d(w_{i+1} - w_i)/du_j, the log-derivative of arrow i
+        self._d = np.roll(E, -1, axis=0) - E
 
     # -- nonlinear couplings ----------------------------------------------
 
-    def _symmetric_terms(self, u: np.ndarray):
-        """Arrow terms s_rung (N, m-1), s_corner (N,), s_top (N,)."""
-        n, m = self.spec.n, self.m
-        G = self.coeff_sq
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_rung = G[:, :m - 1] * np.exp(u[:, 1:m] - u[:, :m - 1]) if m > 1 else np.zeros((u.shape[0], 0))
-            s_corner = G[:, n - 1] * np.exp(2.0 * u[:, 0])
-            if n % 2 == 0:
-                s_top = G[:, m - 1] * np.exp(-2.0 * u[:, m - 1])
-            else:
-                s_top = G[:, m - 1] * np.exp(-u[:, m - 1])
-        return s_rung, s_corner, s_top
+    def _arrows(self, u: np.ndarray) -> np.ndarray:
+        return arrow_kernel(self.coeff_sq, u @ self._embedding.T)
 
     def _coupling_residual(self, u: np.ndarray) -> np.ndarray:
-        N, m = u.shape
-        if self.spec.variant == "general_cyclic":
-            w = np.column_stack([u, -u.sum(axis=1)])
-            G = self.coeff_sq
-            with np.errstate(over="ignore", invalid="ignore"):
-                a = G * np.exp(np.roll(w, -1, axis=1) - w)
-            return a[:, :m] - np.roll(a, 1, axis=1)[:, :m]
-        s_rung, s_corner, s_top = self._symmetric_terms(u)
-        F = np.zeros((N, m))
-        if m == 1:
-            F[:, 0] = s_top - s_corner
-            return F
-        F[:, 0] = s_rung[:, 0] - s_corner
-        for k in range(1, m - 1):
-            F[:, k] = s_rung[:, k] - s_rung[:, k - 1]
-        F[:, m - 1] = s_top - s_rung[:, m - 2]
-        return F
+        a = self._arrows(u)
+        return (a - np.roll(a, 1, axis=1))[:, :self.m]
 
     def _coupling_blocks(self, u: np.ndarray) -> np.ndarray:
         """Per-node dense derivative blocks of the coupling, shape (N, m, m)."""
-        N, m = u.shape
-        D = np.zeros((N, m, m))
-        if self.spec.variant == "general_cyclic":
-            w = np.column_stack([u, -u.sum(axis=1)])
-            G = self.coeff_sq
-            with np.errstate(over="ignore", invalid="ignore"):
-                a = G * np.exp(np.roll(w, -1, axis=1) - w)
-            d = self._d_mat
-            for k in range(m):
-                km1 = (k - 1) % self.spec.n
-                D[:, k, :] = a[:, k, None] * d[k] - a[:, km1, None] * d[km1]
-            return D
-        s_rung, s_corner, s_top = self._symmetric_terms(u)
-        for k in range(m - 1):
-            D[:, k, k] -= s_rung[:, k]
-            D[:, k, k + 1] += s_rung[:, k]
-            D[:, k + 1, k] += s_rung[:, k]
-            D[:, k + 1, k + 1] -= s_rung[:, k]
-        D[:, 0, 0] -= 2.0 * s_corner
-        top_factor = 2.0 if self.spec.n % 2 == 0 else 1.0
-        D[:, m - 1, m - 1] -= top_factor * s_top
-        return D
+        D_full = self._arrows(u)[:, :, None] * self._d
+        return (D_full - np.roll(D_full, 1, axis=1))[:, :self.m]
 
     # -- residual and Jacobian --------------------------------------------
 
@@ -431,12 +375,9 @@ class HitchinSystem:
         return LogMetricState(self.grid, u)
 
 
-def _coefficient_fields(spec: CyclicSpec, grid: Grid) -> np.ndarray:
+def arrow_coefficients(spec: CyclicSpec, grid: Grid) -> np.ndarray:
     """(N, n) squared magnitudes of all cyclic arrows, with |t|^2 folded in."""
-    cols = []
-    for datum in spec.cyclic_data():
-        cols.append(eval_norm_squared(datum, grid).values)
-    G = np.column_stack(cols)
+    G = np.column_stack([eval_norm_squared(d, grid).values for d in spec.cyclic_data()])
     G[:, -1] *= abs(spec.t) ** 2
     return G
 
@@ -469,7 +410,7 @@ def make_system(
         G = np.column_stack(fields)
         G[:, -1] *= abs(spec.t) ** 2
     else:
-        G = _coefficient_fields(spec, grid)
+        G = arrow_coefficients(spec, grid)
 
     if grid.kind == "torus":
         if isinstance(boundary, str) and boundary != "periodic":

@@ -77,11 +77,13 @@ def test_unconverged_solve_exits_two_but_reports(tmp_path, capsys):
 
 
 def test_unknown_solver_option_is_usage_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "grid": RADIAL, "spec": HITCHIN3, "solver": {"newton_tol": 1e-8}})
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 1
-    assert "unknown solver options" in capsys.readouterr().err
+    # linear_solver was an option once; the direct LU solve is now the only one
+    for option in ({"newton_tol": 1e-8}, {"linear_solver": "direct"}):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "grid": RADIAL, "spec": HITCHIN3, "solver": option})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown solver options" in capsys.readouterr().err
 
 
 def test_verify_nu_bounds_passes_and_is_reproducible(tmp_path):

@@ -16,8 +16,6 @@ def radial(n=64, radius=0.8):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(linear_solver="multigrid")
-    with pytest.raises(ValueError):
         SolverConfig(backtrack_factor=1.5)
     with pytest.raises(ValueError):
         SolverConfig(tol_residual=0.0)
@@ -52,19 +50,6 @@ def test_solved_state_residual_matches_report():
     assert rep.converged
     r = np.abs(sys.residual_array(rep.state.u)).max()
     np.testing.assert_allclose(r, rep.state.residual_norm, rtol=1e-12)
-
-
-def test_krylov_matches_direct_on_torus():
-    g = build_grid(GridSpec("torus", (24, 24), periods=(1.0, 1.0)))
-    spec = make_spec("general_cyclic", 3, (one, one, one), t=1.0)
-    x, y = g.xy[:, 0], g.xy[:, 1]
-    smooth = 1.0 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    fields = [smooth, np.ones(g.n_nodes), 1.0 + 0.3 * np.cos(2 * np.pi * x)]
-    sys = make_system(spec, g, boundary="periodic", coefficient_fields=fields)
-    rep_d = solve(sys, config=SolverConfig(linear_solver="direct"))
-    rep_k = solve(sys, config=SolverConfig(linear_solver="krylov"))
-    assert rep_d.converged and rep_k.converged
-    assert np.abs(rep_d.state.u - rep_k.state.u).max() < 1e-8
 
 
 def test_iteration_budget_reported_not_raised():

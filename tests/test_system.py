@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, solve
@@ -179,6 +181,76 @@ def test_symmetric_and_general_formulations_agree_pointwise():
     np.testing.assert_allclose(r_g[:, 1], 0.0, atol=1e-12)
 
 
+def _symmetric_embedding(n: int) -> np.ndarray:
+    """E = [I_m; -J_m] (even n) or [I_m; 0; -J_m] (odd n): w = u E^T."""
+    m = n // 2
+    E = np.zeros((n, m))
+    E[:m] = np.eye(m)
+    E[n - m:] = -np.eye(m)[::-1]
+    return E
+
+
+def _datum(draw, allow_zero: bool, radial: bool) -> HolomorphicDatum:
+    mag = draw(st.floats(0.0 if allow_zero else 0.3, 1.5))
+    phase = draw(st.floats(0.0, 2 * np.pi))
+    c = mag * np.exp(1j * phase)
+    kinds = ["constant", "monomial"] if radial else ["constant", "monomial", "polynomial"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return HolomorphicDatum.constant(c)
+    if kind == "monomial":
+        return HolomorphicDatum.monomial(c, draw(st.integers(1, 3)))
+    return HolomorphicDatum.polynomial([c, draw(st.floats(-1.0, 1.0)), 0.5])
+
+
+@st.composite
+def _symmetric_case(draw):
+    variant = draw(st.sampled_from(["hitchin_component", "slnr_even", "slnr_odd", "sp4_gothen"]))
+    ranks = {"hitchin_component": [2, 3, 4, 5, 6], "slnr_even": [2, 4, 6],
+             "slnr_odd": [3, 5, 7], "sp4_gothen": [4]}[variant]
+    n = draw(st.sampled_from(ranks))
+    radial_grid = draw(st.booleans())
+    corner = _datum(draw, allow_zero=True, radial=radial_grid)
+    if variant == "hitchin_component":
+        data = (corner,)
+    elif variant == "sp4_gothen":
+        data = (_datum(draw, False, radial_grid), corner)
+    else:
+        data = (corner,) + tuple(_datum(draw, False, radial_grid) for _ in range(n // 2))
+    t = draw(st.floats(0.0, 2.0))
+    grid_spec = GridSpec("radial_disc", 16, 0.8) if radial_grid else GridSpec("disc2d", 8, 0.8)
+    return make_spec(variant, n, data, t=t), grid_spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_symmetric_case())
+def test_symmetric_system_is_general_system_on_embedding(case):
+    # each symmetric variant is the general cyclic system of its unfolded
+    # data restricted to w = u E^T: same residual rows, Jacobian times E
+    spec, grid_spec, seed = case
+    g = build_grid(grid_spec)
+    n, m, N = spec.n, spec.n_unknowns, g.n_nodes
+    E = _symmetric_embedding(n)
+    sym = make_system(spec, g)
+    rng = np.random.default_rng(seed)
+    u = sym.initial_state().u + 0.3 * rng.normal(size=(N, m))
+
+    gen_spec = make_spec("general_cyclic", n, spec.cyclic_data(), t=spec.t)
+    bv = (sym.boundary_values @ E.T)[:, :n - 1]
+    gen = make_system(gen_spec, g, boundary=list(bv.T))
+    w = (u @ E.T)[:, :n - 1]
+
+    r_s = sym.residual_array(u)
+    r_g = gen.residual_array(w)[:, :m]
+    np.testing.assert_allclose(r_s, r_g, rtol=1e-13, atol=1e-13 * np.abs(r_s).max())
+
+    rows = (np.arange(N)[:, None] * (n - 1) + np.arange(m)).ravel()
+    lift = sparse.kron(sparse.identity(N), E[:n - 1], format="csr")
+    j_s = sym.jacobian_matrix(u).toarray()
+    j_g = (gen.jacobian_matrix(w) @ lift).toarray()[rows]
+    np.testing.assert_allclose(j_s, j_g, rtol=1e-13, atol=1e-13 * np.abs(j_s).max())
+
+
 # -- Jacobian correctness --------------------------------------------------
 
 
@@ -188,6 +260,13 @@ def test_symmetric_and_general_formulations_agree_pointwise():
         (GridSpec("torus", (8, 8)), make_spec("general_cyclic", 3, (one, one, one), t=0.7)),
         (GridSpec("radial_disc", 20, 0.8), make_spec("slnr_even", 4, (one, one, one), t=1.3)),
         (GridSpec("disc2d", 9, 0.8), make_spec("hitchin_component", 3, (HolomorphicDatum.monomial(1.0, 1),))),
+        (GridSpec("disc2d", 9, 0.8),
+         make_spec("slnr_odd", 5, (HolomorphicDatum.monomial(0.8, 1), HolomorphicDatum.constant(1.3), one), t=1.1)),
+        (GridSpec("disc2d", 9, 0.8), make_spec("sp4_gothen", 4, (HolomorphicDatum.monomial(1.0, 1), one), t=0.9)),
+        (GridSpec("disc2d", 9, 0.8), make_spec("hitchin_component", 2, (HolomorphicDatum.constant(0.7),))),
+        (GridSpec("disc2d", 9, 0.8),
+         make_spec("general_cyclic", 4, (one, HolomorphicDatum.constant(1.5), one,
+                                         HolomorphicDatum.monomial(1.0, 2)), t=1.2)),
     ],
 )
 def test_jacobian_matches_central_differences(grid_spec, spec):
