@@ -1,12 +1,15 @@
 """Derived quantities and verdicts: curvature, ratios, strict comparisons."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitchinlab.analysis import (
     MARGIN_COEFF_PAIRED,
+    SYM_GROUPS,
     compare_states,
     extremal_plane,
     extrinsic_curvature,
@@ -16,6 +19,7 @@ from hitchinlab.analysis import (
     arrow_terms,
     pullback_metric,
     random_tangent_plane,
+    random_tangent_planes,
     sp4_curvature,
     symmetric_space_curvature,
     verify_fiber_comparison,
@@ -177,6 +181,8 @@ def test_sym_space_input_validation():
         symmetric_space_curvature(np.array([[0, 1], [-1, 0]], float), Y)  # skew
     with pytest.raises(ValueError):
         symmetric_space_curvature(Y, 2.0 * Y)  # degenerate span
+    with pytest.raises(ValueError):
+        symmetric_space_curvature(np.zeros((2, 2)), Z)  # zero vector, no plane
 
 
 def test_sym_space_commuting_plane_is_flat():
@@ -210,6 +216,99 @@ def test_verify_sym_space_quick():
     assert all(e["extremal_deviation"] <= 1e-12 for e in out["groups"])
     # sp_real entries only appear at even rank
     assert {e["n"] for e in out["groups"] if e["group"] == "sp_real"} == {2, 4}
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"ns": ()},
+                                    {"ns": (1, 2)}])
+def test_verify_sym_space_rejects_vacuous_suites(kwargs):
+    # no samples, no ranks or a rank-1 group (whose tangent vectors are
+    # zero) would check nothing and report a pass
+    with pytest.raises(ValueError, match="sym-space"):
+        verify_sym_space(**{"samples": 10, **kwargs})
+
+
+def test_verify_sym_space_refusal_names_the_plane():
+    with pytest.raises(ValueError, match=r"sp_real n=2 sample \d+: tangent vectors") as exc:
+        verify_sym_space(10000, seed=4, ns=(2,))
+    index = int(re.search(r"sample (\d+)", str(exc.value)).group(1))
+    # the named sample is the first degenerate plane of the stream
+    Y, Z = random_tangent_planes("sp_real", 2, np.random.default_rng([4, 2, 2]), index + 1)
+    symmetric_space_curvature(Y[:index], Z[:index])
+    with pytest.raises(ValueError, match="nondegenerate"):
+        symmetric_space_curvature(Y[index], Z[index])
+
+
+def _reference_draw(group, n, rng):
+    """One tangent vector drawn matrix by matrix, as the sampler did before
+    it drew whole stacks; the stacked draw must reproduce it bit for bit."""
+    if group == "sl_real":
+        A = rng.standard_normal((n, n))
+        S = (A + A.T) / 2.0
+        return S - np.trace(S) / n * np.eye(n)
+    if group == "sl_complex":
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = (A + A.conj().T) / 2.0
+        return H - np.trace(H).real / n * np.eye(n)
+    m = n // 2
+    A = rng.standard_normal((m, m))
+    Bm = rng.standard_normal((m, m))
+    A = (A + A.T) / 2.0
+    Bm = (Bm + Bm.T) / 2.0
+    return np.block([[A, Bm], [Bm, -A]])
+
+
+def _reference_curvature(Y, Z):
+    """The single-plane curvature arithmetic the stacked kernel replaced."""
+    n = Y.shape[0]
+    B = lambda X, W: 2.0 * n * np.trace(X @ W).real
+    by = B(Y, Y)
+    Zp = Z - (B(Y, Z) / by) * Y
+    comm = Y @ Zp - Zp @ Y
+    return float(-2.0 * n * float((np.abs(comm) ** 2).sum()) / (by * B(Zp, Zp)))
+
+
+SYM_CASES = [(g, n) for g in SYM_GROUPS for n in range(2, 7)
+             if not (g == "sp_real" and n % 2)]
+
+
+@pytest.mark.parametrize("group,n", SYM_CASES)
+def test_stacked_sampler_matches_per_plane_reference(group, n):
+    Y, Z = random_tangent_planes(group, n, np.random.default_rng([3, n]), 37)
+    rng = np.random.default_rng([3, n])
+    ref = [(_reference_draw(group, n, rng), _reference_draw(group, n, rng))
+           for _ in range(37)]
+    assert np.array_equal(Y, np.stack([y for y, _ in ref]))
+    assert np.array_equal(Z, np.stack([z for _, z in ref]))
+    k = symmetric_space_curvature(Y, Z)
+    assert k.shape == (37,)
+    assert np.array_equal(k, [symmetric_space_curvature(y, z) for y, z in zip(Y, Z)])
+    assert np.array_equal(k, [_reference_curvature(y, z) for y, z in ref])
+
+
+@st.composite
+def _plane_stack(draw):
+    group = draw(st.sampled_from(SYM_GROUPS))
+    n = draw(st.sampled_from([2, 4, 6] if group == "sp_real" else [2, 3, 4, 5, 6]))
+    count = draw(st.integers(1, 300))
+    return group, n, count, draw(st.integers(0, count)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_plane_stack())
+def test_stacked_curvature_range_invariance_and_refusal(case):
+    group, n, count, bad, seed = case
+    rng = np.random.default_rng(seed)
+    Y, Z = random_tangent_planes(group, n, rng, count)
+    k = symmetric_space_curvature(Y, Z)
+    assert np.all(k >= -1.0 / n - 1e-10) and np.all(k <= 1e-10)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k_rot = symmetric_space_curvature(Q @ Y @ Q.T, Q @ Z @ Q.T)
+    assert np.abs(k - k_rot).max() <= 1e-10
+    # one degenerate plane (Y, 2Y) anywhere in the stack refuses all of it
+    Yd = np.insert(Y, bad, Y[0], axis=0)
+    Zd = np.insert(Z, bad, 2.0 * Y[0], axis=0)
+    with pytest.raises(ValueError, match="nondegenerate"):
+        symmetric_space_curvature(Yd, Zd)
 
 
 # -- strict pairwise comparisons -------------------------------------------

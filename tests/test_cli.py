@@ -127,6 +127,17 @@ def test_verify_sym_space_small_sample(tmp_path):
     assert verdict["passed"] and verdict["seed"] == 7
 
 
+@pytest.mark.parametrize("payload", [{"samples": 0}, {"ranks": []}, {"ranks": [1, 2]}])
+def test_verify_sym_space_vacuous_config_is_usage_error(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", "sym-space-curvature",
+               "--out", str(out)])
+    assert rc == 1
+    assert "sym-space" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
 def test_verify_max_principle_violation_demo(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "violate": "column", "n": 3,
