@@ -478,6 +478,7 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     re-derives the comparison by the maximum-principle route.
     """
     config = config or SolverConfig()
+    region = grid.verdict_region(margin_cells)
     runs = continuation_solve(lambda t: make_system(_spec_at_scale(spec, t), grid),
                               t_values, config)
     results = {"t_values": [t for t, _ in runs],
@@ -494,7 +495,6 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     results["morse_energies"] = energies
 
     ok = True
-    region = grid.verdict_region(margin_cells)
     for (ta_, rep_a), (tb_, rep_b) in zip(runs[1:], runs[:-1]):
         sa, sb = _spec_at_scale(spec, ta_), _spec_at_scale(spec, tb_)
         ratios = compare_states(sb, rep_b.state, sa, rep_a.state, "ratio_fields",
@@ -531,11 +531,11 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     zeros of q_n, where the ratio equals its reference value zero.
     """
     config = config or SolverConfig()
+    region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     ratios = nu_ratios(spec, rep.state)
-    region = grid.verdict_region(margin_cells)
     qzeros = zero_set(spec.corner_datum().scaled(spec.t), grid)
     zmask = np.zeros(grid.n_nodes, dtype=bool)
     zmask[qzeros] = True
@@ -564,11 +564,11 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     -1/(n (n-1)^2) - slack <= K < 0 on the defined verdict region.
     """
     config = config or SolverConfig()
+    region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     curv = extrinsic_curvature(spec, rep.state)
-    region = grid.verdict_region(margin_cells)
     kmin, kmax = curv.interior_range(region)
     bound = -1.0 / (spec.n * (spec.n - 1) ** 2)
     out = {"n": spec.n, "k_min": kmin, "k_max": kmax, "lower_bound": bound,
@@ -646,11 +646,11 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     config = config or SolverConfig()
     if spec.variant != "sp4_gothen":
         raise ValueError("sp4 bounds apply to sp4_gothen specs")
+    region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     curv = sp4_curvature(spec, rep.state)
-    region = grid.verdict_region(margin_cells)
     f1max = float(curv.f1[region].max())
     f2max = float(curv.f2[region].max())
     kmin = float(curv.k_sigma[region].min())

@@ -47,6 +47,16 @@ class UsageError(ValueError):
 # -- config parsing --------------------------------------------------------
 
 
+def _int_from(value, key: str) -> int:
+    """An integer config field; a number with a fractional part is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{key!r} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{key!r} must be an integer, got {value!r}") from exc
+
+
 def _complex_from(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -67,7 +77,7 @@ def parse_datum(obj) -> HolomorphicDatum:
             return HolomorphicDatum.constant(_complex_from(obj["coefficient"]))
         if kind == "monomial":
             return HolomorphicDatum.monomial(_complex_from(obj["coefficient"]),
-                                             int(obj["degree"]))
+                                             _int_from(obj["degree"], "degree"))
         if kind == "polynomial":
             return HolomorphicDatum.polynomial([_complex_from(c)
                                                 for c in obj["coefficients"]])
@@ -83,9 +93,9 @@ def parse_grid(obj, resolution_override=None) -> Grid:
     if resolution_override is not None:
         res = resolution_override
     if isinstance(res, list):
-        res = tuple(int(r) for r in res)
+        res = tuple(_int_from(r, "resolution") for r in res)
     else:
-        res = int(res)
+        res = _int_from(res, "resolution")
     kwargs = {}
     if "radius" in obj:
         kwargs["radius"] = float(obj["radius"])
@@ -103,7 +113,7 @@ def parse_spec(obj) -> CyclicSpec:
     try:
         data = tuple(parse_datum(d) for d in obj["data"])
         degrees = obj.get("degrees")
-        return make_spec(obj["variant"], int(obj["n"]), data,
+        return make_spec(obj["variant"], _int_from(obj["n"], "n"), data,
                          t=_complex_from(obj.get("t", 1.0)),
                          degrees=tuple(degrees) if degrees is not None else None)
     except KeyError as exc:
@@ -238,7 +248,7 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
 
 def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
     sc = parse_solver(cfg.get("solver"))
-    mc = int(cfg.get("margin_cells", 5))
+    mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
     if theorem == "monotonicity":
         grid = parse_grid(cfg.get("grid"), resolution)
         t_list = cfg.get("t_list")
@@ -264,16 +274,17 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
             grid = parse_grid(cfg.get("grid", {"kind": "torus", "resolution": [16, 16]}),
                               resolution)
             rng = np.random.default_rng(seed)
-            sysv = maxprin.random_cooperative_system(grid, int(cfg.get("n", 3)),
+            sysv = maxprin.random_cooperative_system(grid, _int_from(cfg.get("n", 3), "n"),
                                                      rng, violate=violate)
             cond = maxprin.check_conditions(sysv)
             return {"passed": not cond.passed,
                     "note": "conditions fail, positivity not asserted",
                     "conditions": cond.to_json_dict()}
-        return analysis.verify_max_principle(int(cfg.get("count", 200)), seed)
+        return analysis.verify_max_principle(_int_from(cfg.get("count", 200), "count"), seed)
     if theorem == "sym-space-curvature":
-        ns = tuple(int(n) for n in cfg.get("ranks", (2, 3, 4, 5, 6)))
-        return analysis.verify_sym_space(int(cfg.get("samples", 10000)), seed, ns)
+        ns = tuple(_int_from(n, "ranks") for n in cfg.get("ranks", (2, 3, 4, 5, 6)))
+        return analysis.verify_sym_space(_int_from(cfg.get("samples", 10000), "samples"),
+                                         seed, ns)
     raise UsageError(f"unknown theorem {theorem!r}")
 
 
@@ -296,7 +307,7 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     grid = parse_grid(cfg.get("grid"), resolution)
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
-    mc = int(cfg.get("margin_cells", 5))
+    mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
     t_list = cfg.get("t_list")
     if not t_list:
         raise UsageError("sweep needs a nonempty 't_list'")
@@ -311,11 +322,11 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
             return 1
 
     from dataclasses import replace as _replace
+    region = grid.verdict_region(mc)
     runs = continuation_solve(
         lambda t: make_system(_replace(spec, t=complex(t)), grid,
                               boundary=cfg.get("boundary", _default_boundary(grid))),
         t_list, sc)
-    region = grid.verdict_region(mc)
     rows, summaries, energies = [], [], []
     for t, rep in runs:
         spec_t = _replace(spec, t=complex(t))
@@ -390,7 +401,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _int_from(cfg.get("seed", 0), "seed")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

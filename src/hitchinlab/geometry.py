@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import dijkstra
 
 GRID_KINDS = ("radial_disc", "disc2d", "torus")
 DATUM_KINDS = ("zero", "constant", "monomial", "polynomial")
@@ -104,48 +105,41 @@ class Grid:
             self._build_disc2d(spec)
         else:
             self._build_torus(spec)
-        self.interior_mask = ~self.boundary_mask
-        self.lap = self.lap.tocsr()
-        self.lap.sum_duplicates()
 
     # -- constructors ------------------------------------------------------
+    #
+    # Each builder lays out its lattice -- coordinates, the directional
+    # neighbour table (-1 where a neighbour is missing), the off-diagonal
+    # weight of each neighbour, the diagonal, the boundary mask and the node
+    # areas -- and hands the stencil to ``_finish``.  The diagonals keep
+    # their closed forms: summing the off-diagonal weights rounds
+    # differently.
 
     def _build_radial(self, spec: GridSpec):
         n = spec.resolution
         h = spec.radius / (n - 1)
         r = np.arange(n) * h
-        self.n_nodes = n
         self.xy = np.column_stack([r, np.zeros(n)])
         self.spacing = h
-        self.boundary_mask = np.zeros(n, dtype=bool)
-        self.boundary_mask[-1] = True
-
-        rows, cols, vals = [], [], []
+        self._dir_spacing = (h,)
+        nbr = np.column_stack([np.arange(n) - 1, np.arange(n) + 1])
+        nbr[n - 1, 1] = -1
+        weights = np.zeros((n, 2))
+        diag = np.empty(n)
+        ri = r[1:]
+        weights[1:, 0] = 0.25 * (1.0 / h**2 - 1.0 / (2.0 * h * ri))
+        weights[1:, 1] = 0.25 * (1.0 / h**2 + 1.0 / (2.0 * h * ri))
+        diag[1:] = -(weights[1:, 0] + weights[1:, 1])
         # r = 0: symmetric limit of the radial Laplacian.  For even profiles
         # Delta u(0) = (1/4) * 4 (u_1 - u_0)/h^2 + O(h^2).
-        rows += [0, 0]
-        cols += [0, 1]
-        vals += [-1.0 / h**2, 1.0 / h**2]
-        for i in range(1, n - 1):
-            ri = r[i]
-            west = 0.25 * (1.0 / h**2 - 1.0 / (2.0 * h * ri))
-            east = 0.25 * (1.0 / h**2 + 1.0 / (2.0 * h * ri))
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [west, -(west + east), east]
-        self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-
+        weights[0, 1] = 1.0 / h**2
+        diag[0] = -1.0 / h**2
+        boundary = np.zeros(n, dtype=bool)
+        boundary[-1] = True
         # annulus areas: node i owns [r_i - h/2, r_i + h/2] clipped to [0, R]
         r_out = np.minimum(r + h / 2, spec.radius)
         r_in = np.maximum(r - h / 2, 0.0)
-        self._area = np.pi * (r_out**2 - r_in**2)
-        self._cells_to_boundary = (n - 1) - np.arange(n)
-        nbr = np.empty((n, 2), dtype=int)
-        nbr[:, 0] = np.arange(n) - 1
-        nbr[:, 1] = np.arange(n) + 1
-        nbr[n - 1, 1] = -1
-        self._nbr = nbr
-        self._dir_spacing = (h,)
+        self._finish(nbr, weights, diag, boundary, np.pi * (r_out**2 - r_in**2))
 
     def _build_disc2d(self, spec: GridSpec):
         n = spec.resolution
@@ -154,108 +148,63 @@ class Grid:
         h = axis[1] - axis[0]
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         inside = xg**2 + yg**2 <= R**2 + 1e-12
-        index = -np.ones((n, n), dtype=int)
-        index[inside] = np.arange(inside.sum())
-        self.n_nodes = int(inside.sum())
+        n_nodes = int(inside.sum())
+        # node numbers on the lattice, padded by one ring of -1 (outside)
+        index = np.full((n + 2, n + 2), -1, dtype=int)
+        index[1:-1, 1:-1][inside] = np.arange(n_nodes)
+        i, j = np.nonzero(inside)
+        nbr = np.column_stack([index[i, j + 1], index[i + 2, j + 1],
+                               index[i + 1, j], index[i + 1, j + 2]])
         self.xy = np.column_stack([xg[inside], yg[inside]])
         self.spacing = h
-
-        def neighbor(i, j, di, dj):
-            i2, j2 = i + di, j + dj
-            if 0 <= i2 < n and 0 <= j2 < n and inside[i2, j2]:
-                return index[i2, j2]
-            return -1
-
-        boundary = np.zeros(self.n_nodes, dtype=bool)
-        nbr_table = np.full((self.n_nodes, 4), -1, dtype=int)
-        rows, cols, vals = [], [], []
-        coef = 0.25 / h**2
-        for i in range(n):
-            for j in range(n):
-                if not inside[i, j]:
-                    continue
-                p = index[i, j]
-                nbrs = [neighbor(i, j, di, dj) for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))]
-                nbr_table[p] = nbrs
-                if any(q < 0 for q in nbrs):
-                    boundary[p] = True
-                    continue
-                for q in nbrs:
-                    rows.append(p)
-                    cols.append(q)
-                    vals.append(coef)
-                rows.append(p)
-                cols.append(p)
-                vals.append(-4.0 * coef)
-        self.boundary_mask = boundary
-        self._nbr = nbr_table
         self._dir_spacing = (h, h)
-        self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        self._area = np.full(self.n_nodes, h * h)
-        self._cells_to_boundary = self._bfs_cells(index, inside, boundary, n)
-
-    def _bfs_cells(self, index, inside, boundary, n) -> np.ndarray:
-        from collections import deque
-
-        dist = np.full(self.n_nodes, -1, dtype=int)
-        queue = deque()
-        for p in np.nonzero(boundary)[0]:
-            dist[p] = 0
-            queue.append(p)
-        where = {index[i, j]: (i, j) for i in range(n) for j in range(n) if inside[i, j]}
-        while queue:
-            p = queue.popleft()
-            i, j = where[p]
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                i2, j2 = i + di, j + dj
-                if 0 <= i2 < n and 0 <= j2 < n and inside[i2, j2]:
-                    q = index[i2, j2]
-                    if dist[q] < 0:
-                        dist[q] = dist[p] + 1
-                        queue.append(q)
-        return dist
+        coef = 0.25 / h**2
+        self._finish(nbr, np.full(4, coef), np.full(n_nodes, -4.0 * coef),
+                     (nbr < 0).any(axis=1), np.full(n_nodes, h * h))
 
     def _build_torus(self, spec: GridSpec):
         nx, ny = spec.resolution_pair()
         lx, ly = spec.periods
         hx, hy = lx / nx, ly / ny
-        x = np.arange(nx) * hx
-        y = np.arange(ny) * hy
-        xg, yg = np.meshgrid(x, y, indexing="ij")
-        self.n_nodes = nx * ny
+        xg, yg = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy, indexing="ij")
         self.xy = np.column_stack([xg.ravel(), yg.ravel()])
         self.spacing = max(hx, hy)
-        self.boundary_mask = np.zeros(self.n_nodes, dtype=bool)
-
-        def idx(i, j):
-            return (i % nx) * ny + (j % ny)
-
-        rows, cols, vals = [], [], []
-        nbr_table = np.empty((self.n_nodes, 4), dtype=int)
+        self._dir_spacing = (hx, hy)
+        i, j = np.divmod(np.arange(nx * ny), ny)
+        nbr = np.column_stack([(i - 1) % nx * ny + j, (i + 1) % nx * ny + j,
+                               i * ny + (j - 1) % ny, i * ny + (j + 1) % ny])
         cx = 0.25 / hx**2
         cy = 0.25 / hy**2
-        for i in range(nx):
-            for j in range(ny):
-                p = idx(i, j)
-                nbr_table[p] = (idx(i - 1, j), idx(i + 1, j), idx(i, j - 1), idx(i, j + 1))
-                for q, c in (
-                    (idx(i + 1, j), cx),
-                    (idx(i - 1, j), cx),
-                    (idx(i, j + 1), cy),
-                    (idx(i, j - 1), cy),
-                ):
-                    rows.append(p)
-                    cols.append(q)
-                    vals.append(c)
-                rows.append(p)
-                cols.append(p)
-                vals.append(-2.0 * (cx + cy))
-        self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        self._area = np.full(self.n_nodes, hx * hy)
-        self._cells_to_boundary = np.full(self.n_nodes, np.iinfo(np.int32).max)
-        self._shape = (nx, ny)
-        self._nbr = nbr_table
-        self._dir_spacing = (hx, hy)
+        self._finish(nbr, np.array([cx, cx, cy, cy]), np.full(nx * ny, -2.0 * (cx + cy)),
+                     np.zeros(nx * ny, dtype=bool), np.full(nx * ny, hx * hy))
+
+    def _finish(self, nbr, weights, diag, boundary, area):
+        """Assemble the Laplacian and the boundary distance from the stencil.
+
+        ``nbr`` is the (n_nodes, 2*dim) neighbour table and ``weights`` the
+        matching off-diagonal entries (or one per column).  Boundary rows
+        stay empty; the distance is the graph distance along the table.
+        """
+        n_nodes = len(nbr)
+        self.n_nodes = n_nodes
+        self.boundary_mask = boundary
+        self.interior_mask = ~boundary
+        self._nbr = nbr
+        self._area = area
+        live = nbr >= 0
+        p, k = np.nonzero(live & self.interior_mask[:, None])
+        interior = np.nonzero(self.interior_mask)[0]
+        rows = np.concatenate([p, interior])
+        cols = np.concatenate([nbr[p, k], interior])
+        vals = np.concatenate([np.broadcast_to(weights, nbr.shape)[p, k], diag[interior]])
+        self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+
+        row_ptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+        adj = sparse.csr_matrix((np.ones(row_ptr[-1]), nbr[live], row_ptr),
+                                shape=(n_nodes, n_nodes))
+        dist = dijkstra(adj, indices=np.nonzero(boundary)[0], unweighted=True, min_only=True)
+        dist[np.isinf(dist)] = np.iinfo(np.int32).max
+        self._cells_to_boundary = dist.astype(int)
 
     # -- queries -----------------------------------------------------------
 
@@ -287,9 +236,15 @@ class Grid:
         """Interior nodes at least ``margin_cells`` grid steps from the boundary.
 
         Theorem verdicts are only asserted on this region; on the torus it is
-        every node.
+        every node.  A negative margin, or one that leaves no node, is a
+        ``ValueError``.
         """
-        return self._cells_to_boundary >= margin_cells
+        if margin_cells < 0:
+            raise ValueError(f"margin_cells must be >= 0, got {margin_cells} on {self!r}")
+        region = self._cells_to_boundary >= margin_cells
+        if not region.any():
+            raise ValueError(f"margin_cells={margin_cells} leaves no verdict region on {self!r}")
+        return region
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

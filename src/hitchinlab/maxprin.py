@@ -83,6 +83,9 @@ class CooperativeSystem:
         if len(self.excluded) != self.n:
             raise ValueError("need one excluded-node set per unknown")
         self.excluded = [np.asarray(e, dtype=int) for e in self.excluded]
+        for e in self.excluded:
+            if np.any((e < 0) | (e >= N)):
+                raise ValueError(f"excluded node indices must lie in [0, {N})")
 
     def excluded_union_mask(self) -> np.ndarray:
         mask = np.zeros(self.grid.n_nodes, dtype=bool)
@@ -121,21 +124,18 @@ def _upwind_drift(grid: Grid, velocity: np.ndarray) -> sparse.csr_matrix:
         raise ValueError(f"drift must have shape ({N}, {dim})")
     rows, cols, vals = [], [], []
     interior = ~grid.boundary_mask
-    for ax in range(dim):
-        h = spacings[ax]
+    for ax, h in enumerate(spacings):
         minus, plus = nbr[:, 2 * ax], nbr[:, 2 * ax + 1]
         v = velocity[:, ax]
-        for p in np.nonzero(interior)[0]:
-            vp = v[p]
-            if vp > 0 and plus[p] >= 0:
-                rows += [p, p]
-                cols += [plus[p], p]
-                vals += [vp / h, -vp / h]
-            elif vp < 0 and minus[p] >= 0:
-                rows += [p, p]
-                cols += [minus[p], p]
-                vals += [-vp / h, vp / h]
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+        forward = interior & (v > 0) & (plus >= 0)
+        backward = interior & (v < 0) & (minus >= 0)
+        p = np.nonzero(forward | backward)[0]
+        w = np.abs(v[p]) / h
+        rows += [p, p]
+        cols += [np.where(forward, plus, minus)[p], p]
+        vals += [w, -w]
+    return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(N, N)).tocsr()
 
 
 @dataclass
@@ -253,32 +253,18 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     """
     N = system.grid.n_nodes
     n = system.n
-    L = system.elliptic_operator()
-    dirichlet = [system.grid.boundary_mask.copy() for _ in range(n)]
-    for i, e in enumerate(system.excluded):
-        dirichlet[i][e] = True
-
-    blocks = []
-    rhs = np.empty(n * N)
-    for i in range(n):
-        free = ~dirichlet[i]
-        row_scale = sparse.diags(free.astype(float))
-        row = [None] * n
-        diag_block = row_scale @ (L + sparse.diags(system.c[i, i])) + sparse.diags(
-            dirichlet[i].astype(float)
-        )
-        for j in range(n):
-            if j == i:
-                row[j] = diag_block
-            else:
-                row[j] = row_scale @ sparse.diags(system.c[i, j])
-        blocks.append(row)
-        b = np.where(free, system.f[i], 0.0)
-        b[system.grid.boundary_mask] = 0.0
-        b[system.excluded[i]] = system.pole_value
-        rhs[i * N:(i + 1) * N] = b
-    A = sparse.bmat(blocks, format="csr")
-    return A, rhs
+    pins = np.concatenate([i * N + e for i, e in enumerate(system.excluded)])
+    dirichlet = np.tile(system.grid.boundary_mask, n)
+    dirichlet[pins] = True
+    free = ~dirichlet
+    # coupling c_ij at node k sits at row i*N + k, column j*N + k
+    i, j, k = np.indices(system.c.shape).reshape(3, -1)
+    C = sparse.coo_matrix((system.c.ravel(), (i * N + k, j * N + k)), shape=(n * N, n * N))
+    L = sparse.kron(sparse.identity(n), system.elliptic_operator())
+    A = sparse.diags(free.astype(float)) @ (L + C) + sparse.diags(dirichlet.astype(float))
+    rhs = np.where(free, system.f.ravel(), 0.0)
+    rhs[pins] = system.pole_value
+    return A.tocsr(), rhs
 
 
 def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True,

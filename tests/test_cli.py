@@ -138,6 +138,50 @@ def test_verify_sym_space_vacuous_config_is_usage_error(tmp_path, capsys, payloa
     assert not (out / "verdict.json").exists()
 
 
+_DEGREE_17 = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degree": 1.7}])
+
+
+@pytest.mark.parametrize("key,theorem,payload", [
+    ("samples", "sym-space-curvature", {"samples": 2.5, "ranks": [2]}),
+    ("ranks", "sym-space-curvature", {"samples": 5, "ranks": [2.9]}),
+    ("count", "max-principle", {"count": 3.7}),
+    ("n", "nu-bounds", {"grid": RADIAL, "spec": dict(HITCHIN3, n=3.5)}),
+    ("margin_cells", "nu-bounds", {"grid": RADIAL, "spec": HITCHIN3, "margin_cells": 5.5}),
+    ("seed", "sym-space-curvature", {"samples": 5, "ranks": [2], "seed": 0.5}),
+    ("resolution", "nu-bounds", {"grid": dict(RADIAL, resolution=64.9), "spec": HITCHIN3}),
+    ("degree", "nu-bounds", {"grid": RADIAL, "spec": _DEGREE_17}),
+])
+def test_fractional_integer_field_is_usage_error(tmp_path, capsys, key, theorem, payload):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", theorem, "--out", str(out)])
+    assert rc == 1
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {"samples": 5e1, "ranks": [2.0, 3], "seed": 7.0})
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", "sym-space-curvature",
+               "--out", str(out)])
+    assert rc == 0
+    verdict = read_json(out / "verdict.json")
+    assert verdict["seed"] == 7 and verdict["samples"] == 50
+
+
+@pytest.mark.parametrize("margin", [1000, -3])
+def test_nu_bounds_margin_without_region_is_usage_error(tmp_path, capsys, margin):
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3,
+                                           "margin_cells": margin})
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "margin_cells" in err and "radial_disc" in err
+    assert not (out / "verdict.json").exists()
+
+
 def test_verify_max_principle_violation_demo(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "violate": "column", "n": 3,

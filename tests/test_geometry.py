@@ -1,7 +1,10 @@
 import dataclasses
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from hitchinlab.geometry import (
     Grid,
@@ -79,6 +82,180 @@ def test_verdict_region_distances():
     assert not region[g.boundary_mask].any()
     g2 = build_grid(GridSpec("torus", (12, 12)))
     assert g2.verdict_region(5).all()
+
+
+def test_verdict_region_refuses_negative_and_empty_margins():
+    g = radial(16)
+    assert g.verdict_region(0).all()
+    assert g.verdict_region(15).sum() == 1
+    with pytest.raises(ValueError, match="margin_cells.*radial_disc"):
+        g.verdict_region(-1)
+    with pytest.raises(ValueError, match="margin_cells=16 leaves no verdict region"):
+        g.verdict_region(16)
+    d = build_grid(GridSpec("disc2d", 9, 0.8))
+    with pytest.raises(ValueError, match="margin_cells=5.*disc2d"):
+        d.verdict_region(5)
+    t = build_grid(GridSpec("torus", (8, 8)))
+    assert t.verdict_region(1000).all()
+    with pytest.raises(ValueError, match="margin_cells"):
+        t.verdict_region(-3)
+
+
+# -- reference: the per-node loop constructors the stencil assembler replaced --
+
+
+def _reference_radial(spec):
+    n = spec.resolution
+    h = spec.radius / (n - 1)
+    r = np.arange(n) * h
+    g = SimpleNamespace(xy=np.column_stack([r, np.zeros(n)]))
+    g.boundary_mask = np.zeros(n, dtype=bool)
+    g.boundary_mask[-1] = True
+    rows, cols, vals = [0, 0], [0, 1], [-1.0 / h**2, 1.0 / h**2]
+    for i in range(1, n - 1):
+        ri = r[i]
+        west = 0.25 * (1.0 / h**2 - 1.0 / (2.0 * h * ri))
+        east = 0.25 * (1.0 / h**2 + 1.0 / (2.0 * h * ri))
+        rows += [i, i, i]
+        cols += [i - 1, i, i + 1]
+        vals += [west, -(west + east), east]
+    g.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    r_out = np.minimum(r + h / 2, spec.radius)
+    r_in = np.maximum(r - h / 2, 0.0)
+    g.area = np.pi * (r_out**2 - r_in**2)
+    g.cells = (n - 1) - np.arange(n)
+    nbr = np.empty((n, 2), dtype=int)
+    nbr[:, 0] = np.arange(n) - 1
+    nbr[:, 1] = np.arange(n) + 1
+    nbr[n - 1, 1] = -1
+    g.nbr = nbr
+    return g
+
+
+def _reference_bfs_cells(n_nodes, index, inside, boundary, n):
+    dist = np.full(n_nodes, -1, dtype=int)
+    queue = deque()
+    for p in np.nonzero(boundary)[0]:
+        dist[p] = 0
+        queue.append(p)
+    where = {index[i, j]: (i, j) for i in range(n) for j in range(n) if inside[i, j]}
+    while queue:
+        p = queue.popleft()
+        i, j = where[p]
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            i2, j2 = i + di, j + dj
+            if 0 <= i2 < n and 0 <= j2 < n and inside[i2, j2]:
+                q = index[i2, j2]
+                if dist[q] < 0:
+                    dist[q] = dist[p] + 1
+                    queue.append(q)
+    return dist
+
+
+def _reference_disc2d(spec):
+    n = spec.resolution
+    R = spec.radius
+    axis = np.linspace(-R, R, n)
+    h = axis[1] - axis[0]
+    xg, yg = np.meshgrid(axis, axis, indexing="ij")
+    inside = xg**2 + yg**2 <= R**2 + 1e-12
+    index = -np.ones((n, n), dtype=int)
+    index[inside] = np.arange(inside.sum())
+    n_nodes = int(inside.sum())
+    g = SimpleNamespace(xy=np.column_stack([xg[inside], yg[inside]]))
+
+    def neighbor(i, j, di, dj):
+        i2, j2 = i + di, j + dj
+        if 0 <= i2 < n and 0 <= j2 < n and inside[i2, j2]:
+            return index[i2, j2]
+        return -1
+
+    boundary = np.zeros(n_nodes, dtype=bool)
+    nbr_table = np.full((n_nodes, 4), -1, dtype=int)
+    rows, cols, vals = [], [], []
+    coef = 0.25 / h**2
+    for i in range(n):
+        for j in range(n):
+            if not inside[i, j]:
+                continue
+            p = index[i, j]
+            nbrs = [neighbor(i, j, di, dj) for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))]
+            nbr_table[p] = nbrs
+            if any(q < 0 for q in nbrs):
+                boundary[p] = True
+                continue
+            for q in nbrs:
+                rows.append(p)
+                cols.append(q)
+                vals.append(coef)
+            rows.append(p)
+            cols.append(p)
+            vals.append(-4.0 * coef)
+    g.boundary_mask = boundary
+    g.nbr = nbr_table
+    g.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    g.area = np.full(n_nodes, h * h)
+    g.cells = _reference_bfs_cells(n_nodes, index, inside, boundary, n)
+    return g
+
+
+def _reference_torus(spec):
+    nx, ny = spec.resolution_pair()
+    lx, ly = spec.periods
+    hx, hy = lx / nx, ly / ny
+    xg, yg = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy, indexing="ij")
+    n_nodes = nx * ny
+    g = SimpleNamespace(xy=np.column_stack([xg.ravel(), yg.ravel()]))
+    g.boundary_mask = np.zeros(n_nodes, dtype=bool)
+
+    def idx(i, j):
+        return (i % nx) * ny + (j % ny)
+
+    rows, cols, vals = [], [], []
+    nbr_table = np.empty((n_nodes, 4), dtype=int)
+    cx = 0.25 / hx**2
+    cy = 0.25 / hy**2
+    for i in range(nx):
+        for j in range(ny):
+            p = idx(i, j)
+            nbr_table[p] = (idx(i - 1, j), idx(i + 1, j), idx(i, j - 1), idx(i, j + 1))
+            for q, c in ((idx(i + 1, j), cx), (idx(i - 1, j), cx),
+                         (idx(i, j + 1), cy), (idx(i, j - 1), cy)):
+                rows.append(p)
+                cols.append(q)
+                vals.append(c)
+            rows.append(p)
+            cols.append(p)
+            vals.append(-2.0 * (cx + cy))
+    g.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    g.area = np.full(n_nodes, hx * hy)
+    g.cells = np.full(n_nodes, np.iinfo(np.int32).max)
+    g.nbr = nbr_table
+    return g
+
+
+_REFERENCE = {"radial_disc": _reference_radial, "disc2d": _reference_disc2d,
+              "torus": _reference_torus}
+
+
+@pytest.mark.parametrize("spec", [
+    *(GridSpec("disc2d", n, R) for n in (8, 9, 16, 17, 32, 33) for R in (0.5, 0.99)),
+    GridSpec("torus", (9, 13), periods=(2.5, 0.7)),
+    GridSpec("radial_disc", 8, 0.8),
+    GridSpec("radial_disc", 1024, 0.8),
+], ids=lambda s: f"{s.kind}-{s.resolution}-{s.radius if s.kind != 'torus' else s.periods}")
+def test_grid_arrays_match_loop_constructors(spec):
+    g = build_grid(spec)
+    ref = _REFERENCE[spec.kind](spec)
+    lap = ref.lap.tocsr()
+    lap.sum_duplicates()
+    for got, want in ((g.lap.data, lap.data), (g.lap.indices, lap.indices),
+                      (g.lap.indptr, lap.indptr), (g.directional_neighbors()[0], ref.nbr),
+                      (g.boundary_mask, ref.boundary_mask), (g.interior_mask, ~ref.boundary_mask),
+                      (g.cells_to_boundary(), ref.cells), (g.area_weights(), ref.area),
+                      (g.xy, ref.xy)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_directional_neighbors_tables():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
@@ -13,6 +15,7 @@ from hitchinlab.maxprin import (
     difference_system,
     fully_coupled,
     fully_coupled_bruteforce,
+    assemble_matrix,
     random_cooperative_system,
     randomized_positivity_suite,
     rescale_unknowns,
@@ -42,6 +45,17 @@ def test_system_shape_validation():
     with pytest.raises(ValueError):
         CooperativeSystem(g, 2, np.zeros((2, 2, N)), np.zeros((2, N)),
                           excluded=[np.array([0])])
+
+
+def test_pole_indices_must_lie_on_the_grid():
+    g = radial(12)
+    N = g.n_nodes
+    c, f = np.zeros((2, 2, N)), np.zeros((2, N))
+    for bad in (-1, N):
+        with pytest.raises(ValueError, match=r"excluded node indices must lie in \[0, 12\)"):
+            CooperativeSystem(g, 2, c, f, excluded=[np.array([3]), np.array([bad])])
+    ok = CooperativeSystem(g, 2, c, f, excluded=[np.array([0, N - 1]), np.array([], dtype=int)])
+    assert ok.excluded_union_mask().sum() == 2
 
 
 def test_conditions_pass_on_random_draws():
@@ -240,3 +254,86 @@ def test_difference_system_input_validation():
     other = make_spec("hitchin_component", 3, (HolomorphicDatum.constant(2.0),), t=2.0)
     with pytest.raises(ValueError):
         difference_system(other, st_a, spec_b, st_b)
+
+
+# -- reference: the per-node drift loop and per-block assembly it replaced --
+
+
+def _reference_upwind_drift(grid, velocity):
+    nbr, spacings = grid.directional_neighbors()
+    N = grid.n_nodes
+    if velocity.ndim == 1:
+        velocity = velocity[:, None]
+    rows, cols, vals = [], [], []
+    interior = ~grid.boundary_mask
+    for ax in range(len(spacings)):
+        h = spacings[ax]
+        minus, plus = nbr[:, 2 * ax], nbr[:, 2 * ax + 1]
+        v = velocity[:, ax]
+        for p in np.nonzero(interior)[0]:
+            vp = v[p]
+            if vp > 0 and plus[p] >= 0:
+                rows += [p, p]
+                cols += [plus[p], p]
+                vals += [vp / h, -vp / h]
+            elif vp < 0 and minus[p] >= 0:
+                rows += [p, p]
+                cols += [minus[p], p]
+                vals += [-vp / h, vp / h]
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+
+
+def _reference_assemble(system):
+    N = system.grid.n_nodes
+    n = system.n
+    L = system.grid.lap
+    if system.metric_weight is not None:
+        L = sparse.diags(1.0 / system.metric_weight) @ L
+    if system.drift is not None:
+        L = L + _reference_upwind_drift(system.grid, np.asarray(system.drift, float))
+    L = L.tocsr()
+    dirichlet = [system.grid.boundary_mask.copy() for _ in range(n)]
+    for i, e in enumerate(system.excluded):
+        dirichlet[i][e] = True
+    blocks = []
+    rhs = np.empty(n * N)
+    for i in range(n):
+        free = ~dirichlet[i]
+        row_scale = sparse.diags(free.astype(float))
+        row = [None] * n
+        for j in range(n):
+            if j == i:
+                row[j] = row_scale @ (L + sparse.diags(system.c[i, i])) + sparse.diags(
+                    dirichlet[i].astype(float))
+            else:
+                row[j] = row_scale @ sparse.diags(system.c[i, j])
+        blocks.append(row)
+        b = np.where(free, system.f[i], 0.0)
+        b[system.grid.boundary_mask] = 0.0
+        b[system.excluded[i]] = system.pole_value
+        rhs[i * N:(i + 1) * N] = b
+    return sparse.bmat(blocks, format="csr"), rhs
+
+
+_ASSEMBLY_GRIDS = [build_grid(GridSpec("torus", (9, 13), periods=(2.0, 0.5))),
+                   build_grid(GridSpec("radial_disc", 40, 0.8)),
+                   build_grid(GridSpec("disc2d", 17, 0.9))]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(grid=st.sampled_from(_ASSEMBLY_GRIDS), n=st.integers(1, 5),
+       with_drift=st.booleans(), with_poles=st.booleans(), weighted=st.booleans(),
+       sparse_coupling=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_assembly_matches_block_reference(grid, n, with_drift, with_poles, weighted,
+                                          sparse_coupling, seed):
+    rng = np.random.default_rng(seed)
+    sys_ = random_cooperative_system(grid, n, rng, None, with_drift, with_poles)
+    if weighted:
+        sys_.metric_weight = 1.0 + rng.random(grid.n_nodes)
+    if sparse_coupling:
+        sys_.c = sys_.c * (rng.random(sys_.c.shape) < 0.5)
+    A, rhs = assemble_matrix(sys_)
+    A_ref, rhs_ref = _reference_assemble(sys_)
+    for got, want in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                      (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
