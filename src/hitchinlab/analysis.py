@@ -601,6 +601,7 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     """
     config = config or SolverConfig()
     partner = CyclicSpec(spec.n, "hitchin_component", (spec.partner_differential(),))
+    grid.verdict_region(margin_cells)
     rep_a = solve(make_system(spec, grid), config=config)
     rep_b = solve(make_system(partner, grid), config=config)
     if not (rep_a.converged and rep_b.converged):

@@ -205,6 +205,7 @@ class Grid:
         dist = dijkstra(adj, indices=np.nonzero(boundary)[0], unweighted=True, min_only=True)
         dist[np.isinf(dist)] = np.iinfo(np.int32).max
         self._cells_to_boundary = dist.astype(int)
+        self._block_laplacians: dict = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -245,6 +246,47 @@ class Grid:
         if not region.any():
             raise ValueError(f"margin_cells={margin_cells} leaves no verdict region on {self!r}")
         return region
+
+    def block_laplacian(self, gram: np.ndarray):
+        """The Laplacian on m unknowns per interior node, coupled by ``gram``.
+
+        For an m x m matrix ``gram`` returns ``(A, blocks, coupling)``:
+
+        * ``A`` (CSC) is lap_II (x) gram over the interior nodes (every node
+          of the torus), node-major: unknown k of the f-th interior node is
+          index f*m + k.  Its pattern also holds a full m x m block at every
+          node, for callers that couple a node's own unknowns.
+        * ``blocks[f, l, k]`` is the position in ``A.data`` of A[(f, k), (f, l)].
+        * ``coupling`` (CSR) is lap_IB (x) gram, from the boundary unknowns
+          into the interior rows; it has no columns on the torus.
+
+        Built once per ``gram`` and shared by every caller: the arrays are
+        read-only, so copy ``A`` before writing to it.
+        """
+        key = (gram.shape, gram.tobytes())
+        if key in self._block_laplacians:
+            return self._block_laplacians[key]
+        m = gram.shape[0]
+        lap_i = self.lap[self.interior_mask]
+        lap_ii = lap_i[:, self.interior_mask].tocsc()
+        n = lap_ii.shape[0]
+        # CSC arrays of lap_II read as CSR are lap_II^T; with the blocks
+        # lap[i, j] gram^T they describe A^T in CSR, i.e. A in CSC.  NaN
+        # marks each node's own block, so dropping the stored zeros of gram
+        # keeps it whole.
+        col = np.repeat(np.arange(n), np.diff(lap_ii.indptr))
+        blocks = lap_ii.data[:, None, None] * gram.T
+        blocks[lap_ii.indices == col] = np.nan
+        A = sparse.bsr_matrix((blocks, lap_ii.indices, lap_ii.indptr), shape=(n * m, n * m)).tocsr()
+        A.eliminate_zeros()
+        own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
+        A.data[own] = lap_ii.diagonal()[:, None, None] * gram.T
+        A = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        coupling = sparse.kron(lap_i[:, self.boundary_mask], gram, format="csr")
+        for arr in (A.data, A.indices, A.indptr, own, coupling.data):
+            arr.flags.writeable = False
+        self._block_laplacians[key] = A, own, coupling
+        return A, own, coupling
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

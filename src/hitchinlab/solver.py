@@ -1,8 +1,13 @@
 """Damped Newton solver for the assembled log-metric systems.
 
 The outer iteration is plain Newton with backtracking on the residual
-max-norm; the inner linear solve is a sparse direct LU factorisation
-(deterministic; the radial systems are narrow-banded in node-major order).
+max-norm.  A step is -r at the Dirichlet nodes; at the free nodes it solves
+the system's Newton matrix K, the Hessian of a convex energy (see
+``HitchinSystem``): symmetric negative definite on disc2d and torus grids,
+and such a matrix times a positive diagonal on the radial grid.  SuperLU
+factors K in its symmetric mode (minimum-degree ordering of K^T + K, applied
+to rows and columns alike) with diagonal pivots, which such a matrix admits
+without row interchanges.
 
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
@@ -67,6 +72,22 @@ def _norm(r: np.ndarray) -> float:
     return float(np.abs(r).max()) if r.size else 0.0
 
 
+def _factor(K):
+    """Sparse direct factorisation of a free-node Newton matrix."""
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
+    whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
+    the boundary coupling applied to step_B."""
+    step, free = -r, system.free
+    rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
+    step[free] = _factor(system.jacobian_matrix(u)).solve(rhs).reshape(-1, system.m)
+    return step
+
+
 def solve(
     system: HitchinSystem,
     initial: LogMetricState | None = None,
@@ -96,8 +117,7 @@ def solve(
             return SolveReport(state, True, it, norms, steps,
                                "converged", time.perf_counter() - t0)
         try:
-            J = system.jacobian_matrix(u)
-            delta = spla.splu(J.tocsc()).solve(-r.ravel())
+            delta = _newton_step(system, u, r)
         except BlowupError as exc:
             state = LogMetricState(system.grid, u, rnorm)
             return SolveReport(state, False, it, norms, steps, str(exc),
@@ -106,7 +126,6 @@ def solve(
             state = LogMetricState(system.grid, u, rnorm)
             return SolveReport(state, False, it, norms, steps,
                                f"linear solve failed: {exc}", time.perf_counter() - t0)
-        delta = delta.reshape(u.shape)
 
         alpha = 1.0
         accepted = False

@@ -29,6 +29,7 @@ The scale parameter ``t`` always multiplies the final arrow (gamma_n or nu).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -80,6 +81,9 @@ class CyclicSpec:
         object.__setattr__(self, "data", tuple(self.data))
         object.__setattr__(self, "t", complex(self.t))
         if self.degrees is not None:
+            for k, d in enumerate(self.degrees, 1):
+                if not (isinstance(d, numbers.Real) and float(d).is_integer()):
+                    raise ValueError(f"deg(L_{k}) must be an integer, got {d!r}")
             degs = tuple(int(d) for d in self.degrees)
             if len(degs) != self.n or sum(degs) != 0:
                 raise ValueError("degrees must list deg(L_1..L_n) and sum to zero")
@@ -300,6 +304,18 @@ class HitchinSystem:
     is R(u) = Lap u + F(u), where F holds the first m columns of
     a_k - a_{k-1} at w = u E^T; the rows at Dirichlet nodes read
     u - boundary_value instead.
+
+    Newton works on the free nodes (interior nodes of a disc, every torus
+    node).  Their rows are projected by the Gram matrix E^T E (2 I for the
+    symmetric variants, I + 1 1^T for ``general_cyclic``): R E^T E is the
+    gradient of the discrete energy sum |grad w|^2 / 2 + sum_k G_k
+    e^{w_{k+1} - w_k}, so its derivative in the free unknowns,
+
+        K = lap_FF (x) E^T E - blockdiag(d^T diag(a) d),  d = roll(E, -1) - E,
+
+    is that energy's Hessian: symmetric wherever lap is.  The free rows
+    couple to the boundary unknowns only through the constant
+    ``boundary_coupling`` lap_FB (x) E^T E.
     """
 
     def __init__(
@@ -313,6 +329,7 @@ class HitchinSystem:
         self.grid = grid
         self.m = spec.n_unknowns
         self.coeff_sq = coeff_sq  # (N, n) squared arrow coefficients, t^2 in last column
+        self.free = grid.interior_mask  # every node of the torus
         if grid.kind == "torus":
             self.boundary_values = None
         else:
@@ -320,10 +337,13 @@ class HitchinSystem:
             if bv.shape != (grid.n_nodes, self.m):
                 raise ValueError("boundary value array has wrong shape")
             self.boundary_values = bv
-        self._kron_lap = sparse.kron(grid.lap, sparse.identity(self.m), format="csr")
         self._embedding = E = spec.embedding
-        # d[i, j] = d(w_{i+1} - w_i)/du_j, the log-derivative of arrow i
-        self._d = np.roll(E, -1, axis=0) - E
+        self.gram = E.T @ E
+        # arrow i has log-derivative d[i] = d(w_{i+1} - w_i)/du; the Hessian
+        # block sums a_i d[i]^T d[i], kept once per unordered pair (k, l)
+        d = np.roll(E, -1, axis=0) - E
+        self._pairs = np.triu_indices(self.m)
+        self._dd = d[:, self._pairs[0]] * d[:, self._pairs[1]]
 
     # -- nonlinear couplings ----------------------------------------------
 
@@ -334,12 +354,7 @@ class HitchinSystem:
         a = self._arrows(u)
         return (a - np.roll(a, 1, axis=1))[:, :self.m]
 
-    def _coupling_blocks(self, u: np.ndarray) -> np.ndarray:
-        """Per-node dense derivative blocks of the coupling, shape (N, m, m)."""
-        D_full = self._arrows(u)[:, :, None] * self._d
-        return (D_full - np.roll(D_full, 1, axis=1))[:, :self.m]
-
-    # -- residual and Jacobian --------------------------------------------
+    # -- residual and Newton matrix ----------------------------------------
 
     def residual_array(self, u: np.ndarray) -> np.ndarray:
         """Residual as an (N, m) array; may contain non-finite values."""
@@ -349,21 +364,26 @@ class HitchinSystem:
             R[b, :] = u[b, :] - self.boundary_values[b, :]
         return R
 
-    def jacobian_matrix(self, u: np.ndarray) -> sparse.csr_matrix:
-        D = self._coupling_blocks(u)
-        if not np.all(np.isfinite(D)):
+    def jacobian_matrix(self, u: np.ndarray) -> sparse.csc_matrix:
+        """K, the derivative of the projected free rows (R E^T E)_F in u_F.
+
+        The pattern is built at the first call and kept by the grid; each
+        call scatters the node blocks into a fresh copy of its data.
+        """
+        hess = self._arrows(u)[self.free] @ self._dd
+        if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
-        if self.boundary_values is not None:
-            D[self.grid.boundary_mask, :, :] = 0.0
-        N, m = D.shape[0], self.m
-        blocks = sparse.bsr_matrix(
-            (D, np.arange(N), np.arange(N + 1)), shape=(N * m, N * m)
-        )
-        J = self._kron_lap + blocks.tocsr()
-        if self.boundary_values is not None:
-            sel = np.repeat(self.grid.boundary_mask, m).astype(float)
-            J = J + sparse.diags(sel)
-        return J.tocsr()
+        lap_k, blocks, _ = self.grid.block_laplacian(self.gram)
+        k, l = self._pairs
+        upper, lower = blocks[:, l, k], blocks[:, k, l]
+        K = lap_k.copy()
+        K.data[upper] = K.data[lower] = lap_k.data[upper] - hess
+        return K
+
+    @property
+    def boundary_coupling(self) -> sparse.csr_matrix:
+        """lap_FB (x) E^T E: how the free rows see the boundary unknowns."""
+        return self.grid.block_laplacian(self.gram)[2]
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
@@ -408,6 +428,9 @@ def make_system(
             if f.shape != (grid.n_nodes,) or np.any(f < 0) or not np.all(np.isfinite(f)):
                 raise ValueError("coefficient fields must be finite, nonnegative node arrays")
         G = np.column_stack(fields)
+        if spec.is_symmetric and not np.array_equal(G[:, :-1], G[:, -2::-1]):
+            raise ValueError("a symmetric variant needs palindromic coefficient fields "
+                             "(field k equal to field n-k for k < n)")
         G[:, -1] *= abs(spec.t) ** 2
     else:
         G = arrow_coefficients(spec, grid)
@@ -443,11 +466,6 @@ def residual(system: HitchinSystem, state: LogMetricState) -> list[ScalarField]:
     if not np.all(np.isfinite(R)):
         raise BlowupError("non-finite residual (state blew up)")
     return [ScalarField(system.grid, R[:, k].copy()) for k in range(system.m)]
-
-
-def jacobian(system: HitchinSystem, state: LogMetricState) -> sparse.csr_matrix:
-    """Exact sparse Jacobian of the residual at the given state."""
-    return system.jacobian_matrix(state.u)
 
 
 # -- spec transformations --------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hitchinlab import analysis
 from hitchinlab.analysis import (
     MARGIN_COEFF_PAIRED,
     SYM_GROUPS,
@@ -380,6 +381,16 @@ def test_fiber_comparison_identical_data_degenerates():
     assert not out["passed"]
     assert "degenerate" in out
     assert all(m == 0.0 for m in out["components"]["margins"])
+
+
+@pytest.mark.parametrize("margin", [1000, -3])
+def test_fiber_comparison_refuses_bad_margin_before_solving(monkeypatch, margin):
+    calls = []
+    monkeypatch.setattr(analysis, "solve", lambda *args, **kwargs: calls.append(args))
+    spec = make_spec("slnr_even", 2, (one, HolomorphicDatum.monomial(1.0, 2)))
+    with pytest.raises(ValueError, match="margin_cells"):
+        verify_fiber_comparison(spec, radial(32), margin_cells=margin)
+    assert calls == []
 
 
 def test_verify_max_principle_quick():

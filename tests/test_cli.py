@@ -243,6 +243,18 @@ def test_sweep_stable_degrees_proceed(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
 
 
+def test_sweep_degrees_must_be_integers(tmp_path, capsys):
+    def sweep(degrees):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "grid": RADIAL, "spec": dict(HITCHIN3, degrees=degrees), "t_list": [0.0, 1.0]})
+        return main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    assert sweep([2.5, -0.5, -2.0]) == 1
+    assert "deg(L_1) must be an integer, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.json").exists()
+    assert sweep([2.0, 0.0, -2.0]) == 0
+
+
 def test_sweep_requires_t_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1

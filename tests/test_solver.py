@@ -1,5 +1,7 @@
 """Newton solver behaviour: convergence, failure reporting, continuation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hitchinlab.solver import SolverConfig, SolveReport, continuation_solve, sol
 from hitchinlab.system import LogMetricState, make_spec, make_system, scale_last_arrow
 
 one = HolomorphicDatum.constant(1.0)
+quadratic = HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])  # z^2 - 1/4
 
 
 def radial(n=64, radius=0.8):
@@ -125,3 +128,47 @@ def test_continuation_stops_at_first_failure():
     out = continuation_solve(at, [0.0, 8.0, 16.0], config=budget)
     assert out[0][1].converged
     assert len(out) == 2 and not out[1][1].converged
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec("hitchin_component", 4, (quadratic,), t=2.0),
+    make_spec("general_cyclic", 3, (one, one, quadratic), t=2.0),
+], ids=lambda s: s.variant)
+def test_damped_warm_start_off_the_dirichlet_data_lands_on_it(spec):
+    # the boundary part of each step is -r_B and enters the free solve
+    # through the boundary coupling; damped steps move it only part way
+    g = build_grid(GridSpec("disc2d", 17, 0.8))
+    sys = make_system(spec, g)
+    b = g.boundary_mask
+    seed = sys.initial_state()
+    seed.u[b] += 1.5
+    seed.u[~b] -= 1.0
+    rep = solve(sys, initial=seed,
+                config=SolverConfig(tol_residual=1e-10, sufficient_decrease=0.9))
+    assert rep.converged
+    assert min(rep.step_sizes) < 1.0
+    bv = sys.boundary_values[b]
+    assert np.abs(rep.state.u[b] - bv).max() <= 1e-14 * max(1.0, np.abs(bv).max())
+
+
+def test_reference_solves_keep_their_newton_iteration_counts():
+    # counts recorded with the full-Jacobian LU solve that preceded the
+    # free-node symmetric one; the Newton direction is the same
+    config = SolverConfig(tol_residual=1e-10)
+    disc = build_grid(GridSpec("disc2d", 33, 0.8))
+    rep = solve(make_system(make_spec("hitchin_component", 4, (quadratic,)), disc), config=config)
+    assert rep.converged and rep.iterations == 2
+
+    torus = build_grid(GridSpec("torus", 32))
+    x, y = torus.xy.T
+    fields = [1.0 + 0.4 * np.cos(2.0 * np.pi * (kx * x + ky * y))
+              for kx, ky in ((1, 0), (0, 1), (1, 1))]
+    cyclic = make_spec("general_cyclic", 3, (one, one, one))
+    rep = solve(make_system(cyclic, torus, "periodic", fields), config=config)
+    assert rep.converged and rep.iterations == 3
+
+    family = make_spec("hitchin_component", 3, (quadratic,))
+    runs = continuation_solve(lambda t: make_system(replace(family, t=complex(t)), disc),
+                              [0.0, 1.0, 2.0, 4.0, 8.0], config)
+    assert all(rep.converged for _, rep in runs)
+    assert [rep.iterations for _, rep in runs] == [2, 2, 3, 3, 3]

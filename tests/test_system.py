@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
-from hitchinlab.solver import SolverConfig, solve
+from hitchinlab.solver import SolverConfig, _newton_step, solve
 from hitchinlab.system import (
     BlowupError,
     CyclicSpec,
     LogMetricState,
+    arrow_kernel,
     expand_log_metrics,
     fuchsian_state,
     gauge_image,
     gauge_log_offsets,
     hitchin_component_degrees,
-    jacobian,
     make_spec,
     make_system,
     residual,
@@ -74,6 +75,16 @@ def test_spec_degrees_must_balance():
         make_spec("hitchin_component", 3, (one,), degrees=(1, 0, 0))
     s = make_spec("hitchin_component", 3, (one,), degrees=(2, 0, -2))
     assert s.degrees == (2, 0, -2)
+
+
+def test_spec_degrees_must_be_integers():
+    with pytest.raises(ValueError, match=r"deg\(L_1\) must be an integer, got 2.5"):
+        make_spec("hitchin_component", 3, (one,), degrees=(2.5, -0.5, -2.0))
+    for bad in (float("nan"), float("inf"), "2", None):
+        with pytest.raises(ValueError, match=r"deg\(L_2\) must be an integer"):
+            make_spec("hitchin_component", 3, (one,), degrees=(2, bad, -2))
+    s = make_spec("hitchin_component", 3, (one,), degrees=(2.0, np.int64(0), -2.0))
+    assert s.degrees == (2, 0, -2) and all(type(d) is int for d in s.degrees)
 
 
 def test_unknown_counts_by_variant():
@@ -244,11 +255,16 @@ def test_symmetric_system_is_general_system_on_embedding(case):
     r_g = gen.residual_array(w)[:, :m]
     np.testing.assert_allclose(r_s, r_g, rtol=1e-13, atol=1e-13 * np.abs(r_s).max())
 
-    rows = (np.arange(N)[:, None] * (n - 1) + np.arange(m)).ravel()
-    lift = sparse.kron(sparse.identity(N), E[:n - 1], format="csr")
-    j_s = sym.jacobian_matrix(u).toarray()
-    j_g = (gen.jacobian_matrix(w) @ lift).toarray()[rows]
-    np.testing.assert_allclose(j_s, j_g, rtol=1e-13, atol=1e-13 * np.abs(j_s).max())
+    # both Newton matrices are Hessians of one energy, so u -> w lifts them
+    free = g.interior_mask
+    lift_f = sparse.kron(sparse.identity(free.sum()), E[:n - 1], format="csr")
+    lift_b = sparse.kron(sparse.identity((~free).sum()), E[:n - 1], format="csr")
+    k_s = sym.jacobian_matrix(u).toarray()
+    k_g = (lift_f.T @ gen.jacobian_matrix(w) @ lift_f).toarray()
+    np.testing.assert_allclose(k_s, k_g, rtol=1e-13, atol=1e-13 * np.abs(k_s).max())
+    c_s = sym.boundary_coupling.toarray()
+    c_g = (lift_f.T @ gen.boundary_coupling @ lift_b).toarray()
+    np.testing.assert_allclose(c_s, c_g, rtol=1e-13, atol=1e-13 * np.abs(k_s).max())
 
 
 # -- Jacobian correctness --------------------------------------------------
@@ -270,25 +286,120 @@ def test_symmetric_system_is_general_system_on_embedding(case):
     ],
 )
 def test_jacobian_matches_central_differences(grid_spec, spec):
+    # K and the boundary coupling are the derivatives of the free rows of
+    # the projected residual R E^T E in the free and the boundary unknowns
     g = build_grid(grid_spec)
     boundary = "periodic" if grid_spec.kind == "torus" else "fuchsian"
     sys = make_system(spec, g, boundary=boundary)
     rng = np.random.default_rng(11)
     u = sys.initial_state().u + 0.1 * rng.normal(size=(g.n_nodes, sys.m))
+    free = g.interior_mask
 
-    J = sys.jacobian_matrix(u).toarray()
+    def projected(flat):
+        return (sys.residual_array(flat.reshape(u.shape)) @ sys.gram)[free].ravel()
+
     eps = 1e-6
-    fd = np.zeros_like(J)
     flat = u.ravel()
+    fd = np.zeros((free.sum() * sys.m, flat.size))
     for j in range(flat.size):
         up, dn = flat.copy(), flat.copy()
         up[j] += eps
         dn[j] -= eps
-        rp = sys.residual_array(up.reshape(u.shape)).ravel()
-        rm = sys.residual_array(dn.reshape(u.shape)).ravel()
-        fd[:, j] = (rp - rm) / (2 * eps)
-    scale = max(1.0, np.abs(J).max())
-    assert np.abs(J - fd).max() < 1e-6 * scale
+        fd[:, j] = (projected(up) - projected(dn)) / (2 * eps)
+    unknowns = np.arange(flat.size).reshape(u.shape)
+    K = sys.jacobian_matrix(u).toarray()
+    C = sys.boundary_coupling.toarray()
+    scale = max(1.0, np.abs(K).max())
+    assert np.abs(K - fd[:, unknowns[free].ravel()]).max() < 1e-6 * scale
+    assert np.abs(C - fd[:, unknowns[~free].ravel()]).max(initial=0.0) < 1e-6 * scale
+
+
+_FIVE_VARIANTS = [
+    make_spec("general_cyclic", 4, (one, HolomorphicDatum.constant(1.5), one,
+                                    HolomorphicDatum.constant(0.6)), t=1.2),
+    make_spec("hitchin_component", 5, (HolomorphicDatum.constant(0.8),)),
+    make_spec("slnr_even", 4, (HolomorphicDatum.constant(0.7), HolomorphicDatum.constant(1.3), one)),
+    make_spec("slnr_odd", 5, (HolomorphicDatum.constant(0.8), HolomorphicDatum.constant(1.3), one),
+              t=1.1),
+    make_spec("sp4_gothen", 4, (HolomorphicDatum.constant(1.4), one), t=0.9),
+]
+
+
+@pytest.mark.parametrize("grid_spec", [GridSpec("disc2d", 11, 0.8), GridSpec("torus", (8, 10))])
+@pytest.mark.parametrize("spec", _FIVE_VARIANTS, ids=lambda s: s.variant)
+def test_newton_matrix_is_exactly_symmetric(grid_spec, spec):
+    g = build_grid(grid_spec)
+    boundary = "periodic" if grid_spec.kind == "torus" else "fuchsian"
+    sys = make_system(spec, g, boundary=boundary)
+    u = sys.initial_state().u + 0.3 * np.random.default_rng(5).normal(size=(g.n_nodes, sys.m))
+    K = sys.jacobian_matrix(u)
+    assert (K != K.T).nnz == 0
+
+
+def _full_jacobian_reference(sys, u: np.ndarray) -> sparse.csr_matrix:
+    """The full N*m Jacobian of the residual as the solver used to assemble
+    it: kron(lap, I_m) plus the node blocks, identity rows at the boundary."""
+    g, m, E = sys.grid, sys.m, sys.spec.embedding
+    N = g.n_nodes
+    d = np.roll(E, -1, axis=0) - E
+    D_full = arrow_kernel(sys.coeff_sq, u @ E.T)[:, :, None] * d
+    D = (D_full - np.roll(D_full, 1, axis=1))[:, :m]
+    if sys.boundary_values is not None:
+        D[g.boundary_mask, :, :] = 0.0
+    blocks = sparse.bsr_matrix((D, np.arange(N), np.arange(N + 1)), shape=(N * m, N * m))
+    J = sparse.kron(g.lap, sparse.identity(m), format="csr") + blocks.tocsr()
+    if sys.boundary_values is not None:
+        J = J + sparse.diags(np.repeat(g.boundary_mask, m).astype(float))
+    return J.tocsr()
+
+
+_STEP_GRIDS = {"radial_disc": GridSpec("radial_disc", 16, 0.8),
+               "disc2d": GridSpec("disc2d", 9, 0.8),
+               "torus": GridSpec("torus", (8, 9))}
+
+
+@st.composite
+def _step_case(draw, kind):
+    variant = draw(st.sampled_from(["general_cyclic", "hitchin_component", "slnr_even",
+                                    "slnr_odd", "sp4_gothen"]))
+    ranks = {"general_cyclic": [2, 3, 4, 5], "hitchin_component": [2, 3, 4, 5, 6],
+             "slnr_even": [2, 4, 6], "slnr_odd": [3, 5, 7], "sp4_gothen": [4]}[variant]
+    n = draw(st.sampled_from(ranks))
+
+    def datum(allow_zero):
+        if kind != "torus":
+            return _datum(draw, allow_zero, kind == "radial_disc")
+        return HolomorphicDatum.constant(draw(st.floats(0.0 if allow_zero else 0.3, 1.5)))
+
+    corner = datum(True)
+    if variant == "general_cyclic":
+        data = tuple(datum(False) for _ in range(n - 1)) + (corner,)
+    elif variant == "hitchin_component":
+        data = (corner,)
+    elif variant == "sp4_gothen":
+        data = (datum(False), corner)
+    else:
+        data = (corner,) + tuple(datum(False) for _ in range(n // 2))
+    t = draw(st.floats(0.0, 2.0))
+    return make_spec(variant, n, data, t=t), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("kind", sorted(_STEP_GRIDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_free_node_step_matches_full_jacobian_solve(kind, data):
+    # the free-node solve is the full Newton system with the Dirichlet rows
+    # eliminated and the free rows multiplied by E^T E: the same step
+    spec, seed = data.draw(_step_case(kind))
+    g = build_grid(_STEP_GRIDS[kind])
+    boundary = "periodic" if kind == "torus" else "fuchsian"
+    sys = make_system(spec, g, boundary=boundary)
+    rng = np.random.default_rng(seed)
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))  # boundary too
+    r = sys.residual_array(u)
+    step = _newton_step(sys, u, r)
+    ref = spla.splu(_full_jacobian_reference(sys, u).tocsc()).solve(-r.ravel()).reshape(u.shape)
+    np.testing.assert_allclose(step, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_blowup_raised_on_huge_states():
@@ -299,7 +410,7 @@ def test_blowup_raised_on_huge_states():
     with pytest.raises(BlowupError):
         residual(sys, huge)
     with pytest.raises(BlowupError):
-        jacobian(sys, huge)
+        sys.jacobian_matrix(huge.u)
 
 
 # -- boundary handling -----------------------------------------------------
@@ -338,6 +449,18 @@ def test_coefficient_field_overrides_are_validated():
     bad = [np.ones(t.n_nodes), -np.ones(t.n_nodes), np.ones(t.n_nodes)]
     with pytest.raises(ValueError):
         make_system(spec, t, boundary="periodic", coefficient_fields=bad)
+
+
+def test_symmetric_variants_need_palindromic_coefficient_fields():
+    # the symmetric reduction, and its energy Hessian, hold only when arrow
+    # k and arrow n-k carry the same coefficient
+    t = build_grid(GridSpec("torus", (8, 8)))
+    spec = make_spec("hitchin_component", 4, (one,))
+    wave = 1.0 + 0.3 * np.cos(2 * np.pi * t.xy[:, 0])
+    flat = np.ones(t.n_nodes)
+    make_system(spec, t, boundary="periodic", coefficient_fields=[wave, flat, wave, 2 * wave])
+    with pytest.raises(ValueError, match="palindromic"):
+        make_system(spec, t, boundary="periodic", coefficient_fields=[wave, flat, flat, flat])
 
 
 # -- solved-state structure ------------------------------------------------
