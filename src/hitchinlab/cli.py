@@ -204,13 +204,12 @@ def write_json(path: str, payload: dict, volatile_ok: bool = False) -> None:
 
 
 def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
+    """Columns x, y, u_1..u_m, each value as %.17g, CSV rows ending in CRLF."""
     z = grid.z()
-    rows = []
-    header = ["x", "y"] + [f"u_{k + 1}" for k in range(u.shape[1])]
-    for i in range(grid.n_nodes):
-        rows.append([f"{z[i].real:.17g}", f"{z[i].imag:.17g}"]
-                    + [f"{u[i, k]:.17g}" for k in range(u.shape[1])])
-    _write_csv(path, header, rows)
+    cols = np.column_stack([z.real, z.imag, u])
+    header = ",".join(["x", "y"] + [f"u_{k + 1}" for k in range(u.shape[1])])
+    row = ",".join(["%.17g"] * cols.shape[1]) + "\r\n"
+    _atomic_write(path, header + "\r\n" + (row * len(cols)) % tuple(cols.ravel().tolist()))
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -9,6 +9,21 @@ factors K in its symmetric mode (minimum-degree ordering of K^T + K, applied
 to rows and columns alike) with diagonal pivots, which such a matrix admits
 without row interchanges.
 
+K changes little from one Newton step to the next, or from one member of a
+continuation to the next, so a solve keeps its last factorisation and
+solves each later K by classical iterative refinement with it: x = LU^-1 b,
+then x += LU^-1 (b - K x) while each sweep at least halves |b - K x|, up to
+``_MAX_SWEEPS`` sweeps.  x is accepted once its normwise backward error
+|b - K x| / (|K| |x| + |b|) (max-norms) is at most 4 eps, the accuracy of a
+fresh direct solve, so every step is still the Newton step and Newton keeps
+its quadratic convergence.  When refinement falls short, the kept
+factorisation is dropped and K is factored afresh.  Only a factorisation
+whose fill nnz(L+U) is at least ``_KEEP_FILL`` times nnz(K) is kept: the
+banded radial matrices fill less and factor in a few milliseconds, so every
+radial step is a fresh factorisation, while 2-D matrices from disc2d 17 up
+fill three times or more.  One solve owns its factorisation;
+``continuation_solve`` hands one on from each member to the next.
+
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
 ``converged=False`` and a diagnostic message.
@@ -49,6 +64,7 @@ class SolveReport:
     step_sizes: list[float] = field(default_factory=list)
     message: str = ""
     wall_time: float = 0.0
+    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_residual(self) -> float:
@@ -63,6 +79,7 @@ class SolveReport:
             "step_sizes": self.step_sizes,
             "message": self.message,
             "wall_time_s": self.wall_time,
+            "counters": self.counters,
         }
 
 
@@ -78,13 +95,64 @@ def _factor(K):
                      options={"SymmetricMode": True})
 
 
-def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+_KEEP_FILL = 2.0
+_MAX_SWEEPS = 10
+_BACKWARD_ERROR = 4.0 * np.finfo(float).eps
+
+
+class _NewtonLU:
+    """The last kept factorisation of a solve's Newton matrices, with counts
+    of the factorisations made and the refinement sweeps run through it."""
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.refinement_sweeps = 0
+
+    def counts(self) -> dict[str, int]:
+        return {"factorizations": self.factorizations,
+                "refinement_sweeps": self.refinement_sweeps}
+
+    def solve(self, K, b: np.ndarray) -> np.ndarray:
+        if self.lu is not None and self.lu.shape == K.shape:
+            x = self._refine(K, b)
+            if x is not None:
+                return x
+        self.lu = None  # released before the new factorisation is made
+        lu = _factor(K)
+        self.factorizations += 1
+        if lu.nnz >= _KEEP_FILL * K.nnz:
+            self.lu = lu
+        return lu.solve(b)
+
+    def _refine(self, K, b: np.ndarray) -> np.ndarray | None:
+        """x with K x = b to the backward error of a fresh solve, or None."""
+        k_norm = spla.norm(K, np.inf)
+        b_norm = _norm(b)
+        x = self.lu.solve(b)
+        prev, sweeps = np.inf, 0
+        while True:
+            res = b - K @ x
+            r_norm = _norm(res)
+            if r_norm == np.inf:
+                return None
+            if r_norm <= _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm):
+                return x
+            if sweeps == _MAX_SWEEPS or r_norm > 0.5 * prev:
+                return None
+            prev, sweeps = r_norm, sweeps + 1
+            x = x + self.lu.solve(res)
+            self.refinement_sweeps += 1
+
+
+def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
+                 lu: _NewtonLU) -> np.ndarray:
     """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
     whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
-    the boundary coupling applied to step_B."""
+    the boundary coupling applied to step_B, solved through ``lu``."""
     step, free = -r, system.free
     rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
-    step[free] = _factor(system.jacobian_matrix(u)).solve(rhs).reshape(-1, system.m)
+    step[free] = lu.solve(system.jacobian_matrix(u), rhs).reshape(-1, system.m)
     return step
 
 
@@ -92,40 +160,45 @@ def solve(
     system: HitchinSystem,
     initial: LogMetricState | None = None,
     config: SolverConfig | None = None,
+    *,
+    _lu: _NewtonLU | None = None,
 ) -> SolveReport:
-    """Run damped Newton from ``initial`` (default: the system's seed state)."""
+    """Run damped Newton from ``initial`` (default: the system's seed state).
+
+    ``_lu`` is the factorisation a continuation hands on; a plain solve
+    starts with none.
+    """
     config = config or SolverConfig()
     state = (initial.copy() if initial is not None else system.initial_state())
     if state.u.shape != (system.grid.n_nodes, system.m):
         raise ValueError("initial state does not match the system layout")
+    lu = _lu if _lu is not None else _NewtonLU()
+    counts0 = lu.counts()
     u = state.u
     t0 = time.perf_counter()
     norms: list[float] = []
     steps: list[float] = []
 
+    def report(converged: bool, iterations: int, message: str) -> SolveReport:
+        counters = {k: v - counts0[k] for k, v in lu.counts().items()}
+        return SolveReport(LogMetricState(system.grid, u, rnorm), converged, iterations,
+                           norms, steps, message, time.perf_counter() - t0, counters)
+
     r = system.residual_array(u)
     rnorm = _norm(r)
     norms.append(rnorm)
     if not np.isfinite(rnorm):
-        return SolveReport(state, False, 0, norms, steps,
-                           "non-finite residual at the initial state",
-                           time.perf_counter() - t0)
+        return report(False, 0, "non-finite residual at the initial state")
 
     for it in range(config.max_newton_iters):
         if rnorm <= config.tol_residual:
-            state = LogMetricState(system.grid, u, rnorm)
-            return SolveReport(state, True, it, norms, steps,
-                               "converged", time.perf_counter() - t0)
+            return report(True, it, "converged")
         try:
-            delta = _newton_step(system, u, r)
+            delta = _newton_step(system, u, r, lu)
         except BlowupError as exc:
-            state = LogMetricState(system.grid, u, rnorm)
-            return SolveReport(state, False, it, norms, steps, str(exc),
-                               time.perf_counter() - t0)
+            return report(False, it, str(exc))
         except RuntimeError as exc:
-            state = LogMetricState(system.grid, u, rnorm)
-            return SolveReport(state, False, it, norms, steps,
-                               f"linear solve failed: {exc}", time.perf_counter() - t0)
+            return report(False, it, f"linear solve failed: {exc}")
 
         alpha = 1.0
         accepted = False
@@ -141,19 +214,15 @@ def solve(
                 break
             alpha *= config.backtrack_factor
         if not accepted:
-            state = LogMetricState(system.grid, u, rnorm)
-            return SolveReport(state, False, it + 1, norms, steps,
-                               f"line search stalled below step {config.min_step:g}",
-                               time.perf_counter() - t0)
+            return report(False, it + 1,
+                          f"line search stalled below step {config.min_step:g}")
         norms.append(rnorm)
         steps.append(alpha)
 
     converged = rnorm <= config.tol_residual
-    state = LogMetricState(system.grid, u, rnorm)
     msg = "converged" if converged else (
         f"iteration budget exhausted at residual {rnorm:.3e}")
-    return SolveReport(state, converged, config.max_newton_iters, norms, steps,
-                       msg, time.perf_counter() - t0)
+    return report(converged, config.max_newton_iters, msg)
 
 
 def continuation_solve(
@@ -164,7 +233,8 @@ def continuation_solve(
     """Warm-started family solve over an ascending list of scale values.
 
     ``make_system_at(t)`` must return the assembled system for scale t; the
-    converged state at each t seeds the next solve.  Solving stops at the
+    converged state at each t seeds the next solve, and the last kept
+    factorisation of each member serves the next.  Solving stops at the
     first failure (the failed report is included so callers can inspect it).
     """
     t_values = [float(t) for t in t_values]
@@ -175,9 +245,10 @@ def continuation_solve(
     config = config or SolverConfig()
     out: list[tuple[float, SolveReport]] = []
     warm: LogMetricState | None = None
+    lu = _NewtonLU()
     for t in t_values:
         system = make_system_at(t)
-        report = solve(system, initial=warm, config=config)
+        report = solve(system, initial=warm, config=config, _lu=lu)
         out.append((t, report))
         if not report.converged:
             break

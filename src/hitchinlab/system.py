@@ -324,6 +324,7 @@ class HitchinSystem:
         grid: Grid,
         boundary_values: np.ndarray | None,
         coeff_sq: np.ndarray,
+        fuchsian: np.ndarray | None = None,
     ):
         self.spec = spec
         self.grid = grid
@@ -337,6 +338,7 @@ class HitchinSystem:
             if bv.shape != (grid.n_nodes, self.m):
                 raise ValueError("boundary value array has wrong shape")
             self.boundary_values = bv
+        self._fuchsian = fuchsian  # uniformising log-metrics, computed on first need
         self._embedding = E = spec.embedding
         self.gram = E.T @ E
         # arrow i has log-derivative d[i] = d(w_{i+1} - w_i)/du; the Hessian
@@ -389,7 +391,9 @@ class HitchinSystem:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
         if self.grid.kind == "torus":
             return LogMetricState(self.grid, np.zeros((self.grid.n_nodes, self.m)))
-        u = fuchsian_log_metrics(self.spec.n, self.m, self.grid)
+        if self._fuchsian is None:
+            self._fuchsian = fuchsian_log_metrics(self.spec.n, self.m, self.grid)
+        u = self._fuchsian.copy()
         b = self.grid.boundary_mask
         u[b, :] = self.boundary_values[b, :]
         return LogMetricState(self.grid, u)
@@ -440,10 +444,11 @@ def make_system(
             raise ValueError("torus grids take boundary='periodic'")
         return HitchinSystem(spec, grid, None, G)
 
+    fuchsian = None
     if isinstance(boundary, str):
         if boundary != "fuchsian":
             raise ValueError("disc grids take boundary='fuchsian' or explicit values")
-        bv = fuchsian_log_metrics(spec.n, m, grid)
+        bv = fuchsian = fuchsian_log_metrics(spec.n, m, grid)
     else:
         parts = list(boundary)
         if len(parts) != m:
@@ -457,7 +462,7 @@ def make_system(
                 raise ValueError("boundary entries must be scalars or per-node arrays")
             cols.append(arr)
         bv = np.column_stack(cols)
-    return HitchinSystem(spec, grid, bv, G)
+    return HitchinSystem(spec, grid, bv, G, fuchsian)
 
 
 def residual(system: HitchinSystem, state: LogMetricState) -> list[ScalarField]:

@@ -1,11 +1,14 @@
 """End-to-end command-line checks through main(): exit codes and artifacts."""
 
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
-from hitchinlab.cli import main
+from hitchinlab.cli import main, write_state_csv
+from hitchinlab.geometry import GridSpec, build_grid
 
 RADIAL = {"kind": "radial_disc", "resolution": 48, "radius": 0.8}
 HITCHIN3 = {"variant": "hitchin_component", "n": 3,
@@ -289,3 +292,31 @@ def test_torus_solve_path(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "u_1", "u_2"]
     assert len(rows) == 1 + 144
+
+
+def _state_csv_reference(grid, u) -> bytes:
+    """The per-node csv.writer formatting that write_state_csv replaced."""
+    z = grid.z()
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["x", "y"] + [f"u_{k + 1}" for k in range(u.shape[1])])
+    w.writerows([f"{z[i].real:.17g}", f"{z[i].imag:.17g}"]
+                + [f"{u[i, k]:.17g}" for k in range(u.shape[1])]
+                for i in range(grid.n_nodes))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("spec", [GridSpec("radial_disc", 40, 0.8),
+                                  GridSpec("disc2d", 17, 0.8),
+                                  GridSpec("torus", (9, 8))], ids=lambda s: s.kind)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_state_csv_bytes_match_the_per_node_writer(tmp_path, spec, m):
+    grid = build_grid(spec)
+    u = np.random.default_rng(m).normal(scale=10.0 ** np.arange(-3, 3 * m - 3, 3),
+                                        size=(grid.n_nodes, m))
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               0.1, 1 / 3, 1e22, 123456789012345678.0]
+    u.flat[:len(special)] = special
+    path = tmp_path / "state.csv"
+    write_state_csv(str(path), grid, u)
+    assert path.read_bytes() == _state_csv_reference(grid, u)

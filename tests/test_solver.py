@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, SolveReport, continuation_solve, solve
 from hitchinlab.system import LogMetricState, make_spec, make_system, scale_last_arrow
@@ -79,11 +80,12 @@ def test_report_serialisation_keys():
     d = rep.to_json_dict()
     assert set(d) == {
         "converged", "iterations", "final_residual", "residual_norms",
-        "step_sizes", "message", "wall_time_s",
+        "step_sizes", "message", "wall_time_s", "counters",
     }
     assert isinstance(rep, SolveReport)
     assert d["converged"] is True
     assert d["final_residual"] == rep.residual_norms[-1]
+    assert d["counters"] == {"factorizations": rep.iterations, "refinement_sweeps": 0}
 
 
 def test_continuation_validates_schedule():
@@ -153,11 +155,14 @@ def test_damped_warm_start_off_the_dirichlet_data_lands_on_it(spec):
 
 def test_reference_solves_keep_their_newton_iteration_counts():
     # counts recorded with the full-Jacobian LU solve that preceded the
-    # free-node symmetric one; the Newton direction is the same
+    # free-node symmetric one; the Newton direction is the same.  Steps
+    # solved through a kept factorisation are refined to a fresh solve's
+    # accuracy, so they keep the counts with fewer factorisations
     config = SolverConfig(tol_residual=1e-10)
     disc = build_grid(GridSpec("disc2d", 33, 0.8))
     rep = solve(make_system(make_spec("hitchin_component", 4, (quadratic,)), disc), config=config)
     assert rep.converged and rep.iterations == 2
+    assert rep.counters["factorizations"] == 1
 
     torus = build_grid(GridSpec("torus", 32))
     x, y = torus.xy.T
@@ -166,9 +171,82 @@ def test_reference_solves_keep_their_newton_iteration_counts():
     cyclic = make_spec("general_cyclic", 3, (one, one, one))
     rep = solve(make_system(cyclic, torus, "periodic", fields), config=config)
     assert rep.converged and rep.iterations == 3
+    assert rep.counters["factorizations"] == 1
 
     family = make_spec("hitchin_component", 3, (quadratic,))
     runs = continuation_solve(lambda t: make_system(replace(family, t=complex(t)), disc),
                               [0.0, 1.0, 2.0, 4.0, 8.0], config)
     assert all(rep.converged for _, rep in runs)
     assert [rep.iterations for _, rep in runs] == [2, 2, 3, 3, 3]
+    factorizations = [rep.counters["factorizations"] for _, rep in runs]
+    assert factorizations == [1, 0, 0, 1, 1] and sum(factorizations) < 13
+
+
+def _fresh_factor_every_step(monkeypatch):
+    """Make every Newton step factor its own matrix, as before the reuse."""
+    monkeypatch.setattr(solver._NewtonLU, "solve",
+                        lambda self, K, b: solver._factor(K).solve(b))
+
+
+def test_radial_solves_factor_every_step_and_match_fresh_factorisations(monkeypatch):
+    # banded radial matrices fill less than the reuse gate, so every step
+    # is a fresh factorisation and the states are those of one
+    g = radial(256)
+    base = make_spec("hitchin_component", 5, (HolomorphicDatum.monomial(1.0, 2),))
+    ts = [0.0, 0.5, 1.0, 2.0]
+
+    def at(t):
+        return make_system(scale_last_arrow(base, t), g)
+
+    sp4 = make_spec("sp4_gothen", 4, (one, HolomorphicDatum.monomial(1.0, 1)))
+
+    def reports():
+        return [solve(make_system(sp4, g))] + [rep for _, rep in continuation_solve(at, ts)]
+
+    got = reports()
+    for rep in got:
+        assert rep.converged
+        assert rep.counters == {"factorizations": rep.iterations, "refinement_sweeps": 0}
+
+    _fresh_factor_every_step(monkeypatch)
+    refs = reports()
+    assert len(refs) == len(got) == 1 + len(ts)
+    for rep, ref in zip(got, refs):
+        assert rep.state.u.tobytes() == ref.state.u.tobytes()
+        assert rep.residual_norms == ref.residual_norms
+
+
+def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monkeypatch):
+    # t 0 -> 8 moves K too far for refinement with the t = 0 factorisation:
+    # the kept one is released before the new one is made, and the solve
+    # still converges in the steps of a fresh-factorisation solve
+    holders, factor = [], solver._factor
+
+    class Recorded(solver._NewtonLU):
+        def __init__(self):
+            super().__init__()
+            holders.append(self)
+
+    def stub(K):
+        assert all(h.lu is None for h in holders)
+        return factor(K)
+
+    disc = build_grid(GridSpec("disc2d", 33, 0.8))
+    family = make_spec("hitchin_component", 3, (quadratic,))
+
+    def at(t):
+        return make_system(replace(family, t=complex(t)), disc)
+
+    with monkeypatch.context() as mp:
+        _fresh_factor_every_step(mp)
+        ref = continuation_solve(at, [0.0, 8.0])
+
+    monkeypatch.setattr(solver, "_NewtonLU", Recorded)
+    monkeypatch.setattr(solver, "_factor", stub)
+    runs = continuation_solve(at, [0.0, 8.0])
+    assert len(holders) == 1
+    assert all(rep.converged for _, rep in runs)
+    assert runs[1][1].counters["factorizations"] >= 1
+    assert runs[1][1].counters["refinement_sweeps"] > 0  # the kept one was tried first
+    assert holders[0].factorizations == sum(rep.counters["factorizations"] for _, rep in runs)
+    assert [rep.iterations for _, rep in runs] == [rep.iterations for _, rep in ref]

@@ -6,8 +6,9 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import hitchinlab.system as system_module
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
-from hitchinlab.solver import SolverConfig, _newton_step, solve
+from hitchinlab.solver import SolverConfig, _NewtonLU, _newton_step, solve
 from hitchinlab.system import (
     BlowupError,
     CyclicSpec,
@@ -397,9 +398,45 @@ def test_free_node_step_matches_full_jacobian_solve(kind, data):
     rng = np.random.default_rng(seed)
     u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))  # boundary too
     r = sys.residual_array(u)
-    step = _newton_step(sys, u, r)
+    step = _newton_step(sys, u, r, _NewtonLU())
     ref = spla.splu(_full_jacobian_reference(sys, u).tocsc()).solve(-r.ravel()).reshape(u.shape)
     np.testing.assert_allclose(step, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+_REUSE_GRIDS = {"disc2d": GridSpec("disc2d", 17, 0.8), "torus": GridSpec("torus", (8, 9))}
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_GRIDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_step_through_a_kept_factorisation_is_the_fresh_step(kind, data):
+    # the step at u1 solved through the factorisation of K(u0) is refined to
+    # the backward error of a fresh solve, or the factorisation is replaced
+    spec, seed = data.draw(_step_case(kind))
+    jump = data.draw(st.sampled_from([1e-6, 1e-3, 0.1, 1.0]))
+    g = build_grid(_REUSE_GRIDS[kind])
+    sys = make_system(spec, g, boundary="periodic" if kind == "torus" else "fuchsian")
+    rng = np.random.default_rng(seed)
+    u0 = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
+    u1 = u0 + jump * rng.normal(size=u0.shape)
+    lu = _NewtonLU()
+    _newton_step(sys, u0, sys.residual_array(u0), lu)
+    assert lu.factorizations == 1 and lu.lu is not None  # these 2-D matrices fill 2x or more
+
+    r1 = sys.residual_array(u1)
+    step = _newton_step(sys, u1, r1, lu)
+    fresh = _newton_step(sys, u1, r1, _NewtonLU())
+    if lu.factorizations == 2:
+        np.testing.assert_array_equal(step, fresh)
+        return
+    assert lu.factorizations == 1
+    np.testing.assert_allclose(step, fresh, rtol=1e-10, atol=1e-10 * np.abs(fresh).max())
+    K, free = sys.jacobian_matrix(u1), sys.free
+    b = (-r1[free] @ sys.gram).ravel() + sys.boundary_coupling @ r1[~free].ravel()
+    x = step[free].ravel()
+    backward = np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max()
+                                          + np.abs(b).max())
+    assert backward <= 4 * np.finfo(float).eps
 
 
 def test_blowup_raised_on_huge_states():
@@ -437,6 +474,36 @@ def test_explicit_boundary_values_pin_the_solution():
     rep = solve(sys, config=SolverConfig(tol_residual=1e-11))
     assert rep.converged
     assert abs(rep.state.u[-1, 0] + 1.25) < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["fuchsian", "explicit"])
+def test_seed_is_the_fuchsian_state_computed_once(monkeypatch, boundary):
+    # the seed is the uniformising state with the Dirichlet rows set to the
+    # boundary data; make_system's Fuchsian boundary array serves it too
+    g = build_grid(GridSpec("disc2d", 17, 0.8))
+    spec = make_spec("hitchin_component", 4, (HolomorphicDatum.monomial(0.5, 1),))
+    original = system_module.fuchsian_log_metrics
+    fuchsian = original(4, 2, g)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(system_module, "fuchsian_log_metrics", counted)
+    bv = "fuchsian" if boundary == "fuchsian" else [np.full(g.n_nodes, -1.0), 0.5]
+    sys = make_system(spec, g, boundary=bv)
+    seed = sys.initial_state()
+    assert solve(sys).converged
+    assert sys.initial_state().u.tobytes() == seed.u.tobytes()
+    assert len(calls) == 1
+
+    expected = fuchsian.copy()
+    b = g.boundary_mask
+    expected[b] = sys.boundary_values[b]
+    assert seed.u.tobytes() == expected.tobytes()
+    if boundary == "fuchsian":
+        assert seed.u.tobytes() == fuchsian.tobytes()
 
 
 def test_coefficient_field_overrides_are_validated():
