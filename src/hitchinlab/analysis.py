@@ -298,12 +298,6 @@ def random_tangent_planes(group: str, n: int, rng: np.random.Generator, count: i
     return P[:, 0], P[:, 1]
 
 
-def random_tangent_plane(group: str, n: int, rng: np.random.Generator):
-    """A random pair of tangent vectors for the given group."""
-    Y, Z = random_tangent_planes(group, n, rng, 1)
-    return Y[0], Z[0]
-
-
 def extremal_plane(group: str, n: int, i: int = 0, j: int = 1):
     """A plane realising the pinched value -1/n."""
     if group in ("sl_real", "sl_complex"):

@@ -250,7 +250,7 @@ class Grid:
     def block_laplacian(self, gram: np.ndarray):
         """The Laplacian on m unknowns per interior node, coupled by ``gram``.
 
-        For an m x m matrix ``gram`` returns ``(A, blocks, coupling)``:
+        For an m x m matrix ``gram`` returns ``(A, blocks, coupling, tridiagonal)``:
 
         * ``A`` (CSC) is lap_II (x) gram over the interior nodes (every node
           of the torus), node-major: unknown k of the f-th interior node is
@@ -259,6 +259,10 @@ class Grid:
         * ``blocks[f, l, k]`` is the position in ``A.data`` of A[(f, k), (f, l)].
         * ``coupling`` (CSR) is lap_IB (x) gram, from the boundary unknowns
           into the interior rows; it has no columns on the torus.
+        * ``tridiagonal`` says whether each interior node couples only to
+          its neighbours in node order, so that ``A`` is block tridiagonal
+          (half-bandwidth below 2m): true on the radial grid, false on the
+          2-D lattices.
 
         Built once per ``gram`` and shared by every caller: the arrays are
         read-only, so copy ``A`` before writing to it.
@@ -277,6 +281,7 @@ class Grid:
         col = np.repeat(np.arange(n), np.diff(lap_ii.indptr))
         blocks = lap_ii.data[:, None, None] * gram.T
         blocks[lap_ii.indices == col] = np.nan
+        tridiagonal = bool(np.all(np.abs(lap_ii.indices - col) <= 1))
         A = sparse.bsr_matrix((blocks, lap_ii.indices, lap_ii.indptr), shape=(n * m, n * m)).tocsr()
         A.eliminate_zeros()
         own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
@@ -285,8 +290,8 @@ class Grid:
         coupling = sparse.kron(lap_i[:, self.boundary_mask], gram, format="csr")
         for arr in (A.data, A.indices, A.indptr, own, coupling.data):
             arr.flags.writeable = False
-        self._block_laplacians[key] = A, own, coupling
-        return A, own, coupling
+        self._block_laplacians[key] = A, own, coupling, tridiagonal
+        return A, own, coupling, tridiagonal
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

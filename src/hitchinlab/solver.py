@@ -9,20 +9,33 @@ factors K in its symmetric mode (minimum-degree ordering of K^T + K, applied
 to rows and columns alike) with diagonal pivots, which such a matrix admits
 without row interchanges.
 
-K changes little from one Newton step to the next, or from one member of a
-continuation to the next, so a solve keeps its last factorisation and
-solves each later K by classical iterative refinement with it: x = LU^-1 b,
-then x += LU^-1 (b - K x) while each sweep at least halves |b - K x|, up to
-``_MAX_SWEEPS`` sweeps.  x is accepted once its normwise backward error
-|b - K x| / (|K| |x| + |b|) (max-norms) is at most 4 eps, the accuracy of a
-fresh direct solve, so every step is still the Newton step and Newton keeps
-its quadratic convergence.  When refinement falls short, the kept
-factorisation is dropped and K is factored afresh.  Only a factorisation
-whose fill nnz(L+U) is at least ``_KEEP_FILL`` times nnz(K) is kept: the
-banded radial matrices fill less and factor in a few milliseconds, so every
-radial step is a fresh factorisation, while 2-D matrices from disc2d 17 up
-fill three times or more.  One solve owns its factorisation;
-``continuation_solve`` hands one on from each member to the next.
+Every 2-D step is solved by classical iterative refinement with the last
+factorisation its solve keeps: x = LU^-1 b, then x += LU^-1 (b - K x), the
+residual taken in double precision.  x is accepted once its normwise
+backward error |b - K x| / (|K| |x| + |b|) (max-norms) is at most 4 eps,
+the accuracy of a fresh direct solve, so every step is still the Newton step
+and Newton keeps its quadratic convergence.  Because refinement restores
+that accuracy, the factorisation only has to precondition: 2-D matrices
+are factored in single precision, which SuperLU does faster and in half the
+memory, and each right-hand side is scaled to max-norm about 1 (by a power
+of two) before its cast so it neither underflows nor overflows (Langou et
+al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  K changes
+little from one Newton step to the next, or from one member of a
+continuation to the next, so the factorisation is kept and refinement runs
+through it until it falls short; then it is released and K factored afresh.
+Refinement gives up at once when the contraction of |b - K x| in the sweep
+just run predicts that the 4 eps target lies beyond ``_MAX_SWEEPS`` sweeps.
+When even a fresh single-precision factorisation cannot refine that far,
+or the cast to single precision overflows, or SuperLU fails on it, it is
+released and K is factored in double precision and solved directly; that
+factorisation is then the one kept.  At most one factorisation is alive.
+
+The precision follows the structure of K, computed once per grid pattern:
+on the radial grid K is block tridiagonal, factors in a few milliseconds
+with little fill, and every step there is a fresh double-precision
+factorisation solved directly, with nothing kept.  One solve owns its
+factorisation; ``continuation_solve`` hands one on from each member to the
+next.
 
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
@@ -31,6 +44,7 @@ and stalled line searches all produce a ``SolveReport`` with
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -89,23 +103,32 @@ def _norm(r: np.ndarray) -> float:
     return float(np.abs(r).max()) if r.size else 0.0
 
 
-def _factor(K):
-    """Sparse direct factorisation of a free-node Newton matrix."""
+def _factor(K, dtype=np.float64):
+    """Sparse direct factorisation of a free-node Newton matrix in ``dtype``.
+
+    A cast that overflows ``dtype`` raises ``FloatingPointError``.
+    """
+    with np.errstate(over="raise"):
+        K = K.astype(dtype, copy=False)
     return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
-_KEEP_FILL = 2.0
 _MAX_SWEEPS = 10
 _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
 
 
 class _NewtonLU:
-    """The last kept factorisation of a solve's Newton matrices, with counts
-    of the factorisations made and the refinement sweeps run through it."""
+    """The last kept factorisation of a solve's Newton matrices, made in
+    ``dtype``, with counts of the factorisations made and the refinement
+    sweeps run.  ``tridiagonal`` is set for each step from the structure of
+    its K: such a K is factored in double precision every step and none is
+    kept."""
 
     def __init__(self):
         self.lu = None
+        self.dtype = None
+        self.tridiagonal = False
         self.factorizations = 0
         self.refinement_sweeps = 0
 
@@ -114,34 +137,58 @@ class _NewtonLU:
                 "refinement_sweeps": self.refinement_sweeps}
 
     def solve(self, K, b: np.ndarray) -> np.ndarray:
+        if self.tridiagonal:
+            self.lu = None
+            self.factorizations += 1
+            return _factor(K).solve(b)
         if self.lu is not None and self.lu.shape == K.shape:
             x = self._refine(K, b)
             if x is not None:
                 return x
         self.lu = None  # released before the new factorisation is made
-        lu = _factor(K)
+        try:
+            self._keep(K, np.float32)
+        except (FloatingPointError, RuntimeError):
+            pass
+        else:
+            x = self._refine(K, b)
+            if x is not None:
+                return x
+            self.lu = None
+        self._keep(K, np.float64)
+        return self.lu.solve(b)
+
+    def _keep(self, K, dtype) -> None:
+        self.lu, self.dtype = _factor(K, dtype), dtype
         self.factorizations += 1
-        if lu.nnz >= _KEEP_FILL * K.nnz:
-            self.lu = lu
-        return lu.solve(b)
+
+    def _apply(self, b: np.ndarray) -> np.ndarray:
+        """LU^-1 b in double precision, b scaled to max-norm ~1 for the cast."""
+        scale = np.ldexp(1.0, np.frexp(_norm(b))[1])
+        return self.lu.solve((b / scale).astype(self.dtype, copy=False)) * scale
 
     def _refine(self, K, b: np.ndarray) -> np.ndarray | None:
         """x with K x = b to the backward error of a fresh solve, or None."""
-        k_norm = spla.norm(K, np.inf)
+        k_norm = np.bincount(K.indices, np.abs(K.data), K.shape[0]).max()  # |K| row sums, CSC
         b_norm = _norm(b)
-        x = self.lu.solve(b)
+        x = self._apply(b)
         prev, sweeps = np.inf, 0
         while True:
             res = b - K @ x
             r_norm = _norm(res)
             if r_norm == np.inf:
                 return None
-            if r_norm <= _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm):
+            target = _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm)
+            if r_norm <= target:
                 return x
-            if sweeps == _MAX_SWEEPS or r_norm > 0.5 * prev:
-                return None
+            if sweeps:
+                # sweeps still needed at the contraction just observed
+                rate = r_norm / prev
+                if rate >= 1 or sweeps + math.ceil(math.log(target / r_norm)
+                                                   / math.log(rate)) > _MAX_SWEEPS:
+                    return None
             prev, sweeps = r_norm, sweeps + 1
-            x = x + self.lu.solve(res)
+            x = x + self._apply(res)
             self.refinement_sweeps += 1
 
 
@@ -152,6 +199,7 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
     the boundary coupling applied to step_B, solved through ``lu``."""
     step, free = -r, system.free
     rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
+    lu.tridiagonal = system.block_tridiagonal
     step[free] = lu.solve(system.jacobian_matrix(u), rhs).reshape(-1, system.m)
     return step
 
@@ -178,13 +226,16 @@ def solve(
     t0 = time.perf_counter()
     norms: list[float] = []
     steps: list[float] = []
+    residual_evals = backtracks = 0
 
     def report(converged: bool, iterations: int, message: str) -> SolveReport:
         counters = {k: v - counts0[k] for k, v in lu.counts().items()}
+        counters.update(residual_evals=residual_evals, backtracks=backtracks)
         return SolveReport(LogMetricState(system.grid, u, rnorm), converged, iterations,
                            norms, steps, message, time.perf_counter() - t0, counters)
 
     r = system.residual_array(u)
+    residual_evals += 1
     rnorm = _norm(r)
     norms.append(rnorm)
     if not np.isfinite(rnorm):
@@ -207,12 +258,14 @@ def solve(
             if np.array_equal(trial, u):
                 break  # the step rounds away, and every shorter one does too
             trial_r = system.residual_array(trial)
+            residual_evals += 1
             trial_norm = _norm(trial_r)
             if trial_norm <= (1.0 - config.sufficient_decrease * alpha) * rnorm:
                 u, r, rnorm = trial, trial_r, trial_norm
                 accepted = True
                 break
             alpha *= config.backtrack_factor
+            backtracks += 1
         if not accepted:
             return report(False, it + 1,
                           f"line search stalled below step {config.min_step:g}")

@@ -375,7 +375,7 @@ class HitchinSystem:
         hess = self._arrows(u)[self.free] @ self._dd
         if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
-        lap_k, blocks, _ = self.grid.block_laplacian(self.gram)
+        lap_k, blocks, _, _ = self.grid.block_laplacian(self.gram)
         k, l = self._pairs
         upper, lower = blocks[:, l, k], blocks[:, k, l]
         K = lap_k.copy()
@@ -386,6 +386,11 @@ class HitchinSystem:
     def boundary_coupling(self) -> sparse.csr_matrix:
         """lap_FB (x) E^T E: how the free rows see the boundary unknowns."""
         return self.grid.block_laplacian(self.gram)[2]
+
+    @property
+    def block_tridiagonal(self) -> bool:
+        """Whether K is block tridiagonal (the radial grid), from its pattern."""
+        return self.grid.block_laplacian(self.gram)[3]
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""

@@ -19,7 +19,6 @@ from hitchinlab.analysis import (
     nu_ratios,
     arrow_terms,
     pullback_metric,
-    random_tangent_plane,
     random_tangent_planes,
     sp4_curvature,
     symmetric_space_curvature,
@@ -203,7 +202,7 @@ def test_sym_space_rotation_invariance_and_range():
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        Y, Z = random_tangent_plane("sl_real", n, rng)
+        (Y,), (Z,) = random_tangent_planes("sl_real", n, rng, 1)
         k = symmetric_space_curvature(Y, Z)
         assert -1.0 / n - 1e-10 <= k <= 1e-10
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -1,9 +1,11 @@
 """Newton solver behaviour: convergence, failure reporting, continuation."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
@@ -85,7 +87,8 @@ def test_report_serialisation_keys():
     assert isinstance(rep, SolveReport)
     assert d["converged"] is True
     assert d["final_residual"] == rep.residual_norms[-1]
-    assert d["counters"] == {"factorizations": rep.iterations, "refinement_sweeps": 0}
+    assert d["counters"] == {"factorizations": rep.iterations, "refinement_sweeps": 0,
+                             "residual_evals": 1 + rep.iterations, "backtracks": 0}
 
 
 def test_continuation_validates_schedule():
@@ -153,6 +156,22 @@ def test_damped_warm_start_off_the_dirichlet_data_lands_on_it(spec):
     assert np.abs(rep.state.u[b] - bv).max() <= 1e-14 * max(1.0, np.abs(bv).max())
 
 
+def test_counters_count_residual_evaluations_and_backtracks():
+    # every line-search trial evaluates the residual once; each rejected
+    # trial halves the step, so the accepted step sizes give the backtracks
+    g = build_grid(GridSpec("disc2d", 17, 0.8))
+    sys = make_system(make_spec("hitchin_component", 4, (quadratic,), t=2.0), g)
+    seed = sys.initial_state()
+    seed.u[~g.boundary_mask] -= 1.0
+    rep = solve(sys, initial=seed,
+                config=SolverConfig(tol_residual=1e-10, sufficient_decrease=0.9))
+    assert rep.converged
+    backtracks = sum(round(-np.log2(a)) for a in rep.step_sizes)
+    assert backtracks > 0
+    assert rep.counters["backtracks"] == backtracks
+    assert rep.counters["residual_evals"] == 1 + rep.iterations + backtracks
+
+
 def test_reference_solves_keep_their_newton_iteration_counts():
     # counts recorded with the full-Jacobian LU solve that preceded the
     # free-node symmetric one; the Newton direction is the same.  Steps
@@ -206,7 +225,8 @@ def test_radial_solves_factor_every_step_and_match_fresh_factorisations(monkeypa
     got = reports()
     for rep in got:
         assert rep.converged
-        assert rep.counters == {"factorizations": rep.iterations, "refinement_sweeps": 0}
+        assert rep.counters == {"factorizations": rep.iterations, "refinement_sweeps": 0,
+                                "residual_evals": 1 + rep.iterations, "backtracks": 0}
 
     _fresh_factor_every_step(monkeypatch)
     refs = reports()
@@ -216,21 +236,37 @@ def test_radial_solves_factor_every_step_and_match_fresh_factorisations(monkeypa
         assert rep.residual_norms == ref.residual_norms
 
 
-def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monkeypatch):
-    # t 0 -> 8 moves K too far for refinement with the t = 0 factorisation:
-    # the kept one is released before the new one is made, and the solve
-    # still converges in the steps of a fresh-factorisation solve
-    holders, factor = [], solver._factor
+def _record_factorisations(monkeypatch, fail_single=lambda count: False):
+    """Record every holder and the dtype of every factorisation, asserting
+    that no holder keeps one while another is made.  The single-precision
+    factorisation numbered ``count`` (from 0) raises when ``fail_single``
+    says so."""
+    holders, dtypes, factor = [], [], solver._factor
 
     class Recorded(solver._NewtonLU):
         def __init__(self):
             super().__init__()
             holders.append(self)
 
-    def stub(K):
+    def stub(K, dtype=np.float64):
         assert all(h.lu is None for h in holders)
-        return factor(K)
+        if dtype is np.float32 and fail_single(dtypes.count(np.float32)):
+            dtypes.append(dtype)
+            raise RuntimeError("single-precision factorisation failed")
+        dtypes.append(dtype)
+        return factor(K, dtype)
 
+    monkeypatch.setattr(solver, "_NewtonLU", Recorded)
+    monkeypatch.setattr(solver, "_factor", stub)
+    return holders, dtypes
+
+
+def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monkeypatch):
+    # t 0 -> 8 moves K too far for refinement with the t = 0 factorisation:
+    # the kept one is released before the new one is made, and the solve
+    # still converges in the steps of a fresh-factorisation solve.  Every
+    # single-precision factorisation after the first fails here, so each
+    # refactorisation falls back to double precision, also with none kept
     disc = build_grid(GridSpec("disc2d", 33, 0.8))
     family = make_spec("hitchin_component", 3, (quadratic,))
 
@@ -241,12 +277,104 @@ def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monk
         _fresh_factor_every_step(mp)
         ref = continuation_solve(at, [0.0, 8.0])
 
-    monkeypatch.setattr(solver, "_NewtonLU", Recorded)
-    monkeypatch.setattr(solver, "_factor", stub)
+    holders, dtypes = _record_factorisations(monkeypatch, fail_single=lambda count: count > 0)
     runs = continuation_solve(at, [0.0, 8.0])
     assert len(holders) == 1
     assert all(rep.converged for _, rep in runs)
     assert runs[1][1].counters["factorizations"] >= 1
     assert runs[1][1].counters["refinement_sweeps"] > 0  # the kept one was tried first
-    assert holders[0].factorizations == sum(rep.counters["factorizations"] for _, rep in runs)
+    assert dtypes[0] is np.float32 and len(dtypes) >= 3
+    assert dtypes[1:] == [np.float32, np.float64] * (len(dtypes) // 2)
+    made = sum(rep.counters["factorizations"] for _, rep in runs)
+    assert holders[0].factorizations == made == 1 + len(dtypes) // 2
     assert [rep.iterations for _, rep in runs] == [rep.iterations for _, rep in ref]
+
+
+def _torus_cyclic(scale):
+    torus = build_grid(GridSpec("torus", 64))
+    x, y = torus.xy.T
+    fields = [scale * (1.0 + 0.4 * np.cos(2.0 * np.pi * (kx * x + ky * y)))
+              for kx, ky in ((1, 0), (0, 1), (1, 1))]
+    return make_system(make_spec("general_cyclic", 3, (one, one, one)), torus, "periodic", fields)
+
+
+def test_single_precision_that_cannot_refine_falls_back_to_a_direct_double_solve(monkeypatch):
+    # with fields of size 1e-6 the torus K is nearly the singular periodic
+    # Laplacian: refinement through its float32 factorisation cannot reach
+    # 4 eps, so K is factored again in float64 and solved directly, the
+    # float32 factorisation released first
+    sys = _torus_cyclic(1e-6)
+    config = SolverConfig(tol_residual=1e-10)
+    with monkeypatch.context() as mp:
+        _fresh_factor_every_step(mp)
+        ref = solve(sys, config=config)
+
+    holders, dtypes = _record_factorisations(monkeypatch)
+    rep = solve(sys, config=config)
+    assert rep.converged and rep.iterations == ref.iterations == 1
+    assert dtypes == [np.float32, np.float64]
+    assert rep.counters["factorizations"] == 2 and holders[0].dtype is np.float64
+    assert rep.state.u.tobytes() == ref.state.u.tobytes()
+    assert rep.residual_norms == ref.residual_norms
+
+
+@pytest.mark.parametrize("failure", ["raises", "overflows"])
+def test_failed_single_precision_factorisation_falls_back(monkeypatch, failure):
+    # a float32 factorisation that SuperLU refuses, or whose cast overflows,
+    # is replaced by a float64 one instead of failing the solve
+    disc = build_grid(GridSpec("disc2d", 33, 0.8))
+    sys = make_system(make_spec("hitchin_component", 4, (quadratic,)), disc)
+    factor = solver._factor
+
+    def stub(K, dtype=np.float64):
+        if dtype is np.float32:
+            if failure == "raises":
+                raise RuntimeError("Factor is exactly singular")
+            K = K * 2.0**200  # beyond the float32 range: the cast raises
+        return factor(K, dtype)
+
+    monkeypatch.setattr(solver, "_factor", stub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is caught at the cast, not left to SuperLU
+        rep = solve(sys, config=SolverConfig(tol_residual=1e-10))
+    assert rep.converged and rep.iterations == 2
+    assert rep.counters["factorizations"] == 1
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e300])
+def test_right_hand_sides_far_outside_single_range_refine_in_single_precision(size):
+    # each right-hand side is scaled to max-norm ~1 before its float32 cast,
+    # so sizes that would flush to zero or overflow there still refine
+    disc = build_grid(GridSpec("disc2d", 17, 0.8))
+    sys = make_system(make_spec("hitchin_component", 3, (quadratic,)), disc)
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    b = np.random.default_rng(2).normal(size=K.shape[0])
+    lu = solver._NewtonLU()
+    x = lu.solve(K, size * b)
+    assert lu.factorizations == 1 and lu.dtype is np.float32
+    ref = solver._factor(K).solve(b)
+    np.testing.assert_allclose(x / size, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+def test_slowly_contracting_refinement_refactors_after_few_sweeps(monkeypatch):
+    # LU(K0)^-1 (1.3 K0) = 1.3 I, so refinement contracts by 0.3 a sweep:
+    # the 4 eps target lies beyond the sweep budget, and refinement gives up
+    # as soon as it has seen that contraction
+    disc = build_grid(GridSpec("disc2d", 33, 0.8))
+    sys = make_system(make_spec("hitchin_component", 3, (quadratic,)), disc)
+    K0 = sys.jacobian_matrix(sys.initial_state().u)
+    b = np.random.default_rng(5).normal(size=K0.shape[0])
+    lu = solver._NewtonLU()
+    lu.solve(K0, b)
+    before, seen, factor = lu.refinement_sweeps, [], solver._factor
+
+    def stub(K, dtype=np.float64):
+        seen.append(lu.refinement_sweeps - before)
+        return factor(K, dtype)
+
+    monkeypatch.setattr(solver, "_factor", stub)
+    K = 1.3 * K0
+    x = lu.solve(K, b)
+    assert lu.factorizations == 2 and 1 <= seen[0] <= 3
+    backward = np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max() + np.abs(b).max())
+    assert backward <= 4 * np.finfo(float).eps

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hitchinlab.system as system_module
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
-from hitchinlab.solver import SolverConfig, _NewtonLU, _newton_step, solve
+from hitchinlab.solver import SolverConfig, _factor, _NewtonLU, _newton_step, solve
 from hitchinlab.system import (
     BlowupError,
     CyclicSpec,
@@ -431,12 +431,50 @@ def test_step_through_a_kept_factorisation_is_the_fresh_step(kind, data):
         return
     assert lu.factorizations == 1
     np.testing.assert_allclose(step, fresh, rtol=1e-10, atol=1e-10 * np.abs(fresh).max())
-    K, free = sys.jacobian_matrix(u1), sys.free
-    b = (-r1[free] @ sys.gram).ravel() + sys.boundary_coupling @ r1[~free].ravel()
-    x = step[free].ravel()
-    backward = np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max()
-                                          + np.abs(b).max())
-    assert backward <= 4 * np.finfo(float).eps
+    K, b = _free_system(sys, u1, r1)
+    assert _backward_error(K, step[sys.free].ravel(), b) <= 4 * np.finfo(float).eps
+
+
+def _free_system(sys, u, r):
+    """K and the right-hand side of the free-node Newton solve at ``u``."""
+    free = sys.free
+    b = (-r[free] @ sys.gram).ravel() + sys.boundary_coupling @ r[~free].ravel()
+    return sys.jacobian_matrix(u), b
+
+
+def _backward_error(K, x, b) -> float:
+    return np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_GRIDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fresh_2d_step_factored_in_single_precision_is_the_double_solve(kind, data):
+    # a 2-D K is factored in float32 and the step refined in float64 to the
+    # backward error of a direct float64 solve, whose solution it matches
+    spec, seed = data.draw(_step_case(kind))
+    g = build_grid(_REUSE_GRIDS[kind])
+    sys = make_system(spec, g, boundary="periodic" if kind == "torus" else "fuchsian")
+    rng = np.random.default_rng(seed)
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
+    r = sys.residual_array(u)
+    lu = _NewtonLU()
+    step = _newton_step(sys, u, r, lu)
+    assert not sys.block_tridiagonal
+    assert lu.factorizations == 1 and lu.dtype is np.float32
+    K, b = _free_system(sys, u, r)
+    x, ref = step[sys.free].ravel(), _factor(K).solve(b)
+    np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", sorted(_STEP_GRIDS))
+def test_only_the_radial_newton_matrix_is_block_tridiagonal(kind):
+    sys = make_system(make_spec("general_cyclic", 3, (one, one, one)), build_grid(_STEP_GRIDS[kind]),
+                      boundary="periodic" if kind == "torus" else "fuchsian")
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    rows, cols = K.nonzero()
+    assert sys.block_tridiagonal == (np.abs(rows - cols).max() < 2 * sys.m) == (kind == "radial_disc")
 
 
 def test_blowup_raised_on_huge_states():
