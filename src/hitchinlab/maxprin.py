@@ -18,6 +18,18 @@ runs the iterative reachability closure for (c), and
 ``solve_linear_cooperative`` solves the assembled sparse system (refusing
 to certify positivity when a condition fails).
 
+``assemble_matrix`` builds the unknown-major operator in one shot from
+index arrays: L's CSR entries repeated on every diagonal block, the node
+couplings c_ij[k] at (i N + k, j N + k), and identity rows at Dirichlet and
+pole nodes.  ``solve_linear_cooperative`` makes one SuperLU factorisation
+with the columns ordered by minimum degree on A^T + A in symmetric mode:
+the stencil pattern is symmetric away from the identity rows and the
+upwinded drift, and on a 2-D grid this ordering fills about half as much
+as the default COLAMD.  The default pivot threshold keeps partial
+pivoting, so systems solved with ``certify=False`` are factored stably
+too.  ``fully_coupled_bruteforce``, the oracle for the closure, scans
+every proper subset of the unknowns as a bitmask.
+
 ``difference_system`` assembles the cooperative system satisfied by the
 log-ratios of two solved cyclic states that share holomorphic data and
 differ only in the last-arrow scale.  Its coefficients use the exact
@@ -28,7 +40,6 @@ comparison by the same mechanism as the continuum argument.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -201,16 +212,20 @@ def fully_coupled(pattern: np.ndarray):
 
 
 def fully_coupled_bruteforce(pattern: np.ndarray) -> bool:
-    """Oracle: scan all 2^n - 2 proper nonempty subsets for a decoupling."""
+    """Oracle: scan all 2^n - 2 proper nonempty subsets for a decoupling.
+
+    A subset is a bitmask s over the unknowns.  reach[s] is the OR of the
+    row masks of s's members, so (s, complement) decouples iff
+    reach[s] & ~s == 0.
+    """
     P = np.asarray(pattern, dtype=bool)
     n = P.shape[0]
-    idx = range(n)
-    for r in range(1, n):
-        for alpha in itertools.combinations(idx, r):
-            beta = [j for j in idx if j not in alpha]
-            if not any(P[i, j] for i in alpha for j in beta):
-                return False
-    return True
+    row_masks = P.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    reach = np.zeros(1, dtype=np.int64)
+    for m in row_masks:                 # subsets with bit i set follow those without
+        reach = np.concatenate([reach, reach | m])
+    s = np.arange(1, 2**n - 1, dtype=np.int64)
+    return not np.any((reach[1:-1] & ~s) == 0)
 
 
 def check_conditions(system: CooperativeSystem, tol: float = 1e-12,
@@ -257,14 +272,26 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     dirichlet = np.tile(system.grid.boundary_mask, n)
     dirichlet[pins] = True
     free = ~dirichlet
+    # L's entries repeated on every diagonal block, offset by i*N
+    L = system.elliptic_operator()
+    offset = (np.arange(n) * N)[:, None]
+    l_rows = (np.repeat(np.arange(N), np.diff(L.indptr)) + offset).ravel()
+    l_cols = (L.indices + offset).ravel()
     # coupling c_ij at node k sits at row i*N + k, column j*N + k
     i, j, k = np.indices(system.c.shape).reshape(3, -1)
-    C = sparse.coo_matrix((system.c.ravel(), (i * N + k, j * N + k)), shape=(n * N, n * N))
-    L = sparse.kron(sparse.identity(n), system.elliptic_operator())
-    A = sparse.diags(free.astype(float)) @ (L + C) + sparse.diags(dirichlet.astype(float))
+    rows = np.concatenate([l_rows, i * N + k])
+    cols = np.concatenate([l_cols, j * N + k])
+    vals = np.concatenate([np.tile(L.data, n), system.c.ravel()])
+    keep = free[rows]
+    # Dirichlet and pole rows are identity rows
+    d = np.nonzero(dirichlet)[0]
+    A = sparse.csr_matrix((np.concatenate([vals[keep], np.ones(d.size)]),
+                           (np.concatenate([rows[keep], d]), np.concatenate([cols[keep], d]))),
+                          shape=(n * N, n * N))
+    A.eliminate_zeros()
     rhs = np.where(free, system.f.ravel(), 0.0)
     rhs[pins] = system.pole_value
-    return A.tocsr(), rhs
+    return A, rhs
 
 
 def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True,
@@ -283,7 +310,8 @@ def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True,
         )
     A, rhs = assemble_matrix(system)
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise RuntimeError(f"singular cooperative operator: {exc}") from exc
     u = lu.solve(rhs).reshape(system.n, system.grid.n_nodes)
@@ -438,8 +466,17 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
     """Draw a random system satisfying (a)-(c) with f <= 0, f != 0.
 
     ``violate`` breaks exactly one condition for negative controls:
-    "cooperative", "column", or "coupled".
+    "cooperative", "column", or "coupled".  An unknown name, or a violation
+    that n unknowns cannot realise (breaking cooperativity or coupling needs
+    n >= 2, column dominance n >= 1), raises ``ValueError``.
     """
+    if violate is not None:
+        if violate not in ("cooperative", "column", "coupled"):
+            raise ValueError(f"unknown violation {violate!r}; expected "
+                             "'cooperative', 'column' or 'coupled'")
+        need = 1 if violate == "column" else 2
+        if n < need:
+            raise ValueError(f"violation {violate!r} needs n >= {need} unknowns, got n = {n}")
     N = grid.n_nodes
     c = np.zeros((n, n, N))
     for i in range(n):
@@ -449,7 +486,7 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
             ring = (j == (i + 1) % n) or (i == (j + 1) % n)
             if ring or rng.random() < 0.4:
                 c[i, j] = rng.uniform(0.2, 1.0) * (1.1 + _smooth_field(grid, rng)) ** 2
-    if violate == "coupled" and n >= 2:
+    if violate == "coupled":
         # silence every coupling out of unknown 0 so ({0}, rest) decouples
         for j in range(1, n):
             c[0, j] = 0.0
@@ -458,8 +495,8 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
     for j in range(n):
         c[j, j] = -c[:, j, :].sum(axis=0) - slack[j]
     if violate == "cooperative":
-        i, j = 0, 1 % n
-        c[i, j] = c[i, j] - 2.0 - np.abs(_smooth_field(grid, rng))
+        # negative at every node, so (a) fails however large c_01 was drawn
+        c[0, 1] = -2.0 - np.abs(_smooth_field(grid, rng))
     if violate == "column":
         c[0, 0] = c[0, 0] + slack[0] + 1.0
 

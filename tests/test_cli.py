@@ -199,6 +199,19 @@ def test_verify_max_principle_violation_demo(tmp_path):
     assert verdict["conditions"]["column_dominance_ok"] is False
 
 
+@pytest.mark.parametrize("payload,name", [({"violate": "colum"}, "'colum'"),
+                                          ({"violate": "coupled", "n": 1}, "'coupled'"),
+                                          ({"violate": "cooperative", "n": 1}, "'cooperative'")])
+def test_verify_max_principle_unrealisable_violation_is_refused(tmp_path, capsys, payload, name):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", "max-principle", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "violation" in err and name in err
+    assert not (out / "verdict.json").exists()
+
+
 def test_sweep_tabulates_members(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "grid": RADIAL, "spec": HITCHIN3, "t_list": [0.5, 1.0, 2.0]})

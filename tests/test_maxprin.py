@@ -1,9 +1,11 @@
 """Cooperative-system machinery: conditions, certified solves, differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
@@ -86,6 +88,15 @@ def test_each_negative_control_trips_its_own_flag(violate, flag):
     assert not rep["passed"]
 
 
+def test_cooperative_control_is_flagged_on_every_draw():
+    # c_01 can be drawn larger than any fixed offset, so it must be replaced
+    g = radial(24)
+    for seed in range(200):
+        sys_ = random_cooperative_system(g, 3, np.random.default_rng(seed), violate="cooperative")
+        rep = check_conditions(sys_)
+        assert not rep.cooperative_ok and rep.column_ok and rep.coupled_ok, seed
+
+
 def test_decoupled_control_reports_a_real_partition():
     rng = np.random.default_rng(2)
     g = radial(16)
@@ -109,6 +120,34 @@ def test_closure_matches_bruteforce_on_random_patterns():
         if not fast:
             alpha, beta = partition
             assert not any(P[i, j] for i in alpha for j in beta)
+
+
+def _itertools_bruteforce(P):
+    # the per-subset Python scan the bitmask oracle replaced
+    n = P.shape[0]
+    idx = range(n)
+    for r in range(1, n):
+        for alpha in itertools.combinations(idx, r):
+            beta = [j for j in idx if j not in alpha]
+            if not any(P[i, j] for i in alpha for j in beta):
+                return False
+    return True
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=12, density=0.0, seed=0)
+@example(n=12, density=1.0, seed=0)
+@example(n=1, density=0.0, seed=0)
+@example(n=1, density=1.0, seed=0)
+def test_bitmask_bruteforce_matches_itertools_oracle(n, density, seed):
+    # density 0 and 1 give the all-false and all-true patterns
+    P = np.random.default_rng(seed).random((n, n)) < density
+    if density == 1.0:
+        assert P.all()
+    got = fully_coupled_bruteforce(P)
+    assert type(got) is bool
+    assert got == _itertools_bruteforce(P)
 
 
 def test_certified_solve_against_dense_oracle():
@@ -135,6 +174,77 @@ def test_certification_refusal_and_override():
     u, rep = solve_linear_cooperative(bad, certify=False)
     assert not rep.passed
     assert u.shape == (2, g.n_nodes)
+
+
+_SOLVE_GRIDS = [radial(24), build_grid(GridSpec("disc2d", 11, 0.8)),
+                build_grid(GridSpec("torus", (8, 8)))]
+
+
+def _assert_matches_dense_oracle(sys_, u):
+    # normwise at rtol 1e-10: Dirichlet zeros carry round-off on both sides
+    A, rhs = assemble_matrix(sys_)
+    dense = np.linalg.solve(A.toarray(), rhs).reshape(sys_.n, sys_.grid.n_nodes)
+    assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
+    return dense
+
+
+@pytest.mark.parametrize("grid", _SOLVE_GRIDS, ids=lambda g: g.kind)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_drift", [False, True])
+@pytest.mark.parametrize("with_poles", [False, True])
+def test_reordered_solve_matches_dense_oracle(grid, n, with_drift, with_poles):
+    rng = np.random.default_rng(1000 * n + 10 * with_drift + with_poles)
+    sys_ = random_cooperative_system(grid, n, rng, None, with_drift, with_poles)
+    u, rep = solve_linear_cooperative(sys_, certify=True)
+    assert rep.passed
+    dense = _assert_matches_dense_oracle(sys_, u)
+    scan = sys_.scan_mask()
+    # an M-matrix solve is also accurate entry by entry where u > 0
+    np.testing.assert_allclose(u[:, scan], dense[:, scan], rtol=1e-10)
+    assert u[:, scan].min() > 0.0
+
+
+@pytest.mark.parametrize("grid", _SOLVE_GRIDS, ids=lambda g: g.kind)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("violate", ["column", "cooperative"])
+def test_uncertified_negative_controls_match_dense_oracle(grid, n, violate):
+    # refused as certificates, but an uncertified solve must stay accurate
+    rng = np.random.default_rng(7 * n)
+    sys_ = random_cooperative_system(grid, n, rng, violate=violate)
+    with pytest.raises(CertificationError):
+        solve_linear_cooperative(sys_)
+    u, rep = solve_linear_cooperative(sys_, certify=False)
+    assert not rep.passed
+    _assert_matches_dense_oracle(sys_, u)
+
+
+def test_uncertified_solve_keeps_partial_pivoting():
+    # node couplings of 1e12 against a Laplacian diagonal of -64: without
+    # row exchanges the LU takes the small diagonal pivots and grows ~1e20.
+    # The torus has no identity rows, whose unit scale would make A
+    # ill-conditioned beside the 1e12 couplings.
+    grid = build_grid(GridSpec("torus", (8, 8)))
+    N = grid.n_nodes
+    c = np.zeros((2, 2, N))
+    c[0, 1] = c[1, 0] = 1e12
+    sys_ = CooperativeSystem(grid, 2, c, -np.ones((2, N)))
+    u, rep = solve_linear_cooperative(sys_, certify=False)
+    assert not rep.column_ok
+    _assert_matches_dense_oracle(sys_, u)
+
+
+@pytest.mark.parametrize("violate,n", [("colum", 3), ("", 3), ("coupled", 1),
+                                       ("cooperative", 1), ("column", 0)])
+def test_unrealisable_violation_is_refused(violate, n):
+    with pytest.raises(ValueError, match=repr(violate)):
+        random_cooperative_system(radial(12), n, np.random.default_rng(0), violate=violate)
+
+
+def test_column_violation_is_realised_by_one_unknown():
+    sys_ = random_cooperative_system(radial(12), 1, np.random.default_rng(0), violate="column")
+    rep = check_conditions(sys_).to_json_dict()
+    assert not rep["column_dominance_ok"]
+    assert rep["cooperative_ok"] and rep["fully_coupled"]
 
 
 def test_rescaling_transforms_solutions_exactly():
