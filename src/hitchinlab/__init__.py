@@ -8,14 +8,14 @@ domination — with explicit numerical margins and a certified cooperative
 maximum principle as the cross-check.
 """
 
-from .geometry import Grid, GridSpec, HolomorphicDatum, ScalarField, build_grid
+from .geometry import Grid, GridSpec, HolomorphicDatum, build_grid
 from .solver import SolveReport, SolverConfig, continuation_solve, solve
 from .system import CyclicSpec, LogMetricState, make_spec, make_system
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "GridSpec", "HolomorphicDatum", "ScalarField", "build_grid",
+    "Grid", "GridSpec", "HolomorphicDatum", "build_grid",
     "CyclicSpec", "LogMetricState", "make_spec", "make_system",
     "SolverConfig", "SolveReport", "solve", "continuation_solve",
     "__version__",

@@ -14,8 +14,6 @@ byte-reproducible from config + seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -203,21 +201,18 @@ def write_json(path: str, payload: dict, volatile_ok: bool = False) -> None:
     _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _write_table(path: str, header: list[str], cols: np.ndarray) -> None:
+    """One CSV row per row of ``cols``, each value as %.17g, rows ending in CRLF."""
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    _atomic_write(path, ",".join(header) + "\r\n"
+                  + (row * len(cols)) % tuple(cols.ravel().tolist()))
+
+
 def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
     """Columns x, y, u_1..u_m, each value as %.17g, CSV rows ending in CRLF."""
     z = grid.z()
-    cols = np.column_stack([z.real, z.imag, u])
-    header = ",".join(["x", "y"] + [f"u_{k + 1}" for k in range(u.shape[1])])
-    row = ",".join(["%.17g"] * cols.shape[1]) + "\r\n"
-    _atomic_write(path, header + "\r\n" + (row * len(cols)) % tuple(cols.ravel().tolist()))
-
-
-def _write_csv(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    _write_table(path, ["x", "y"] + [f"u_{k + 1}" for k in range(u.shape[1])],
+                 np.column_stack([z.real, z.imag, u]))
 
 
 def _default_boundary(grid: Grid) -> str:
@@ -337,17 +332,16 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
         curv = analysis.extrinsic_curvature(spec_t, rep.state)
         kmin, kmax = curv.interior_range(region)
         g = metric.density[region]
-        rows.append([f"{t:.17g}", f"{metric.morse_energy:.17g}",
-                     f"{g.min():.17g}", f"{g.max():.17g}",
-                     f"{kmin:.17g}", f"{kmax:.17g}"])
+        rows.append([t, metric.morse_energy, g.min(), g.max(), kmin, kmax])
         energies.append(metric.morse_energy)
         summaries.append({"t": t, "converged": True,
                           "morse_energy": metric.morse_energy,
                           "g_min": float(g.min()), "g_max": float(g.max()),
                           "k_min": kmin, "k_max": kmax,
                           "solver": rep.to_json_dict()})
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["t", "morse_energy", "g_min", "g_max", "k_min", "k_max"], rows)
+    header = ["t", "morse_energy", "g_min", "g_max", "k_min", "k_max"]
+    _write_table(os.path.join(out_dir, "sweep.csv"), header,
+                 np.array(rows, dtype=float).reshape(-1, len(header)))
 
     all_converged = all(s["converged"] for s in summaries) and len(summaries) == len(t_list)
     monotone = all(b > a for a, b in zip(energies, energies[1:]))

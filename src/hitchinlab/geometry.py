@@ -22,7 +22,7 @@ Delta log g0 = g0 with the Delta above (verified symbolically; note this is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -298,31 +298,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """A real scalar field sampled on a grid's nodes.
-
-    Values must be finite; non-finite intermediates are treated as blow-up
-    by the callers that can produce them.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"field has {vals.shape} values for a grid with {self.grid.n_nodes} nodes"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("scalar field contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
-
-
-@dataclass(frozen=True)
 class HolomorphicDatum:
     """A holomorphic coefficient: zero, a constant, c*z^l, or a polynomial.
 
@@ -431,13 +406,18 @@ class HolomorphicDatum:
         return acc
 
     def norm_squared(self, z: np.ndarray) -> np.ndarray:
-        """|datum(z)|^2, exactly (for a monomial this is |c|^2 |z|^(2l))."""
-        if self.kind == "monomial":
-            return abs(self.coefficients[0]) ** 2 * np.abs(np.asarray(z, complex)) ** (
-                2 * self.degree
-            )
-        v = self.value(z)
-        return (v * v.conjugate()).real
+        """|datum(z)|^2, exactly (for a monomial this is |c|^2 |z|^(2l)).
+
+        Computed in numpy floats: a coefficient too large to square gives
+        inf or NaN, left to the caller to detect, never an exception.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "monomial":
+                return np.abs(self.coefficients[0]) ** 2 * np.abs(np.asarray(z, complex)) ** (
+                    2 * self.degree
+                )
+            v = self.value(z)
+            return (v * v.conjugate()).real
 
     def valid_on(self, grid: Grid) -> bool:
         """Whether the datum makes sense on the grid's chart.
@@ -462,27 +442,34 @@ def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
 
 
-def hyperbolic_metric(grid: Grid) -> ScalarField:
-    """Background metric density g0 = 2/(1-|z|^2)^2 on a disc-kind grid.
+def hyperbolic_metric(grid: Grid) -> np.ndarray:
+    """Background metric density g0 = 2/(1-|z|^2)^2 at a disc-kind grid's nodes.
 
     Normalised so that Delta log g0 = g0 for Delta = (1/4)(d_xx + d_yy).
     """
     if grid.kind == "torus":
         raise ValueError("the flat torus carries no hyperbolic background metric")
     rsq = (grid.xy**2).sum(axis=1)
-    return ScalarField(grid, 2.0 / (1.0 - rsq) ** 2)
+    return 2.0 / (1.0 - rsq) ** 2
 
 
-def eval_norm_squared(datum: HolomorphicDatum, grid: Grid) -> ScalarField:
-    """|datum|^2 sampled on the grid (exact closed form)."""
+def eval_norm_squared(datum: HolomorphicDatum, grid: Grid) -> np.ndarray:
+    """|datum|^2 sampled on the grid's nodes (exact closed form), shape (N,).
+
+    A datum whose |datum|^2 is not finite at some node (a coefficient too
+    large to square, infinite or NaN) is refused with a ValueError.
+    """
     if not datum.valid_on(grid):
         raise ValueError(f"{datum.kind} datum is not valid on a {grid.kind} chart")
-    return ScalarField(grid, datum.norm_squared(grid.z()))
+    nsq = datum.norm_squared(grid.z())
+    if not np.all(np.isfinite(nsq)):
+        raise ValueError("scalar field contains non-finite values")
+    return nsq
 
 
 def zero_set(datum: HolomorphicDatum, grid: Grid, tol: float = 0.0) -> np.ndarray:
     """Node indices where |datum|^2 <= tol * max |datum|^2 (default: exact zeros)."""
-    nsq = eval_norm_squared(datum, grid).values
+    nsq = eval_norm_squared(datum, grid)
     scale = nsq.max()
     if scale == 0.0:
         return np.arange(grid.n_nodes)

@@ -50,6 +50,9 @@ from .geometry import Grid, hyperbolic_metric
 from .system import CyclicSpec, LogMetricState, arrow_coefficients, expand_log_metrics
 
 DEFAULT_POLE_VALUE = 1.0e6
+CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
+SUITE_RANKS = (2, 3, 4)     # unknowns per system in the randomized suite
+POSITIVITY_TOL = 1e-8       # relative slack on the suite's positivity verdict
 
 
 class CertificationError(ValueError):
@@ -157,7 +160,6 @@ class ConditionReport:
     worst_offdiag: tuple[int, int, int, float] | None  # (i, j, node, value)
     worst_column: tuple[int, int, float] | None        # (j, node, value)
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -171,16 +173,16 @@ class ConditionReport:
             "worst_offdiag": list(self.worst_offdiag) if self.worst_offdiag else None,
             "worst_column_sum": list(self.worst_column) if self.worst_column else None,
             "partition": [list(p) for p in self.partition] if self.partition else None,
-            "tol": self.tol,
+            "tol": CONDITION_TOL,
             "passed": self.passed,
         }
 
 
-def coupling_pattern(system: CooperativeSystem, pattern_tol: float = 0.0) -> np.ndarray:
+def coupling_pattern(system: CooperativeSystem) -> np.ndarray:
     """Boolean matrix: entry (i, j) iff c_ij is not identically zero."""
     scan = system.scan_mask()
     c = system.c[:, :, scan]
-    return np.any(np.abs(c) > pattern_tol, axis=2)
+    return np.any(np.abs(c) > 0.0, axis=2)
 
 
 def fully_coupled(pattern: np.ndarray):
@@ -228,9 +230,12 @@ def fully_coupled_bruteforce(pattern: np.ndarray) -> bool:
     return not np.any((reach[1:-1] & ~s) == 0)
 
 
-def check_conditions(system: CooperativeSystem, tol: float = 1e-12,
-                     pattern_tol: float = 0.0) -> ConditionReport:
-    """Verify conditions (a), (b), (c) with worst-case witnesses."""
+def check_conditions(system: CooperativeSystem) -> ConditionReport:
+    """Verify conditions (a), (b), (c) with worst-case witnesses.
+
+    (a) and (b) allow ``CONDITION_TOL`` of round-off; (c) counts a coupling
+    that is nonzero at any scanned node.
+    """
     scan = system.scan_mask()
     scan_idx = np.nonzero(scan)[0]
     n = system.n
@@ -246,18 +251,18 @@ def check_conditions(system: CooperativeSystem, tol: float = 1e-12,
             k = int(np.argmin(vals))
             if worst_off is None or vals[k] < worst_off[3]:
                 worst_off = (i, j, int(scan_idx[k]), float(vals[k]))
-    cooperative_ok = worst_off is None or worst_off[3] >= -tol
+    cooperative_ok = worst_off is None or worst_off[3] >= -CONDITION_TOL
 
     colsums = system.c.sum(axis=0)[:, scan]  # (n, n_scan)
     worst_col = None
     if colsums.size:
         j, k = np.unravel_index(np.argmax(colsums), colsums.shape)
         worst_col = (int(j), int(scan_idx[k]), float(colsums[j, k]))
-    column_ok = worst_col is None or worst_col[2] <= tol
+    column_ok = worst_col is None or worst_col[2] <= CONDITION_TOL
 
-    coupled_ok, partition = fully_coupled(coupling_pattern(system, pattern_tol))
+    coupled_ok, partition = fully_coupled(coupling_pattern(system))
     return ConditionReport(cooperative_ok, column_ok, coupled_ok,
-                           worst_off, worst_col, partition, tol)
+                           worst_off, worst_col, partition)
 
 
 def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -294,15 +299,14 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     return A, rhs
 
 
-def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True,
-                             tol: float = 1e-12):
+def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True):
     """Solve the assembled system; returns (u, ConditionReport).
 
     With ``certify=True`` a failing structure condition raises
     ``CertificationError`` (the solve is refused as a positivity
     certificate); pass ``certify=False`` to solve regardless.
     """
-    report = check_conditions(system, tol=tol)
+    report = check_conditions(system)
     if certify and not report.passed:
         raise CertificationError(
             "structure conditions fail; positivity is not certified "
@@ -395,7 +399,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
 
     n = spec_a.n
     N = grid.n_nodes
-    g0 = hyperbolic_metric(grid).values
+    g0 = hyperbolic_metric(grid)
     G = arrow_coefficients(replace(spec_a, t=1.0), grid)        # t enters through v
 
     w_a = expand_log_metrics(spec_a, state_a)
@@ -518,20 +522,21 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
                              excluded if excluded else [], DEFAULT_POLE_VALUE)
 
 
-def randomized_positivity_suite(count: int, seed: int, grids: list[Grid],
-                                n_range=(2, 3, 4),
-                                positivity_tol: float = 1e-8) -> dict:
+def randomized_positivity_suite(count: int, seed: int, grids: list[Grid]) -> dict:
     """Run ``count`` random certified solves and record interior minima.
 
-    Verdict: every certified system has min u > -positivity_tol * scale on
-    its free nodes (strict positivity up to roundoff).
+    Verdict: every certified system has min u > -POSITIVITY_TOL * scale on
+    its free nodes (strict positivity up to roundoff).  A suite of no
+    solves would assert nothing, so ``count < 1`` is a ValueError.
     """
+    if count < 1:
+        raise ValueError(f"max-principle count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     cases = []
     worst = np.inf
     for k in range(count):
         grid = grids[k % len(grids)]
-        n = int(rng.choice(n_range))
+        n = int(rng.choice(SUITE_RANKS))
         with_drift = bool(rng.random() < 0.3)
         with_poles = bool(rng.random() < 0.3)
         sys_ = random_cooperative_system(grid, n, rng, None, with_drift, with_poles)
@@ -544,6 +549,6 @@ def randomized_positivity_suite(count: int, seed: int, grids: list[Grid],
         cases.append({"case": k, "grid": grid.kind, "n": n,
                       "drift": with_drift, "poles": with_poles,
                       "min_u": umin, "scale": scale, "relative_min": margin})
-    passed = worst > -positivity_tol
+    passed = worst > -POSITIVITY_TOL
     return {"count": count, "seed": seed, "worst_relative_min": worst,
-            "tol": positivity_tol, "passed": bool(passed), "cases": cases}
+            "tol": POSITIVITY_TOL, "passed": bool(passed), "cases": cases}

@@ -36,13 +36,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .geometry import (
-    Grid,
-    HolomorphicDatum,
-    ScalarField,
-    eval_norm_squared,
-    hyperbolic_metric,
-)
+from .geometry import Grid, HolomorphicDatum, eval_norm_squared, hyperbolic_metric
 
 VARIANTS = ("general_cyclic", "hitchin_component", "slnr_even", "slnr_odd", "sp4_gothen")
 SYMMETRIC_VARIANTS = ("hitchin_component", "slnr_even", "slnr_odd", "sp4_gothen")
@@ -233,18 +227,8 @@ class LogMetricState:
     def n_unknowns(self) -> int:
         return self.u.shape[1]
 
-    def field(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.u[:, k].copy())
-
     def copy(self) -> "LogMetricState":
         return LogMetricState(self.grid, self.u.copy(), self.residual_norm)
-
-    def as_vector(self) -> np.ndarray:
-        return self.u.ravel().copy()
-
-    @staticmethod
-    def from_vector(grid: Grid, m: int, vec: np.ndarray) -> "LogMetricState":
-        return LogMetricState(grid, np.asarray(vec, float).reshape(grid.n_nodes, m))
 
 
 # -- Fuchsian reference state ---------------------------------------------
@@ -262,7 +246,7 @@ def fuchsian_log_metrics(n: int, n_unknowns: int, grid: Grid) -> np.ndarray:
     """
     if n_unknowns not in (n // 2, n - 1):
         raise ValueError("n_unknowns must be floor(n/2) or n-1")
-    log_g0 = np.log(hyperbolic_metric(grid).values)
+    log_g0 = np.log(hyperbolic_metric(grid))
     m = n // 2
     w = np.zeros((grid.n_nodes, n))
     if n % 2 == 0:
@@ -406,7 +390,7 @@ class HitchinSystem:
 
 def arrow_coefficients(spec: CyclicSpec, grid: Grid) -> np.ndarray:
     """(N, n) squared magnitudes of all cyclic arrows, with |t|^2 folded in."""
-    G = np.column_stack([eval_norm_squared(d, grid).values for d in spec.cyclic_data()])
+    G = np.column_stack([eval_norm_squared(d, grid) for d in spec.cyclic_data()])
     G[:, -1] *= abs(spec.t) ** 2
     return G
 
@@ -468,14 +452,6 @@ def make_system(
             cols.append(arr)
         bv = np.column_stack(cols)
     return HitchinSystem(spec, grid, bv, G, fuchsian)
-
-
-def residual(system: HitchinSystem, state: LogMetricState) -> list[ScalarField]:
-    """Pointwise residual fields, one per independent unknown."""
-    R = system.residual_array(state.u)
-    if not np.all(np.isfinite(R)):
-        raise BlowupError("non-finite residual (state blew up)")
-    return [ScalarField(system.grid, R[:, k].copy()) for k in range(system.m)]
 
 
 # -- spec transformations --------------------------------------------------

@@ -14,7 +14,6 @@ from hitchinlab.analysis import (
     compare_states,
     extremal_plane,
     extrinsic_curvature,
-    margin_threshold,
     metric_ratio_fields,
     nu_ratios,
     arrow_terms,
@@ -83,7 +82,7 @@ def test_uniformising_arrow_terms_match_closed_form():
     n = 4
     spec, st = uniformising(n, g)
     a = arrow_terms(spec, st)
-    g0 = hyperbolic_metric(g).values
+    g0 = hyperbolic_metric(g)
     for k in range(1, n):
         np.testing.assert_allclose(a[:, k - 1], 0.5 * k * (n - k) * g0, rtol=1e-12)
     np.testing.assert_allclose(a[:, n - 1], 0.0)
@@ -312,13 +311,6 @@ def test_stacked_curvature_range_invariance_and_refusal(case):
 
 
 # -- strict pairwise comparisons -------------------------------------------
-
-
-def test_margin_threshold_floor_and_scaling():
-    g = radial(64)
-    assert margin_threshold(g, 1e-10, 6.0) == pytest.approx(6.0 * g.spacing**2)
-    huge_tol = margin_threshold(g, 1e-2, 6.0)
-    assert huge_tol == pytest.approx(0.1)
 
 
 def test_compare_state_with_itself_is_false_with_zero_margins():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from hitchinlab.cli import main, write_state_csv
+from hitchinlab.cli import _write_table, main, write_state_csv
 from hitchinlab.geometry import GridSpec, build_grid
 
 RADIAL = {"kind": "radial_disc", "resolution": 48, "radius": 0.8}
@@ -212,6 +212,37 @@ def test_verify_max_principle_unrealisable_violation_is_refused(tmp_path, capsys
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_verify_max_principle_without_solves_is_refused(tmp_path, capsys, count):
+    cfg = write_cfg(tmp_path, "cfg.json", {"count": count})
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--theorem", "max-principle", "--out", str(out)])
+    assert rc == 1
+    assert f"count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coefficient", [1e200, float("inf")], ids=["1e200", "Infinity"])
+@pytest.mark.parametrize("datum", [{"kind": "constant"},
+                                   {"kind": "monomial", "degree": 1},
+                                   {"kind": "polynomial"}], ids=lambda d: d["kind"])
+def test_unrepresentable_coefficient_is_usage_error(tmp_path, capsys, datum, coefficient):
+    if datum["kind"] == "polynomial":
+        datum = dict(datum, coefficients=[0.5, coefficient])
+    else:
+        datum = dict(datum, coefficient=coefficient)
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": {"kind": "disc2d", "resolution": 9, "radius": 0.8},
+        "spec": dict(HITCHIN3, data=[datum])})
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: scalar field contains non-finite values" in err
+    assert not (out / "report.json").exists()
+
+
 def test_sweep_tabulates_members(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "grid": RADIAL, "spec": HITCHIN3, "t_list": [0.5, 1.0, 2.0]})
@@ -236,6 +267,41 @@ def test_sweep_singleton_family(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "sweep.csv") as fh:
         assert len(list(csv.reader(fh))) == 2
+
+
+SWEEP_HEADER = ["t", "morse_energy", "g_min", "g_max", "k_min", "k_max"]
+
+
+def _csv_writer_reference(header, rows) -> bytes:
+    """The csv.writer formatting, each value as %.17g, that sweep.csv used to have."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([f"{v:.17g}" for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("t_list,solver,n_rows", [([0.5, 1.0, 2.0], {}, 3),
+                                                  ([5.0, 6.0], {"max_newton_iters": 1}, 0)])
+def test_sweep_csv_bytes_match_csv_writer(tmp_path, t_list, solver, n_rows):
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3,
+                                           "t_list": t_list, "solver": solver})
+    out = tmp_path / "out"
+    main(["sweep", "--config", cfg, "--out", str(out)])
+    rows = [[m[k] for k in SWEEP_HEADER]
+            for m in read_json(out / "sweep.json")["members"] if m["converged"]]
+    assert len(rows) == n_rows
+    assert (out / "sweep.csv").read_bytes() == _csv_writer_reference(SWEEP_HEADER, rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2])
+def test_table_bytes_match_csv_writer_on_special_values(tmp_path, n_rows):
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0]
+    rows = np.array(special).reshape(2, 6)[:n_rows]
+    path = tmp_path / "sweep.csv"
+    _write_table(str(path), SWEEP_HEADER, rows)
+    assert path.read_bytes() == _csv_writer_reference(SWEEP_HEADER, rows.tolist())
 
 
 def test_sweep_refuses_unstable_degrees(tmp_path, capsys):

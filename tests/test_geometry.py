@@ -10,7 +10,6 @@ from hitchinlab.geometry import (
     Grid,
     GridSpec,
     HolomorphicDatum,
-    ScalarField,
     build_grid,
     eval_norm_squared,
     hyperbolic_metric,
@@ -278,19 +277,9 @@ def test_directional_neighbors_tables():
     assert ((nd == -1).sum(axis=1)[~d.boundary_mask] == 0).all()
 
 
-def test_scalar_field_validation():
-    g = radial(16)
-    with pytest.raises(ValueError):
-        ScalarField(g, np.ones(3))
-    with pytest.raises(ValueError):
-        ScalarField(g, np.full(g.n_nodes, np.nan))
-    f = ScalarField(g, np.arange(g.n_nodes, dtype=float))
-    assert f.values[3] == 3.0
-
-
 def test_hyperbolic_metric_frozen_values():
     g = radial(96, 0.8)
-    g0 = hyperbolic_metric(g).values
+    g0 = hyperbolic_metric(g)
     assert g0[0] == 2.0
     r = np.abs(g.z())
     i = int(np.argmin(np.abs(r - 0.5)))
@@ -304,7 +293,7 @@ def test_log_hyperbolic_metric_solves_liouville():
     # residual is pure truncation error and must shrink at second order
     def resid(n):
         g = radial(n, 0.8)
-        g0 = hyperbolic_metric(g).values
+        g0 = hyperbolic_metric(g)
         return np.abs((g.lap @ np.log(g0) - g0)[~g.boundary_mask]).max()
 
     r128, r256, r512 = resid(128), resid(256), resid(512)
@@ -338,7 +327,8 @@ def test_datum_evaluation_against_direct_formula():
     p = HolomorphicDatum.polynomial([0.5, -1.0, 2.0])
     direct = 0.5 - zs + 2.0 * zs**2
     np.testing.assert_allclose(p.value(zs), direct, atol=1e-14)
-    nsq = eval_norm_squared(p, g).values
+    nsq = eval_norm_squared(p, g)
+    assert nsq.shape == (g.n_nodes,)
     np.testing.assert_allclose(nsq, np.abs(direct) ** 2, atol=1e-14)
 
     # and the radial chart refuses it outright
@@ -349,7 +339,7 @@ def test_datum_evaluation_against_direct_formula():
 def test_monomial_norm_squared_is_radial_power():
     g = radial(64)
     m = HolomorphicDatum.monomial(1.0 + 1.0j, 1)
-    nsq = eval_norm_squared(m, g).values
+    nsq = eval_norm_squared(m, g)
     np.testing.assert_allclose(nsq, 2.0 * np.abs(g.z()) ** 2, atol=1e-14)
 
 
@@ -358,7 +348,21 @@ def test_torus_rejects_nonconstant_data():
     with pytest.raises(ValueError):
         eval_norm_squared(HolomorphicDatum.monomial(1.0, 2), t)
     ok = eval_norm_squared(HolomorphicDatum.constant(2.0), t)
-    np.testing.assert_allclose(ok.values, 4.0)
+    np.testing.assert_allclose(ok, 4.0)
+
+
+@pytest.mark.parametrize("c", [1e200, np.inf, np.nan])
+@pytest.mark.parametrize("datum", [HolomorphicDatum.constant,
+                                   lambda c: HolomorphicDatum.monomial(c, 1),
+                                   lambda c: HolomorphicDatum.polynomial([0.5, c])],
+                         ids=["constant", "monomial", "polynomial"])
+def test_non_finite_norm_squared_is_refused(datum, c):
+    # |c|^2 overflows for |c| above about 1.3e154; every kind must refuse
+    # the result with the same ValueError, never raise OverflowError
+    g = build_grid(GridSpec("disc2d", 9, 0.8))
+    with pytest.raises(ValueError, match="non-finite values"):
+        eval_norm_squared(datum(c), g)
+    assert np.isfinite(eval_norm_squared(datum(1e150), g)).all()
 
 
 def test_zero_set_polynomial_on_lattice():

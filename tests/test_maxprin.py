@@ -308,6 +308,14 @@ def test_randomized_suite_reports_positive_minima():
     assert len(out["cases"]) == 30
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_suite_without_solves_is_refused(count):
+    # a suite of no certified solves asserts nothing, so it must not report
+    # "passed" with worst_relative_min = inf
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        randomized_positivity_suite(count, seed=0, grids=[radial(24)])
+
+
 def test_phi_against_quadrature():
     assert _phi(np.array([0.0]))[0] == 1.0
     vals = np.linspace(-3.0, 3.0, 21)
