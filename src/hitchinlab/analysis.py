@@ -6,7 +6,9 @@ the extrinsic curvature of the image surface, the dedicated rank-4
 curvature formula, and sectional curvatures of the ambient symmetric
 space.  On top of those sit ``verify_*`` runners that orchestrate solves
 and produce machine-checkable verdicts with explicit margins; the CLI and
-the acceptance suite both call these.
+the acceptance suite both call these.  ``scale_family`` solves a t-family
+(stability gate, continuation, per-member metric) for both
+``verify_monotonicity`` and the CLI's ``sweep``.
 
 Pairwise comparisons measure their margins on the log scale, field by
 field, and call a margin resolved when it exceeds
@@ -36,6 +38,7 @@ from .system import (
     arrow_kernel,
     expand_log_metrics,
     make_system,
+    stability_check,
 )
 from . import maxprin
 
@@ -60,7 +63,7 @@ def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
     """
     w = expand_log_metrics(spec, state)
     ratios = np.exp(np.roll(w, -1, axis=1) - w)
-    ratios[:, -1] *= abs(spec.t) ** 2
+    ratios[:, -1] *= spec.scale_sq
     return ratios
 
 
@@ -448,8 +451,25 @@ def _same_system(spec_a: CyclicSpec, spec_b: CyclicSpec, grid: Grid) -> bool:
                                    arrow_coefficients(spec_b, grid)))
 
 
-def _spec_at_scale(spec: CyclicSpec, t: float) -> CyclicSpec:
-    return replace(spec, t=complex(t))
+def scale_family(spec: CyclicSpec, grid: Grid, t_values,
+                 config: SolverConfig | None = None, boundary="fuchsian"):
+    """The scale family t -> spec at t, solved by warm-started continuation.
+
+    Returns one (spec at t, solve report, pullback metric) per member in
+    ascending t; solving stops at the first member that fails, which comes
+    last and carries the metric None.  A family through t = 0 whose declared
+    degrees make that member unstable is refused before any solve.
+    """
+    t_values = [float(t) for t in t_values]
+    if (spec.degrees is not None and 0.0 in t_values
+            and not stability_check(spec.degrees, which_gamma_zero=spec.n)):
+        raise ValueError(f"refused — the t=0 member is unstable for degrees {spec.degrees}: every "
+                         "partial sum of the degrees from the top of the grading must be negative")
+    scaled = {t: replace(spec, t=complex(t)) for t in t_values}
+    runs = continuation_solve(lambda t: make_system(scaled[t], grid, boundary=boundary),
+                              t_values, config)
+    return [(scaled[t], rep, pullback_metric(scaled[t], rep.state) if rep.converged else None)
+            for t, rep in runs]
 
 
 def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
@@ -465,24 +485,19 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     """
     config = config or SolverConfig()
     region = grid.verdict_region(margin_cells)
-    runs = continuation_solve(lambda t: make_system(_spec_at_scale(spec, t), grid),
-                              t_values, config)
-    results = {"t_values": [t for t, _ in runs],
-               "converged": [r.converged for _, r in runs],
+    family = scale_family(spec, grid, t_values, config)
+    results = {"t_values": [s.t.real for s, _, _ in family],
+               "converged": [r.converged for _, r, _ in family],
                "pairs": [], "passed": False}
-    if not all(r.converged for _, r in runs):
+    if not all(results["converged"]):
         results["error"] = "continuation failed; see solve reports"
-        results["reports"] = [r.to_json_dict() for _, r in runs]
+        results["reports"] = [r.to_json_dict() for _, r, _ in family]
         return results
 
-    energies = []
-    for t, rep in runs:
-        energies.append(pullback_metric(_spec_at_scale(spec, t), rep.state).morse_energy)
-    results["morse_energies"] = energies
+    results["morse_energies"] = energies = [metric.morse_energy for _, _, metric in family]
 
     ok = True
-    for (ta_, rep_a), (tb_, rep_b) in zip(runs[1:], runs[:-1]):
-        sa, sb = _spec_at_scale(spec, ta_), _spec_at_scale(spec, tb_)
+    for (sa, rep_a, _), (sb, rep_b, _) in zip(family[1:], family[:-1]):
         ratios = compare_states(sb, rep_b.state, sa, rep_a.state, "ratio_fields",
                                 margin_cells, config.tol_residual)
         metric = compare_states(sb, rep_b.state, sa, rep_a.state, "pullback_metric",
@@ -491,7 +506,7 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
         cond = maxprin.check_conditions(ds.system)
         v_min = float(ds.v[:, region].min())
         pair = {
-            "t_low": tb_, "t_high": ta_,
+            "t_low": sb.t.real, "t_high": sa.t.real,
             "ratios": ratios.to_json_dict(),
             "pullback": metric.to_json_dict(),
             "difference_conditions": cond.to_json_dict(),
@@ -516,7 +531,6 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     verdict region; the k = 1 lower bound is checked away from the exact
     zeros of q_n, where the ratio equals its reference value zero.
     """
-    config = config or SolverConfig()
     region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
@@ -548,7 +562,6 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
 
     -1/(n (n-1)^2) - CURVATURE_SLACK <= K < 0 on the defined verdict region.
     """
-    config = config or SolverConfig()
     region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
@@ -629,7 +642,6 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     |f2 - 4/3| and |K + 1/40| over the verdict region; the strict
     ``passed`` is false there.
     """
-    config = config or SolverConfig()
     if spec.variant != "sp4_gothen":
         raise ValueError("sp4 bounds apply to sp4_gothen specs")
     region = grid.verdict_region(margin_cells)

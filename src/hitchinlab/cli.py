@@ -2,8 +2,9 @@
 
 Three subcommands cover the workflows: ``solve`` runs one system to
 convergence and dumps the state, ``verify`` runs a named theorem check and
-writes a verdict with every margin, ``sweep`` runs a scale family and
-tabulates the derived quantities per member.
+writes a verdict with every margin (``SOLVE_RUNNERS`` maps each solve-based
+theorem to its ``analysis`` runner), ``sweep`` tabulates the members of
+``analysis.scale_family``.
 
 Exit codes partition outcomes: 0 pass, 1 usage error or refusal,
 2 numerical failure (non-convergence or a false verdict), 3 I/O failure.
@@ -24,18 +25,18 @@ import numpy as np
 
 from . import analysis, maxprin
 from .geometry import Grid, GridSpec, HolomorphicDatum, build_grid
-from .solver import SolverConfig, continuation_solve, solve
-from .system import BlowupError, CyclicSpec, make_spec, make_system, stability_check
+from .solver import SolverConfig, solve
+from .system import BlowupError, CyclicSpec, make_spec, make_system
 
-THEOREMS = (
-    "monotonicity",
-    "nu-bounds",
-    "curvature",
-    "hitchin-fiber-comparison",
-    "sp4-bounds",
-    "max-principle",
-    "sym-space-curvature",
-)
+# theorems checked on solved states: runner(spec, grid, [t_list,] config, margin_cells)
+SOLVE_RUNNERS = {
+    "monotonicity": analysis.verify_monotonicity,
+    "nu-bounds": analysis.verify_nu_bounds,
+    "curvature": analysis.verify_curvature_bounds,
+    "hitchin-fiber-comparison": analysis.verify_fiber_comparison,
+    "sp4-bounds": analysis.verify_sp4_bounds,
+}
+THEOREMS = (*SOLVE_RUNNERS, "max-principle", "sym-space-curvature")
 
 
 class UsageError(ValueError):
@@ -243,25 +244,14 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
 def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
     sc = parse_solver(cfg.get("solver"))
     mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
-    if theorem == "monotonicity":
+    if theorem in SOLVE_RUNNERS:
         grid = parse_grid(cfg.get("grid"), resolution)
         t_list = cfg.get("t_list")
-        if not t_list:
+        if theorem == "monotonicity" and not t_list:
             raise UsageError("monotonicity needs a nonempty 't_list'")
-        return analysis.verify_monotonicity(parse_spec(cfg.get("spec")), grid,
-                                            [float(t) for t in t_list], sc, mc)
-    if theorem == "nu-bounds":
-        grid = parse_grid(cfg.get("grid"), resolution)
-        return analysis.verify_nu_bounds(parse_spec(cfg.get("spec")), grid, sc, mc)
-    if theorem == "curvature":
-        grid = parse_grid(cfg.get("grid"), resolution)
-        return analysis.verify_curvature_bounds(parse_spec(cfg.get("spec")), grid, sc, mc)
-    if theorem == "hitchin-fiber-comparison":
-        grid = parse_grid(cfg.get("grid"), resolution)
-        return analysis.verify_fiber_comparison(parse_spec(cfg.get("spec")), grid, sc, mc)
-    if theorem == "sp4-bounds":
-        grid = parse_grid(cfg.get("grid"), resolution)
-        return analysis.verify_sp4_bounds(parse_spec(cfg.get("spec")), grid, sc, mc)
+        spec = parse_spec(cfg.get("spec"))
+        extra = [[float(t) for t in t_list]] if theorem == "monotonicity" else []
+        return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc, mc)
     if theorem == "max-principle":
         violate = cfg.get("violate")
         if violate is not None:
@@ -307,33 +297,19 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
         raise UsageError("sweep needs a nonempty 't_list'")
     t_list = [float(t) for t in t_list]
 
-    if spec.degrees is not None and any(t == 0.0 for t in t_list):
-        if not stability_check(spec.degrees, which_gamma_zero=spec.n):
-            print("sweep: refused — the t=0 member is unstable for degrees "
-                  f"{spec.degrees}: every partial sum of the degrees taken "
-                  "from the top of the grading must be negative once the "
-                  "closing arrow vanishes", file=sys.stderr)
-            return 1
-
-    from dataclasses import replace as _replace
     region = grid.verdict_region(mc)
-    runs = continuation_solve(
-        lambda t: make_system(_replace(spec, t=complex(t)), grid,
-                              boundary=cfg.get("boundary", _default_boundary(grid))),
-        t_list, sc)
-    rows, summaries, energies = [], [], []
-    for t, rep in runs:
-        spec_t = _replace(spec, t=complex(t))
-        if not rep.converged:
-            summaries.append({"t": t, "converged": False,
-                              "solver": rep.to_json_dict()})
+    family = analysis.scale_family(spec, grid, t_list, sc,
+                                   boundary=cfg.get("boundary", _default_boundary(grid)))
+    rows, summaries = [], []
+    for spec_t, rep, metric in family:
+        t = spec_t.t.real
+        if metric is None:
+            summaries.append({"t": t, "converged": False, "solver": rep.to_json_dict()})
             continue
-        metric = analysis.pullback_metric(spec_t, rep.state)
         curv = analysis.extrinsic_curvature(spec_t, rep.state)
         kmin, kmax = curv.interior_range(region)
         g = metric.density[region]
         rows.append([t, metric.morse_energy, g.min(), g.max(), kmin, kmax])
-        energies.append(metric.morse_energy)
         summaries.append({"t": t, "converged": True,
                           "morse_energy": metric.morse_energy,
                           "g_min": float(g.min()), "g_max": float(g.max()),
@@ -343,18 +319,16 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     _write_table(os.path.join(out_dir, "sweep.csv"), header,
                  np.array(rows, dtype=float).reshape(-1, len(header)))
 
-    all_converged = all(s["converged"] for s in summaries) and len(summaries) == len(t_list)
-    monotone = all(b > a for a, b in zip(energies, energies[1:]))
+    all_converged = len(rows) == len(t_list)
+    monotone = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))   # morse_energy column
     # pairwise ratio margins are informational here; the thresholded strict
     # check is `verify --theorem monotonicity`
     ratio_margins = []
     if all_converged:
-        for (ta, ra), (tb, rb) in zip(runs[:-1], runs[1:]):
-            cmpres = analysis.compare_states(
-                _replace(spec, t=complex(ta)), ra.state,
-                _replace(spec, t=complex(tb)), rb.state,
-                "ratio_fields", mc, sc.tol_residual)
-            ratio_margins.append({"t_low": ta, "t_high": tb,
+        for (sa, ra, _), (sb, rb, _) in zip(family[:-1], family[1:]):
+            cmpres = analysis.compare_states(sa, ra.state, sb, rb.state,
+                                             "ratio_fields", mc, sc.tol_residual)
+            ratio_margins.append({"t_low": sa.t.real, "t_high": sb.t.real,
                                   "min_margin": cmpres.min_margin})
     verdict = {"passed": bool(all_converged and monotone),
                "all_converged": all_converged,

@@ -61,6 +61,7 @@ class CyclicSpec:
       sp4_gothen        : (mu, nu)
 
     ``degrees`` optionally records deg(L_1..L_n) for stability bookkeeping.
+    A scale whose |t|^2 is not a finite float is refused.
     """
 
     n: int
@@ -74,6 +75,8 @@ class CyclicSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "data", tuple(self.data))
         object.__setattr__(self, "t", complex(self.t))
+        if not np.isfinite(self.scale_sq):
+            raise ValueError(f"the scale t = {self.t!r} has no finite |t|^2")
         if self.degrees is not None:
             for k, d in enumerate(self.degrees, 1):
                 if not (isinstance(d, numbers.Real) and float(d).is_integer()):
@@ -118,6 +121,12 @@ class CyclicSpec:
         if self.variant == "general_cyclic":
             return self.n - 1
         return self.n // 2
+
+    @property
+    def scale_sq(self) -> float:
+        """|t|^2, squared in numpy floats: inf (never an exception) on overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.float64(abs(self.t)) ** 2)
 
     @property
     def is_symmetric(self) -> bool:
@@ -388,10 +397,15 @@ class HitchinSystem:
         return LogMetricState(self.grid, u)
 
 
-def arrow_coefficients(spec: CyclicSpec, grid: Grid) -> np.ndarray:
-    """(N, n) squared magnitudes of all cyclic arrows, with |t|^2 folded in."""
-    G = np.column_stack([eval_norm_squared(d, grid) for d in spec.cyclic_data()])
-    G[:, -1] *= abs(spec.t) ** 2
+def arrow_coefficients(spec: CyclicSpec, grid: Grid, fields=None) -> np.ndarray:
+    """(N, n) squared magnitudes of all cyclic arrows (or the given ``fields``,
+    see make_system), with |t|^2 folded in; a non-finite result is refused."""
+    G = np.column_stack(fields if fields is not None else
+                        [eval_norm_squared(d, grid) for d in spec.cyclic_data()])
+    with np.errstate(over="ignore"):
+        G[:, -1] *= spec.scale_sq
+    if not np.all(np.isfinite(G[:, -1])):
+        raise ValueError("the last arrow coefficient times |t|^2 is not finite")
     return G
 
 
@@ -413,20 +427,18 @@ def make_system(
     on the torus, where only constants are globally holomorphic.
     """
     m = spec.n_unknowns
-    if coefficient_fields is not None:
-        fields = [np.asarray(f, dtype=float) for f in coefficient_fields]
+    fields = coefficient_fields
+    if fields is not None:
+        fields = [np.asarray(f, dtype=float) for f in fields]
         if len(fields) != spec.n:
             raise ValueError(f"need {spec.n} coefficient fields")
         for f in fields:
             if f.shape != (grid.n_nodes,) or np.any(f < 0) or not np.all(np.isfinite(f)):
                 raise ValueError("coefficient fields must be finite, nonnegative node arrays")
-        G = np.column_stack(fields)
-        if spec.is_symmetric and not np.array_equal(G[:, :-1], G[:, -2::-1]):
-            raise ValueError("a symmetric variant needs palindromic coefficient fields "
-                             "(field k equal to field n-k for k < n)")
-        G[:, -1] *= abs(spec.t) ** 2
-    else:
-        G = arrow_coefficients(spec, grid)
+    G = arrow_coefficients(spec, grid, fields)
+    if fields is not None and spec.is_symmetric and not np.array_equal(G[:, :-1], G[:, -2::-1]):
+        raise ValueError("a symmetric variant needs palindromic coefficient fields "
+                         "(field k equal to field n-k for k < n)")
 
     if grid.kind == "torus":
         if isinstance(boundary, str) and boundary != "periodic":

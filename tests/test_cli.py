@@ -243,6 +243,103 @@ def test_unrepresentable_coefficient_is_usage_error(tmp_path, capsys, datum, coe
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, out_file", [
+    (["solve"], "report.json"),
+    (["sweep"], "sweep.json"),
+    (["verify", "--theorem", "nu-bounds"], "verdict.json"),
+    (["verify", "--theorem", "monotonicity"], "verdict.json"),
+], ids=["solve", "sweep", "nu-bounds", "monotonicity"])
+@pytest.mark.parametrize("t", [1e200, float("inf")], ids=["1e200", "Infinity"])
+def test_scale_without_finite_square_is_usage_error(tmp_path, capsys, command, out_file, t):
+    # solve and nu-bounds read the spec's t, sweep and monotonicity the t_list
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": dict(RADIAL, resolution=16), "spec": dict(HITCHIN3, t=t),
+        "t_list": [0.5, t]})
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has no finite |t|^2" in err
+    assert not (out / out_file).exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_scale_overflowing_a_coefficient_is_usage_error(tmp_path, capsys):
+    datum = {"kind": "constant", "coefficient": 1e100}
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": dict(RADIAL, resolution=16), "spec": dict(HITCHIN3, data=[datum], t=1e100)})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert ("error: the last arrow coefficient times |t|^2 is not finite"
+            in capsys.readouterr().err)
+    assert not (out / "report.json").exists()
+
+
+_MONO1 = {"kind": "monomial", "coefficient": 1.0, "degree": 1}
+
+
+@pytest.mark.parametrize("theorem, spec, keys", [
+    ("nu-bounds", dict(HITCHIN3, data=[_MONO1]), {"report"}),
+    ("curvature", dict(HITCHIN3, data=[_MONO1]), {"report"}),
+    ("sp4-bounds", {"variant": "sp4_gothen", "n": 4,
+                    "data": [HITCHIN3["data"][0], _MONO1]}, {"report"}),
+    ("hitchin-fiber-comparison", {"variant": "slnr_even", "n": 2,
+                                  "data": [HITCHIN3["data"][0], dict(_MONO1, degree=2)]},
+     {"reports"}),
+    ("monotonicity", dict(HITCHIN3, data=[_MONO1]), {"reports", "t_values", "converged"}),
+])
+def test_failed_solve_is_inconclusive(tmp_path, capsys, theorem, spec, keys):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": dict(RADIAL, resolution=96), "spec": spec, "t_list": [0.5, 1.0],
+        "solver": {"max_newton_iters": 1}})
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", theorem, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == f"verify[{theorem}]: inconclusive\n"
+    verdict = read_json(out / "verdict.json")
+    assert verdict["inconclusive"] is True and verdict["passed"] is False
+    assert keys <= verdict.keys()
+    if theorem == "monotonicity":
+        assert verdict["error"] == "continuation failed; see solve reports"
+        assert verdict["converged"] == [False] and len(verdict["reports"]) == 1
+    else:
+        assert verdict["error"] == "solve failed"
+    if theorem == "hitchin-fiber-comparison":
+        assert len(verdict["reports"]) == 2
+    for report in verdict.get("reports", [verdict.get("report")]):
+        assert report["iterations"] == 1
+
+
+def test_sweep_and_monotonicity_agree_on_the_family(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": RADIAL, "spec": dict(HITCHIN3, data=[_MONO1]), "t_list": [0.0, 0.5, 1.0, 2.0]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["verify", "--theorem", "monotonicity", "--config", cfg,
+                 "--out", str(tmp_path / "verify")]) == 0
+    sweep = read_json(tmp_path / "sweep" / "sweep.json")
+    verdict = read_json(tmp_path / "verify" / "verdict.json")
+    assert [m["t"] for m in sweep["members"]] == verdict["t_values"] == [0.0, 0.5, 1.0, 2.0]
+    assert [m["morse_energy"] for m in sweep["members"]] == verdict["morse_energies"]
+    assert len(sweep["ratio_margins"]) == len(verdict["pairs"]) == 3
+    for margin, pair in zip(sweep["ratio_margins"], verdict["pairs"]):
+        assert (margin["t_low"], margin["t_high"]) == (pair["t_low"], pair["t_high"])
+        assert margin["min_margin"] == pair["ratios"]["min_margin"]
+
+
+def test_sweep_on_the_torus_solves_periodic_members(tmp_path, capsys):
+    spec = {"variant": "general_cyclic", "n": 3, "data": [HITCHIN3["data"][0]] * 3}
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": {"kind": "torus", "resolution": 16}, "spec": spec, "t_list": [0.5, 1.0]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "sweep: 2 members, monotone=True\n"
+    verdict = read_json(out / "sweep.json")
+    assert verdict["passed"] and [m["t"] for m in verdict["members"]] == [0.5, 1.0]
+    # the fuchsian boundary that verify uses is refused on the torus
+    assert main(["verify", "--theorem", "monotonicity", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert "torus grids take boundary='periodic'" in capsys.readouterr().err
+
+
 def test_sweep_tabulates_members(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "grid": RADIAL, "spec": HITCHIN3, "t_list": [0.5, 1.0, 2.0]})
@@ -315,6 +412,12 @@ def test_sweep_refuses_unstable_degrees(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "refused" in err and "unstable" in err
+    # the monotonicity verifier runs the same family through the same gate
+    rc = main(["verify", "--theorem", "monotonicity", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "refused" in err and "unstable" in err
+    assert not (tmp_path / "sweep.json").exists() and not (tmp_path / "verdict.json").exists()
 
 
 def test_sweep_stable_degrees_proceed(tmp_path):

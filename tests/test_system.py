@@ -555,6 +555,34 @@ def test_coefficient_field_overrides_are_validated():
         make_system(spec, t, boundary="periodic", coefficient_fields=bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e200, float("inf"), float("nan"), complex(1e160, 1e160)],
+                         ids=["1e200", "inf", "nan", "complex"])
+def test_scale_without_finite_square_is_refused(t):
+    with pytest.raises(ValueError, match=r"has no finite \|t\|\^2"):
+        make_spec("hitchin_component", 3, (one,), t=t)
+    with pytest.raises(ValueError, match=r"has no finite \|t\|\^2"):
+        scale_last_arrow(make_spec("hitchin_component", 3, (one,), t=1e100), 1e100)
+    big = make_spec("hitchin_component", 3, (one,), t=1e150)
+    assert big.scale_sq == 1e150 ** 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_scale_folded_into_a_coefficient_must_stay_finite():
+    g = radial(16)
+    spec = make_spec("hitchin_component", 3, (HolomorphicDatum.constant(1e100),), t=1e100)
+    with pytest.raises(ValueError, match=r"times \|t\|\^2 is not finite"):
+        make_system(spec, g)
+    t = build_grid(GridSpec("torus", (8, 8)))
+    cyclic = make_spec("general_cyclic", 3, (one, one, one), t=1e10)
+    fields = [np.ones(t.n_nodes)] * 2 + [np.full(t.n_nodes, 1e300)]
+    with pytest.raises(ValueError, match=r"times \|t\|\^2 is not finite"):
+        make_system(cyclic, t, boundary="periodic", coefficient_fields=fields)
+    fields[2] = np.full(t.n_nodes, 1e200)
+    G = make_system(cyclic, t, boundary="periodic", coefficient_fields=fields).coeff_sq
+    assert np.all(G[:, 2] == 1e200 * 1e20)
+
+
 def test_symmetric_variants_need_palindromic_coefficient_fields():
     # the symmetric reduction, and its energy Hessian, hold only when arrow
     # k and arrow n-k carry the same coefficient
