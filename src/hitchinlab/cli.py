@@ -121,6 +121,20 @@ def parse_spec(obj) -> CyclicSpec:
         raise UsageError(f"bad spec: {exc}") from exc
 
 
+def parse_t_list(cfg: dict, command: str) -> list[float]:
+    """The scale values of ``sweep`` and ``verify --theorem monotonicity``:
+    a nonempty JSON list of numbers."""
+    t_list = cfg.get("t_list")
+    if not isinstance(t_list, list) or not t_list:
+        raise UsageError(f"{command} needs a nonempty 't_list'")
+    try:
+        if all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in t_list):
+            return [float(t) for t in t_list]
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise UsageError(f"'t_list' must hold numbers, got {t_list!r}")
+
+
 def parse_solver(obj) -> SolverConfig:
     obj = obj or {}
     known = {f for f in SolverConfig.__dataclass_fields__}
@@ -246,11 +260,11 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
     mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
     if theorem in SOLVE_RUNNERS:
         grid = parse_grid(cfg.get("grid"), resolution)
-        t_list = cfg.get("t_list")
-        if theorem == "monotonicity" and not t_list:
-            raise UsageError("monotonicity needs a nonempty 't_list'")
+        if grid.kind == "torus":
+            raise UsageError(f"{theorem} needs a disc grid ('radial_disc' or 'disc2d'), "
+                             "not a torus")
+        extra = [parse_t_list(cfg, theorem)] if theorem == "monotonicity" else []
         spec = parse_spec(cfg.get("spec"))
-        extra = [[float(t) for t in t_list]] if theorem == "monotonicity" else []
         return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc, mc)
     if theorem == "max-principle":
         violate = cfg.get("violate")
@@ -292,10 +306,7 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
     mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
-    t_list = cfg.get("t_list")
-    if not t_list:
-        raise UsageError("sweep needs a nonempty 't_list'")
-    t_list = [float(t) for t in t_list]
+    t_list = parse_t_list(cfg, "sweep")
 
     region = grid.verdict_region(mc)
     family = analysis.scale_family(spec, grid, t_list, sc,

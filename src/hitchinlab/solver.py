@@ -9,26 +9,29 @@ factors K in its symmetric mode (minimum-degree ordering of K^T + K, applied
 to rows and columns alike) with diagonal pivots, which such a matrix admits
 without row interchanges.
 
-Every 2-D step is solved by classical iterative refinement with the last
-factorisation its solve keeps: x = LU^-1 b, then x += LU^-1 (b - K x), the
-residual taken in double precision.  x is accepted once its normwise
-backward error |b - K x| / (|K| |x| + |b|) (max-norms) is at most 4 eps,
-the accuracy of a fresh direct solve, so every step is still the Newton step
-and Newton keeps its quadratic convergence.  Because refinement restores
-that accuracy, the factorisation only has to precondition: 2-D matrices
-are factored in single precision, which SuperLU does faster and in half the
-memory, and each right-hand side is scaled to max-norm about 1 (by a power
-of two) before its cast so it neither underflows nor overflows (Langou et
-al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  K changes
-little from one Newton step to the next, or from one member of a
-continuation to the next, so the factorisation is kept and refinement runs
-through it until it falls short; then it is released and K factored afresh.
-Refinement gives up at once when the contraction of |b - K x| in the sweep
-just run predicts that the 4 eps target lies beyond ``_MAX_SWEEPS`` sweeps.
-When even a fresh single-precision factorisation cannot refine that far,
-or the cast to single precision overflows, or SuperLU fails on it, it is
-released and K is factored in double precision and solved directly; that
-factorisation is then the one kept.  At most one factorisation is alive.
+Every 2-D step is solved by conjugate gradients on K, preconditioned by the
+last factorisation its solve keeps (Krylov-based iterative refinement:
+Carson & Higham, SIAM J. Sci. Comput. 39, 2017): -K is symmetric positive
+definite, and so, up to rounding, is minus its factorisation.  They start
+from x = LU^-1 b and take each residual b - K x in double precision; x is
+accepted once its normwise backward error |b - K x| / (|K| |x| + |b|)
+(max-norms) is at most 4 eps, the accuracy of a fresh direct solve, so
+every step is still the Newton step and Newton keeps its quadratic
+convergence.  Because refinement restores that accuracy, the factorisation
+only has to precondition: 2-D matrices are factored in single precision,
+which SuperLU does faster and in half the memory.  b, and each vector the
+factorisation is applied to, is scaled to max-norm about 1 by a power of
+two, so neither r^T z nor the cast to single precision underflows or
+overflows (Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40,
+2018).  K changes little from one Newton step to the next, or from one
+member of a continuation to the next, so the factorisation is kept until
+refinement through it falls short: after ``_MAX_SWEEPS`` iterations, at a
+breakdown (r^T z or p^T K p not negative), or at a non-finite residual.
+Then it is released and K factored afresh.  When even a fresh
+single-precision factorisation cannot refine that far, or the cast to
+single precision overflows, or SuperLU fails on it, it is released and K
+is factored in double precision and solved directly; that factorisation is
+then the one kept.  At most one factorisation is alive.
 
 The precision follows the structure of K, computed once per grid pattern:
 on the radial grid K is block tridiagonal, factors in a few milliseconds
@@ -44,7 +47,6 @@ and stalled line searches all produce a ``SolveReport`` with
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -103,6 +105,11 @@ def _norm(r: np.ndarray) -> float:
     return float(np.abs(r).max()) if r.size else 0.0
 
 
+def _pow2(v: np.ndarray) -> float:
+    """The power of two within a factor 2 above max|v| (1 for v = 0), to scale v exactly."""
+    return np.ldexp(1.0, np.frexp(_norm(v))[1])
+
+
 def _factor(K, dtype=np.float64):
     """Sparse direct factorisation of a free-node Newton matrix in ``dtype``.
 
@@ -121,9 +128,9 @@ _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
 class _NewtonLU:
     """The last kept factorisation of a solve's Newton matrices, made in
     ``dtype``, with counts of the factorisations made and the refinement
-    sweeps run.  ``tridiagonal`` is set for each step from the structure of
-    its K: such a K is factored in double precision every step and none is
-    kept."""
+    (conjugate-gradient) iterations run.  ``tridiagonal`` is set for each
+    step from the structure of its K: such a K is factored in double
+    precision every step and none is kept."""
 
     def __init__(self):
         self.lu = None
@@ -164,31 +171,33 @@ class _NewtonLU:
 
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """LU^-1 b in double precision, b scaled to max-norm ~1 for the cast."""
-        scale = np.ldexp(1.0, np.frexp(_norm(b))[1])
+        scale = _pow2(b)
         return self.lu.solve((b / scale).astype(self.dtype, copy=False)) * scale
 
     def _refine(self, K, b: np.ndarray) -> np.ndarray | None:
         """x with K x = b to the backward error of a fresh solve, or None."""
         k_norm = np.bincount(K.indices, np.abs(K.data), K.shape[0]).max()  # |K| row sums, CSC
+        scale = _pow2(b)
+        b = b / scale  # max-norm ~1, so r^T z neither underflows nor overflows
         b_norm = _norm(b)
         x = self._apply(b)
-        prev, sweeps = np.inf, 0
-        while True:
-            res = b - K @ x
-            r_norm = _norm(res)
+        p = rz = None
+        for its in range(_MAX_SWEEPS + 1):
+            r = b - K @ x
+            r_norm = _norm(r)
             if r_norm == np.inf:
                 return None
-            target = _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm)
-            if r_norm <= target:
-                return x
-            if sweeps:
-                # sweeps still needed at the contraction just observed
-                rate = r_norm / prev
-                if rate >= 1 or sweeps + math.ceil(math.log(target / r_norm)
-                                                   / math.log(rate)) > _MAX_SWEEPS:
-                    return None
-            prev, sweeps = r_norm, sweeps + 1
-            x = x + self._apply(res)
+            if r_norm <= _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm):
+                return x * scale
+            if its == _MAX_SWEEPS:
+                return None
+            z = self._apply(r)
+            rz, rz_old = r @ z, rz
+            p = z if p is None else z + (rz / rz_old) * p
+            pKp = p @ (K @ p)
+            if not (rz < 0 and pKp < 0):  # -K or minus its factorisation is not definite
+                return None
+            x = x + (rz / pKp) * p
             self.refinement_sweeps += 1
 
 

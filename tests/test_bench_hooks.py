@@ -7,8 +7,10 @@ The tracer module is loaded read-only: no bytecode is written next to it.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
@@ -65,3 +67,27 @@ def test_tracer_wraps_every_target_and_restores_every_attribute(tracing):
     names = {s.name for s in tracer.spans}
     assert {"geometry.build_grid", "geometry.norm_sq", "system.make_system", "solver.solve",
             "system.residual", "system.jacobian", "solver.factor"} <= names
+
+
+def test_traced_factorisations_equal_the_solvers_own_count(tracing):
+    # the benchmark counts a span per splu call; the library counts each
+    # factorisation it makes.  A small disc2d continuation whose jump to
+    # t = 32 refactors, and a near-singular torus solve whose single-precision
+    # factorisation falls back to a double one, must count the same
+    disc = geometry.build_grid(geometry.GridSpec("disc2d", 33, 0.8))
+    quadratic = geometry.HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])
+    family = system.make_spec("hitchin_component", 3, (quadratic,))
+    torus = geometry.build_grid(geometry.GridSpec("torus", 64))
+    cyclic = system.make_spec("general_cyclic", 3, (geometry.HolomorphicDatum.constant(1.0),) * 3)
+    x, y = torus.xy.T
+    fields = [1e-6 * (1.0 + 0.4 * np.cos(2.0 * np.pi * (kx * x + ky * y)))
+              for kx, ky in ((1, 0), (0, 1), (1, 1))]
+    with tracing.Tracer() as tracer:
+        reports = [rep for _, rep in solver.continuation_solve(
+            lambda t: system.make_system(replace(family, t=complex(t)), disc),
+            [0.0, 1.0, 2.0, 32.0])]
+        reports.append(solver.solve(system.make_system(cyclic, torus, "periodic", fields)))
+    assert all(rep.converged for rep in reports)
+    made = [rep.counters["factorizations"] for rep in reports]
+    assert made == [1, 0, 0, 2, 2]
+    assert sum(s.name == "solver.factor" for s in tracer.spans) == sum(made)

@@ -334,10 +334,24 @@ def test_sweep_on_the_torus_solves_periodic_members(tmp_path, capsys):
     assert capsys.readouterr().out == "sweep: 2 members, monotone=True\n"
     verdict = read_json(out / "sweep.json")
     assert verdict["passed"] and [m["t"] for m in verdict["members"]] == [0.5, 1.0]
-    # the fuchsian boundary that verify uses is refused on the torus
+    # verify solves with the disc's fuchsian boundary, so it refuses the torus
     assert main(["verify", "--theorem", "monotonicity", "--config", cfg,
                  "--out", str(out)]) == 1
-    assert "torus grids take boundary='periodic'" in capsys.readouterr().err
+    assert ("error: monotonicity needs a disc grid ('radial_disc' or 'disc2d'), not a torus\n"
+            == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("theorem", ["monotonicity", "nu-bounds", "curvature",
+                                     "hitchin-fiber-comparison", "sp4-bounds"])
+def test_solve_based_theorems_refuse_a_torus_grid(tmp_path, capsys, theorem):
+    # the refusal names the grid the theorem needs, not a boundary the config never set
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": {"kind": "torus", "resolution": 8}, "spec": HITCHIN3, "t_list": [0.5, 1.0]})
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", theorem, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {theorem} needs a disc grid ('radial_disc' or 'disc2d'), not a torus\n"
+    assert not (out / "verdict.json").exists()
 
 
 def test_sweep_tabulates_members(tmp_path, capsys):
@@ -443,6 +457,30 @@ def test_sweep_degrees_must_be_integers(tmp_path, capsys):
 def test_sweep_requires_t_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("t_list, message", [
+    (5, "needs a nonempty 't_list'"),
+    ("0.5", "needs a nonempty 't_list'"),
+    ({"t": 0.5}, "needs a nonempty 't_list'"),
+    ([], "needs a nonempty 't_list'"),
+    ([0.5, None], "'t_list' must hold numbers"),
+    ([0.5, [1.0]], "'t_list' must hold numbers"),
+    ([0.5, "one"], "'t_list' must hold numbers"),
+    (["0.5"], "'t_list' must hold numbers"),
+    ([0.5, True], "'t_list' must hold numbers"),
+    ([0.5, 10**400], "'t_list' must hold numbers"),
+])
+@pytest.mark.parametrize("command", [["sweep"], ["verify", "--theorem", "monotonicity"]],
+                         ids=["sweep", "monotonicity"])
+def test_t_list_that_is_not_a_list_of_numbers_is_usage_error(tmp_path, capsys, command,
+                                                              t_list, message):
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3, "t_list": t_list})
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_bad_grid_kind_is_usage_error(tmp_path, capsys):
