@@ -56,12 +56,28 @@ def _int_from(value, key: str) -> int:
         raise UsageError(f"{key!r} must be an integer, got {value!r}") from exc
 
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def _float_from(value, key: str) -> float:
+    """A real config number; a bool, a non-number or an integer beyond the
+    double range is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise UsageError(f"{key!r} must be a number within the double range") from None
+    raise UsageError(f"{key!r} must be a number, got {value!r}")
+
+
+def _list_from(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise UsageError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _complex_from(value, key: str) -> complex:
+    """A complex config number: a real number or an [re, im] pair of them."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise UsageError(f"expected number or [re, im] pair, got {value!r}")
+        return complex(_float_from(value[0], key), _float_from(value[1], key))
+    return complex(_float_from(value, key))
 
 
 def parse_datum(obj) -> HolomorphicDatum:
@@ -73,13 +89,14 @@ def parse_datum(obj) -> HolomorphicDatum:
         if kind == "zero":
             return HolomorphicDatum.zero()
         if kind == "constant":
-            return HolomorphicDatum.constant(_complex_from(obj["coefficient"]))
+            return HolomorphicDatum.constant(_complex_from(obj["coefficient"], "coefficient"))
         if kind == "monomial":
-            return HolomorphicDatum.monomial(_complex_from(obj["coefficient"]),
+            return HolomorphicDatum.monomial(_complex_from(obj["coefficient"], "coefficient"),
                                              _int_from(obj["degree"], "degree"))
         if kind == "polynomial":
-            return HolomorphicDatum.polynomial([_complex_from(c)
-                                                for c in obj["coefficients"]])
+            return HolomorphicDatum.polynomial(
+                [_complex_from(c, "coefficients")
+                 for c in _list_from(obj["coefficients"], "coefficients")])
     except KeyError as exc:
         raise UsageError(f"datum {kind!r} is missing field {exc}") from exc
     raise UsageError(f"unknown datum kind {kind!r}")
@@ -97,9 +114,10 @@ def parse_grid(obj, resolution_override=None) -> Grid:
         res = _int_from(res, "resolution")
     kwargs = {}
     if "radius" in obj:
-        kwargs["radius"] = float(obj["radius"])
+        kwargs["radius"] = _float_from(obj["radius"], "radius")
     if "periods" in obj:
-        kwargs["periods"] = tuple(float(p) for p in obj["periods"])
+        kwargs["periods"] = tuple(_float_from(p, "periods")
+                                  for p in _list_from(obj["periods"], "periods"))
     try:
         return build_grid(GridSpec(obj["kind"], res, **kwargs))
     except ValueError as exc:
@@ -113,7 +131,7 @@ def parse_spec(obj) -> CyclicSpec:
         data = tuple(parse_datum(d) for d in obj["data"])
         degrees = obj.get("degrees")
         return make_spec(obj["variant"], _int_from(obj["n"], "n"), data,
-                         t=_complex_from(obj.get("t", 1.0)),
+                         t=_complex_from(obj.get("t", 1.0), "t"),
                          degrees=tuple(degrees) if degrees is not None else None)
     except KeyError as exc:
         raise UsageError(f"spec is missing field {exc}") from exc
@@ -128,11 +146,9 @@ def parse_t_list(cfg: dict, command: str) -> list[float]:
     if not isinstance(t_list, list) or not t_list:
         raise UsageError(f"{command} needs a nonempty 't_list'")
     try:
-        if all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in t_list):
-            return [float(t) for t in t_list]
-    except OverflowError:  # an integer beyond the double range
-        pass
-    raise UsageError(f"'t_list' must hold numbers, got {t_list!r}")
+        return [_float_from(t, "t_list") for t in t_list]
+    except UsageError:
+        raise UsageError(f"'t_list' must hold numbers, got {t_list!r}") from None
 
 
 def parse_solver(obj) -> SolverConfig:

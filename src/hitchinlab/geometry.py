@@ -250,7 +250,7 @@ class Grid:
     def block_laplacian(self, gram: np.ndarray):
         """The Laplacian on m unknowns per interior node, coupled by ``gram``.
 
-        For an m x m matrix ``gram`` returns ``(A, blocks, coupling, tridiagonal)``:
+        For an m x m matrix ``gram`` returns ``(A, blocks, coupling, band)``:
 
         * ``A`` (CSC) is lap_II (x) gram over the interior nodes (every node
           of the torus), node-major: unknown k of the f-th interior node is
@@ -259,10 +259,14 @@ class Grid:
         * ``blocks[f, l, k]`` is the position in ``A.data`` of A[(f, k), (f, l)].
         * ``coupling`` (CSR) is lap_IB (x) gram, from the boundary unknowns
           into the interior rows; it has no columns on the torus.
-        * ``tridiagonal`` says whether each interior node couples only to
-          its neighbours in node order, so that ``A`` is block tridiagonal
-          (half-bandwidth below 2m): true on the radial grid, false on the
-          2-D lattices.
+        * ``band`` is ``(bw, positions)`` where each interior node couples
+          only to its neighbours in node order, so that ``A`` is block
+          tridiagonal with half-bandwidth bw < 2m (the radial grid), and
+          None on the 2-D lattices.  ``positions[p]`` is where ``A.data[p]``
+          goes in LAPACK's general band storage of ``A`` with bw sub- and
+          superdiagonals plus bw rows for the fill of pivoting: a
+          (3 bw + 1) x n array in column-major order, A[i, j] at row
+          2 bw + i - j of column j.
 
         Built once per ``gram`` and shared by every caller: the arrays are
         read-only, so copy ``A`` before writing to it.
@@ -281,17 +285,22 @@ class Grid:
         col = np.repeat(np.arange(n), np.diff(lap_ii.indptr))
         blocks = lap_ii.data[:, None, None] * gram.T
         blocks[lap_ii.indices == col] = np.nan
-        tridiagonal = bool(np.all(np.abs(lap_ii.indices - col) <= 1))
         A = sparse.bsr_matrix((blocks, lap_ii.indices, lap_ii.indptr), shape=(n * m, n * m)).tocsr()
         A.eliminate_zeros()
         own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
         A.data[own] = lap_ii.diagonal()[:, None, None] * gram.T
         A = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         coupling = sparse.kron(lap_i[:, self.boundary_mask], gram, format="csr")
+        band = None
+        if np.all(np.abs(lap_ii.indices - col) <= 1):
+            i, j = A.indices, np.repeat(np.arange(n * m), np.diff(A.indptr))
+            bw = int(np.abs(i - j).max())
+            band = bw, (2 * bw + i - j) + (3 * bw + 1) * j
+            band[1].flags.writeable = False
         for arr in (A.data, A.indices, A.indptr, own, coupling.data):
             arr.flags.writeable = False
-        self._block_laplacians[key] = A, own, coupling, tridiagonal
-        return A, own, coupling, tridiagonal
+        self._block_laplacians[key] = A, own, coupling, band
+        return A, own, coupling, band
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

@@ -4,10 +4,10 @@ The outer iteration is plain Newton with backtracking on the residual
 max-norm.  A step is -r at the Dirichlet nodes; at the free nodes it solves
 the system's Newton matrix K, the Hessian of a convex energy (see
 ``HitchinSystem``): symmetric negative definite on disc2d and torus grids,
-and such a matrix times a positive diagonal on the radial grid.  SuperLU
-factors K in its symmetric mode (minimum-degree ordering of K^T + K, applied
-to rows and columns alike) with diagonal pivots, which such a matrix admits
-without row interchanges.
+and such a matrix times a positive diagonal on the radial grid.  On the 2-D
+grids SuperLU factors K in its symmetric mode (minimum-degree ordering of
+K^T + K, applied to rows and columns alike) with diagonal pivots, which such
+a matrix admits without row interchanges.
 
 Every 2-D step is solved by conjugate gradients on K, preconditioned by the
 last factorisation its solve keeps (Krylov-based iterative refinement:
@@ -33,12 +33,14 @@ single precision overflows, or SuperLU fails on it, it is released and K
 is factored in double precision and solved directly; that factorisation is
 then the one kept.  At most one factorisation is alive.
 
-The precision follows the structure of K, computed once per grid pattern:
-on the radial grid K is block tridiagonal, factors in a few milliseconds
-with little fill, and every step there is a fresh double-precision
-factorisation solved directly, with nothing kept.  One solve owns its
-factorisation; ``continuation_solve`` hands one on from each member to the
-next.
+The path follows the structure of K, computed once per grid pattern: on
+the radial grid K is block tridiagonal, with half-bandwidth bw < 2m, and
+every step there solves K as it stands, afresh and in double precision, by
+LAPACK's banded LU with partial pivoting (gbsv; Golub & Van Loan, Matrix
+Computations, 4.3), which is backward stable on it; nothing is kept.  The
+grid computes once per pattern where each entry of K goes in band storage.
+One solve owns its factorisation; ``continuation_solve`` hands one on from
+each member to the next.
 
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
@@ -52,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 from .system import BlowupError, HitchinSystem, LogMetricState
 
@@ -121,6 +124,18 @@ def _factor(K, dtype=np.float64):
                      options={"SymmetricMode": True})
 
 
+def _band_solve(K, b: np.ndarray, bw: int, positions: np.ndarray) -> np.ndarray:
+    """K x = b by banded LU with partial pivoting, K (CSC) of half-bandwidth
+    ``bw`` and its data at ``positions`` of the band storage (see
+    ``Grid.block_laplacian``).  A singular K raises ``RuntimeError``."""
+    ab = np.zeros((3 * bw + 1) * K.shape[0])
+    ab[positions] = K.data
+    _, _, x, info = dgbsv(bw, bw, ab.reshape(3 * bw + 1, -1, order="F"), b, overwrite_ab=True)
+    if info:  # info > 0: the pivot U[info - 1, info - 1] is exactly zero
+        raise RuntimeError(f"banded factor is exactly singular (gbsv info {info})")
+    return x
+
+
 _MAX_SWEEPS = 10
 _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
 
@@ -128,14 +143,14 @@ _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
 class _NewtonLU:
     """The last kept factorisation of a solve's Newton matrices, made in
     ``dtype``, with counts of the factorisations made and the refinement
-    (conjugate-gradient) iterations run.  ``tridiagonal`` is set for each
-    step from the structure of its K: such a K is factored in double
-    precision every step and none is kept."""
+    (conjugate-gradient) iterations run.  ``band`` is set for each step
+    from the structure of its K: a banded K is factored in double precision
+    by ``_band_solve`` every step and none is kept."""
 
     def __init__(self):
         self.lu = None
         self.dtype = None
-        self.tridiagonal = False
+        self.band = None
         self.factorizations = 0
         self.refinement_sweeps = 0
 
@@ -144,10 +159,10 @@ class _NewtonLU:
                 "refinement_sweeps": self.refinement_sweeps}
 
     def solve(self, K, b: np.ndarray) -> np.ndarray:
-        if self.tridiagonal:
+        if self.band is not None:
             self.lu = None
             self.factorizations += 1
-            return _factor(K).solve(b)
+            return _band_solve(K, b, *self.band)
         if self.lu is not None and self.lu.shape == K.shape:
             x = self._refine(K, b)
             if x is not None:
@@ -208,7 +223,7 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
     the boundary coupling applied to step_B, solved through ``lu``."""
     step, free = -r, system.free
     rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
-    lu.tridiagonal = system.block_tridiagonal
+    lu.band = system.band
     step[free] = lu.solve(system.jacobian_matrix(u), rhs).reshape(-1, system.m)
     return step
 

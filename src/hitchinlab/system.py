@@ -381,9 +381,15 @@ class HitchinSystem:
         return self.grid.block_laplacian(self.gram)[2]
 
     @property
+    def band(self) -> tuple[int, np.ndarray] | None:
+        """K's half-bandwidth and band-storage positions where K is block
+        tridiagonal (the radial grid), else None; see ``Grid.block_laplacian``."""
+        return self.grid.block_laplacian(self.gram)[3]
+
+    @property
     def block_tridiagonal(self) -> bool:
         """Whether K is block tridiagonal (the radial grid), from its pattern."""
-        return self.grid.block_laplacian(self.gram)[3]
+        return self.band is not None
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""

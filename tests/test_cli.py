@@ -483,6 +483,53 @@ def test_t_list_that_is_not_a_list_of_numbers_is_usage_error(tmp_path, capsys, c
     assert not out.exists() or not any(out.iterdir())
 
 
+def _number_field_config(field, value):
+    """A solve config whose ``field`` holds ``value``, all else valid."""
+    grid, spec = RADIAL, HITCHIN3
+    if field == "radius":
+        grid = dict(RADIAL, radius=value)
+    elif field == "periods":
+        grid = {"kind": "torus", "resolution": [12, 12], "periods": [1.0, value]}
+    elif field == "t":
+        spec = dict(HITCHIN3, t=[0.5, value])
+    elif field == "coefficient":
+        spec = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": value, "degree": 1}])
+    else:  # a radial grid takes no polynomial
+        grid = {"kind": "disc2d", "resolution": 9, "radius": 0.8}
+        spec = dict(HITCHIN3, data=[{"kind": "polynomial", "coefficients": [0.5, value]}])
+    return {"grid": grid, "spec": spec}
+
+
+@pytest.mark.parametrize("value", [10**400, True], ids=["beyond-double", "true"])
+@pytest.mark.parametrize("field", ["radius", "periods", "t", "coefficient", "coefficients"])
+def test_number_field_that_is_no_double_is_usage_error(tmp_path, capsys, field, value):
+    # a JSON integer beyond the double range, or a JSON bool, in any real or
+    # complex number field is refused with an error line, never a traceback
+    cfg = write_cfg(tmp_path, "cfg.json", _number_field_config(field, value))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}' must be a number" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["periods", "coefficients"])
+def test_number_list_that_is_no_list_is_usage_error(tmp_path, capsys, field):
+    payload = _number_field_config(field, 1.0)
+    (payload["grid"] if field == "periods" else payload["spec"]["data"][0])[field] = 1.0
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}' must be a list" in err
+
+
+@pytest.mark.parametrize("field", ["radius", "periods", "t", "coefficient", "coefficients"])
+def test_number_fields_take_integers_and_floats(tmp_path, field):
+    value = 0.5 if field == "radius" else 1
+    cfg = write_cfg(tmp_path, "cfg.json", _number_field_config(field, value))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_bad_grid_kind_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "grid": {"kind": "annulus", "resolution": 32}, "spec": HITCHIN3})

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgbsv
 
 from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
@@ -211,9 +212,24 @@ def _fresh_factor_every_step(monkeypatch):
                         lambda self, K, b: solver._factor(K).solve(b))
 
 
+def _fresh_band_solve_every_step(monkeypatch):
+    """Make every Newton step a banded LU solve of K, its band storage built
+    from K's own pattern at each step."""
+    def fresh(self, K, b):
+        c = K.tocoo()
+        bw = int(np.abs(c.row - c.col).max())
+        ab = np.zeros((3 * bw + 1, K.shape[0]), order="F")
+        ab[2 * bw + c.row - c.col, c.col] = c.data
+        _, _, x, info = dgbsv(bw, bw, ab, b)
+        assert info == 0
+        return x
+
+    monkeypatch.setattr(solver._NewtonLU, "solve", fresh)
+
+
 def test_radial_solves_factor_every_step_and_match_fresh_factorisations(monkeypatch):
-    # banded radial matrices fill less than the reuse gate, so every step
-    # is a fresh factorisation and the states are those of one
+    # radial matrices are banded and every step is a fresh banded LU solve,
+    # nothing kept, so the states are those of one
     g = radial(256)
     base = make_spec("hitchin_component", 5, (HolomorphicDatum.monomial(1.0, 2),))
     ts = [0.0, 0.5, 1.0, 2.0]
@@ -232,12 +248,42 @@ def test_radial_solves_factor_every_step_and_match_fresh_factorisations(monkeypa
         assert rep.counters == {"factorizations": rep.iterations, "refinement_sweeps": 0,
                                 "residual_evals": 1 + rep.iterations, "backtracks": 0}
 
-    _fresh_factor_every_step(monkeypatch)
+    _fresh_band_solve_every_step(monkeypatch)
     refs = reports()
     assert len(refs) == len(got) == 1 + len(ts)
     for rep, ref in zip(got, refs):
         assert rep.state.u.tobytes() == ref.state.u.tobytes()
         assert rep.residual_norms == ref.residual_norms
+
+
+def test_radial_solves_never_call_superlu(monkeypatch):
+    def splu(*args, **kwargs):
+        raise AssertionError("splu called on a radial Newton matrix")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    g = radial(128)
+    base = make_spec("general_cyclic", 3, (one, HolomorphicDatum.monomial(0.5, 1), one))
+    reps = [solve(make_system(base, g))]
+    reps += [rep for _, rep in continuation_solve(
+        lambda t: make_system(scale_last_arrow(base, t), g), [0.0, 1.0, 2.0])]
+    assert all(rep.converged and rep.counters["factorizations"] == rep.iterations > 0
+               for rep in reps)
+
+
+def test_singular_radial_newton_matrix_fails_the_solve(monkeypatch):
+    # a zero column stops the banded LU at its first pivot: reported, not raised
+    jacobian = solver.HitchinSystem.jacobian_matrix
+
+    def singular(self, u):
+        K = jacobian(self, u)
+        K.data[K.indptr[0]:K.indptr[1]] = 0.0
+        return K
+
+    monkeypatch.setattr(solver.HitchinSystem, "jacobian_matrix", singular)
+    rep = solve(make_system(make_spec("hitchin_component", 5, (one,)), radial()))
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message.startswith("linear solve failed: ")
+    assert rep.counters["factorizations"] == 1
 
 
 def _record_factorisations(monkeypatch, fail_single=lambda count: False):
