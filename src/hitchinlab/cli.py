@@ -15,6 +15,7 @@ byte-reproducible from config + seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,8 +48,9 @@ class UsageError(ValueError):
 
 
 def _int_from(value, key: str) -> int:
-    """An integer config field; a number with a fractional part is refused."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer config field; a bool or a number with a fractional part is
+    refused."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{key!r} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -132,7 +134,7 @@ def parse_spec(obj) -> CyclicSpec:
         degrees = obj.get("degrees")
         return make_spec(obj["variant"], _int_from(obj["n"], "n"), data,
                          t=_complex_from(obj.get("t", 1.0), "t"),
-                         degrees=tuple(degrees) if degrees is not None else None)
+                         degrees=None if degrees is None else _list_from(degrees, "degrees"))
     except KeyError as exc:
         raise UsageError(f"spec is missing field {exc}") from exc
     except ValueError as exc:
@@ -152,14 +154,20 @@ def parse_t_list(cfg: dict, command: str) -> list[float]:
 
 
 def parse_solver(obj) -> SolverConfig:
-    obj = obj or {}
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    extra = set(obj) - known
+    """The ``solver`` object: each field an integer or a real number as
+    ``SolverConfig`` declares it."""
+    obj = {} if obj is None else obj
+    if not isinstance(obj, dict):
+        raise UsageError(f"'solver' must be an object, got {obj!r}")
+    fields = {f.name: _int_from if f.type in (int, "int") else _float_from
+              for f in dataclasses.fields(SolverConfig)}
+    extra = set(obj) - set(fields)
     if extra:
         raise UsageError(f"unknown solver options: {sorted(extra)}")
+    values = {k: fields[k](v, k) for k, v in obj.items()}
     try:
-        return SolverConfig(**obj)
-    except (TypeError, ValueError) as exc:
+        return SolverConfig(**values)
+    except ValueError as exc:
         raise UsageError(f"bad solver config: {exc}") from exc
 
 

@@ -13,25 +13,33 @@ Every 2-D step is solved by conjugate gradients on K, preconditioned by the
 last factorisation its solve keeps (Krylov-based iterative refinement:
 Carson & Higham, SIAM J. Sci. Comput. 39, 2017): -K is symmetric positive
 definite, and so, up to rounding, is minus its factorisation.  They start
-from x = LU^-1 b and take each residual b - K x in double precision; x is
-accepted once its normwise backward error |b - K x| / (|K| |x| + |b|)
-(max-norms) is at most 4 eps, the accuracy of a fresh direct solve, so
-every step is still the Newton step and Newton keeps its quadratic
-convergence.  Because refinement restores that accuracy, the factorisation
-only has to precondition: 2-D matrices are factored in single precision,
-which SuperLU does faster and in half the memory.  b, and each vector the
-factorisation is applied to, is scaled to max-norm about 1 by a power of
-two, so neither r^T z nor the cast to single precision underflows or
-overflows (Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40,
-2018).  K changes little from one Newton step to the next, or from one
-member of a continuation to the next, so the factorisation is kept until
-refinement through it falls short: after ``_MAX_SWEEPS`` iterations, at a
-breakdown (r^T z or p^T K p not negative), or at a non-finite residual.
-Then it is released and K factored afresh.  When even a fresh
-single-precision factorisation cannot refine that far, or the cast to
-single precision overflows, or SuperLU fails on it, it is released and K
-is factored in double precision and solved directly; that factorisation is
-then the one kept.  At most one factorisation is alive.
+from x = LU^-1 b and take each residual b - K x in double precision.  The
+step from a Newton residual r is accepted once |b - K x| is at most the
+forcing tolerance 0.1 max(min(|r|, 1) |r|, tol_residual), or, if that is
+larger, 4 eps (|K| |x| + |b|), the backward error of a fresh direct solve
+(max-norms throughout).  This is inexact Newton with a quadratic forcing
+term (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat
+& Walker, SIAM J. Sci. Comput. 17, 1996).  b - K x is the residual of the
+projected free rows r E^T E, and (E^T E)^-1 has max-norm below 2, so the
+linear error adds less than twice the forcing tolerance to the next Newton
+residual: Newton keeps its quadratic convergence, and the linear error
+alone cannot hold the residual above tol_residual, which is still tested on
+the true residual.  A ``_NewtonLU`` with no forcing tolerance set refines
+to the 4 eps backward error alone.  Because refinement reaches the accuracy
+asked of it, the factorisation only has to precondition: 2-D matrices are
+factored in single precision, which SuperLU does faster and in half the
+memory.  b, and each vector the factorisation is applied to, is scaled to
+max-norm about 1 by a power of two, so neither r^T z nor the cast to single
+precision underflows or overflows (Langou et al., SC'06; Carson & Higham,
+SIAM J. Sci. Comput. 40, 2018).  K changes little from one Newton step to
+the next, or from one member of a continuation to the next, so the
+factorisation is kept until refinement through it falls short: after
+``_MAX_SWEEPS`` iterations, at a breakdown (r^T z or p^T K p not negative),
+or at a non-finite residual.  Then it is released and K factored afresh.
+When even a fresh single-precision factorisation cannot refine that far, or
+the cast to single precision overflows, or SuperLU fails on it, it is
+released and K is factored in double precision and solved directly; that
+factorisation is then the one kept.  At most one factorisation is alive.
 
 The path follows the structure of K, computed once per grid pattern: on
 the radial grid K is block tridiagonal, with half-bandwidth bw < 2m, and
@@ -68,9 +76,10 @@ class SolverConfig:
     sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.tol_residual <= 0 or self.max_newton_iters < 1:
+        for name in ("backtrack_factor", "min_step", "sufficient_decrease"):
+            if not (0 < getattr(self, name) < 1):
+                raise ValueError(f"{name} must lie in (0, 1)")
+        if not (0 < self.tol_residual < np.inf) or self.max_newton_iters < 1:
             raise ValueError("bad tolerance or iteration budget")
 
 
@@ -138,6 +147,7 @@ def _band_solve(K, b: np.ndarray, bw: int, positions: np.ndarray) -> np.ndarray:
 
 _MAX_SWEEPS = 10
 _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
+_FORCING = 0.1
 
 
 class _NewtonLU:
@@ -145,12 +155,15 @@ class _NewtonLU:
     ``dtype``, with counts of the factorisations made and the refinement
     (conjugate-gradient) iterations run.  ``band`` is set for each step
     from the structure of its K: a banded K is factored in double precision
-    by ``_band_solve`` every step and none is kept."""
+    by ``_band_solve`` every step and none is kept.  ``forcing``, when set,
+    is the max-norm of b - K x at which a refined x is accepted; None
+    accepts only the backward error of a fresh solve."""
 
     def __init__(self):
         self.lu = None
         self.dtype = None
         self.band = None
+        self.forcing = None
         self.factorizations = 0
         self.refinement_sweeps = 0
 
@@ -190,11 +203,13 @@ class _NewtonLU:
         return self.lu.solve((b / scale).astype(self.dtype, copy=False)) * scale
 
     def _refine(self, K, b: np.ndarray) -> np.ndarray | None:
-        """x with K x = b to the backward error of a fresh solve, or None."""
+        """x with |b - K x| within ``forcing`` or the backward error of a
+        fresh solve, whichever is larger, or None."""
         k_norm = np.bincount(K.indices, np.abs(K.data), K.shape[0]).max()  # |K| row sums, CSC
         scale = _pow2(b)
         b = b / scale  # max-norm ~1, so r^T z neither underflows nor overflows
         b_norm = _norm(b)
+        forcing = 0.0 if self.forcing is None else self.forcing / scale
         x = self._apply(b)
         p = rz = None
         for its in range(_MAX_SWEEPS + 1):
@@ -202,7 +217,7 @@ class _NewtonLU:
             r_norm = _norm(r)
             if r_norm == np.inf:
                 return None
-            if r_norm <= _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm):
+            if r_norm <= max(forcing, _BACKWARD_ERROR * (k_norm * _norm(x) + b_norm)):
                 return x * scale
             if its == _MAX_SWEEPS:
                 return None
@@ -268,6 +283,7 @@ def solve(
     for it in range(config.max_newton_iters):
         if rnorm <= config.tol_residual:
             return report(True, it, "converged")
+        lu.forcing = _FORCING * max(min(rnorm, 1.0) * rnorm, config.tol_residual)
         try:
             delta = _newton_step(system, u, r, lu)
         except BlowupError as exc:

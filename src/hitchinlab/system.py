@@ -79,7 +79,8 @@ class CyclicSpec:
             raise ValueError(f"the scale t = {self.t!r} has no finite |t|^2")
         if self.degrees is not None:
             for k, d in enumerate(self.degrees, 1):
-                if not (isinstance(d, numbers.Real) and float(d).is_integer()):
+                if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
+                        and float(d).is_integer()):
                     raise ValueError(f"deg(L_{k}) must be an integer, got {d!r}")
             degs = tuple(int(d) for d in self.degrees)
             if len(degs) != self.n or sum(degs) != 0:

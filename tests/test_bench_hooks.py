@@ -7,6 +7,7 @@ The tracer module is loaded read-only: no bytecode is written next to it.
 
 import importlib.util
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,10 +72,12 @@ def test_tracer_wraps_every_target_and_restores_every_attribute(tracing):
 
 
 def test_traced_factorisations_equal_the_solvers_own_count(tracing):
-    # the benchmark counts a span per splu call; the library counts each
-    # factorisation it makes.  A small disc2d continuation whose jump to
-    # t = 32 refactors, and a near-singular torus solve whose single-precision
-    # factorisation falls back to a double one, must count the same
+    # the benchmark counts a span per splu call, named after the layer that
+    # encloses it; the library counts each factorisation it makes.  A small
+    # disc2d continuation whose jump to t = 128 refactors, and a
+    # near-singular torus step solved outside any solve with no forcing
+    # tolerance, whose single-precision factorisation falls back to a double
+    # one, must count the same
     disc = geometry.build_grid(geometry.GridSpec("disc2d", 33, 0.8))
     quadratic = geometry.HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])
     family = system.make_spec("hitchin_component", 3, (quadratic,))
@@ -83,12 +86,16 @@ def test_traced_factorisations_equal_the_solvers_own_count(tracing):
     x, y = torus.xy.T
     fields = [1e-6 * (1.0 + 0.4 * np.cos(2.0 * np.pi * (kx * x + ky * y)))
               for kx, ky in ((1, 0), (0, 1), (1, 1))]
+    near_singular = system.make_system(cyclic, torus, "periodic", fields)
+    u = near_singular.initial_state().u
+    lu = solver._NewtonLU()
     with tracing.Tracer() as tracer:
         reports = [rep for _, rep in solver.continuation_solve(
             lambda t: system.make_system(replace(family, t=complex(t)), disc),
-            [0.0, 1.0, 2.0, 32.0])]
-        reports.append(solver.solve(system.make_system(cyclic, torus, "periodic", fields)))
+            [0.0, 1.0, 2.0, 128.0])]
+        solver._newton_step(near_singular, u, near_singular.residual_array(u), lu)
     assert all(rep.converged for rep in reports)
-    made = [rep.counters["factorizations"] for rep in reports]
-    assert made == [1, 0, 0, 2, 2]
-    assert sum(s.name == "solver.factor" for s in tracer.spans) == sum(made)
+    made = [rep.counters["factorizations"] for rep in reports] + [lu.factorizations]
+    assert made == [1, 0, 0, 1, 2]
+    factors = Counter(s.name for s in tracer.spans if s.name.endswith(".factor"))
+    assert factors == {"solver.factor": sum(made[:-1]), "bench.factor": made[-1]}

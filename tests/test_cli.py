@@ -89,6 +89,45 @@ def test_unknown_solver_option_is_usage_error(tmp_path, capsys):
         assert "unknown solver options" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"tol_residual": True}, "'tol_residual' must be a number, got True"),
+    ({"tol_residual": 10**400}, "'tol_residual' must be a number within the double range"),
+    ({"tol_residual": float("nan")}, "bad solver config: bad tolerance"),
+    ({"tol_residual": float("inf")}, "bad solver config: bad tolerance"),
+    ({"max_newton_iters": 2.5}, "'max_newton_iters' must be an integer, got 2.5"),
+    ({"max_newton_iters": True}, "'max_newton_iters' must be an integer, got True"),
+    ({"backtrack_factor": "0.5"}, "'backtrack_factor' must be a number"),
+    ({"min_step": 1.5}, "min_step must lie in (0, 1)"),
+    ({"sufficient_decrease": 0}, "sufficient_decrease must lie in (0, 1)"),
+], ids=lambda v: repr(v)[:40])
+def test_solver_option_of_the_wrong_kind_is_usage_error(tmp_path, capsys, option, message):
+    # a bool tolerance once solved to 1 and exited 0, a fractional iteration
+    # budget ended in a traceback, and a NaN tolerance ran until the budget
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": dict(RADIAL, resolution=16), "spec": HITCHIN3, "solver": option})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "report.json").exists()
+
+
+def test_solver_config_that_is_no_object_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3, "solver": 1e-8})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: 'solver' must be an object")
+
+
+def test_solver_options_take_integers_and_floats(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": RADIAL, "spec": HITCHIN3,
+        "solver": {"tol_residual": 1e-9, "max_newton_iters": 20.0, "backtrack_factor": 0.5,
+                   "min_step": 1e-6, "sufficient_decrease": 1e-4}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["final_residual"] <= 1e-9
+
+
 def test_verify_nu_bounds_passes_and_is_reproducible(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -452,6 +491,23 @@ def test_sweep_degrees_must_be_integers(tmp_path, capsys):
     assert "deg(L_1) must be an integer, got 2.5" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.json").exists()
     assert sweep([2.0, 0.0, -2.0]) == 0
+
+
+@pytest.mark.parametrize("degrees, message", [
+    (5, "'degrees' must be a list, got 5"),
+    ({"L_1": 1}, "'degrees' must be a list"),
+    ([True, -1], "deg(L_1) must be an integer, got True"),
+])
+def test_degrees_that_are_no_list_of_integers_are_usage_error(tmp_path, capsys, degrees,
+                                                               message):
+    spec = {"variant": "general_cyclic", "n": 2, "degrees": degrees,
+            "data": [{"kind": "constant", "coefficient": 1.0}] * 2}
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=16), "spec": spec})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "report.json").exists()
 
 
 def test_sweep_requires_t_list(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import functools
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def test_config_validation():
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton_iters=0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(tol_residual=tol)
+    for name in ("min_step", "sufficient_decrease"):
+        for value in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                SolverConfig(**{name: value})
 
 
 def test_newton_converges_with_quadratic_tail():
@@ -176,34 +184,116 @@ def test_counters_count_residual_evaluations_and_backtracks():
     assert rep.counters["residual_evals"] == 1 + rep.iterations + backtracks
 
 
-def test_reference_solves_keep_their_newton_iteration_counts():
-    # counts recorded with the full-Jacobian LU solve that preceded the
-    # free-node symmetric one; the Newton direction is the same.  Steps
-    # solved through a kept factorisation are refined to a fresh solve's
-    # accuracy, so they keep the counts with fewer factorisations: the
-    # first member's serves the whole family
-    config = SolverConfig(tol_residual=1e-10)
+def _reference_runs(config):
+    """The tier-1 reference instances: a disc2d solve, a torus solve and a
+    disc2d continuation over t = 0, 1, 2, 4, 8, as lists of reports."""
     disc = build_grid(GridSpec("disc2d", 33, 0.8))
-    rep = solve(make_system(make_spec("hitchin_component", 4, (quadratic,)), disc), config=config)
-    assert rep.converged and rep.iterations == 2
-    assert rep.counters["factorizations"] == 1
-
+    disc_solve = solve(make_system(make_spec("hitchin_component", 4, (quadratic,)), disc),
+                       config=config)
     torus = build_grid(GridSpec("torus", 32))
     x, y = torus.xy.T
     fields = [1.0 + 0.4 * np.cos(2.0 * np.pi * (kx * x + ky * y))
               for kx, ky in ((1, 0), (0, 1), (1, 1))]
     cyclic = make_spec("general_cyclic", 3, (one, one, one))
-    rep = solve(make_system(cyclic, torus, "periodic", fields), config=config)
-    assert rep.converged and rep.iterations == 3
-    assert rep.counters["factorizations"] == 1
-
+    torus_solve = solve(make_system(cyclic, torus, "periodic", fields), config=config)
     family = make_spec("hitchin_component", 3, (quadratic,))
     runs = continuation_solve(lambda t: make_system(replace(family, t=complex(t)), disc),
                               [0.0, 1.0, 2.0, 4.0, 8.0], config)
-    assert all(rep.converged for _, rep in runs)
-    assert [rep.iterations for _, rep in runs] == [2, 2, 3, 3, 3]
-    factorizations = [rep.counters["factorizations"] for _, rep in runs]
-    assert factorizations == [1, 0, 0, 0, 0]
+    return [disc_solve], [torus_solve], [rep for _, rep in runs]
+
+
+def _strict_refinement():
+    """A context in which every 2-D step is refined to 4 eps, as with no
+    forcing tolerance."""
+    return mock.patch.object(solver, "_FORCING", 0.0)
+
+
+def test_reference_solves_keep_their_newton_iteration_counts():
+    # counts recorded with the full-Jacobian LU solve that preceded the
+    # free-node symmetric one; the Newton direction is the same.  Steps
+    # solved through a kept factorisation keep the counts with fewer
+    # factorisations, the first member's serving the whole family, whether
+    # they are refined to 4 eps or only to the forcing tolerance; the
+    # forcing tolerance takes fewer sweeps
+    config = SolverConfig(tol_residual=1e-10)
+    with _strict_refinement():
+        strict = _reference_runs(config)
+    forced = _reference_runs(config)
+    for disc, torus, family in (strict, forced):
+        assert all(rep.converged for rep in disc + torus + family)
+        assert [rep.iterations for rep in disc + torus] == [2, 3]
+        assert [rep.counters["factorizations"] for rep in disc + torus] == [1, 1]
+        assert [rep.iterations for rep in family] == [2, 2, 3, 3, 3]
+        assert [rep.counters["factorizations"] for rep in family] == [1, 0, 0, 0, 0]
+    sweeps = [sum(rep.counters["refinement_sweeps"] for reps in runs for rep in reps)
+              for runs in (forced, strict)]
+    assert sweeps[0] < sweeps[1]
+
+
+def test_every_accepted_2d_step_meets_its_forcing_tolerance(monkeypatch):
+    # each step's linear residual is at most 0.1 max(min(|r|, 1) |r|, tol),
+    # r the Newton residual it starts from, or the backward error of a
+    # fresh solve, whichever is larger; and the forcing tolerance, not
+    # 4 eps, accepts some of them
+    steps, solve_step = [], solver._NewtonLU.solve
+
+    def recorded(self, K, b):
+        x = solve_step(self, K, b)
+        steps.append((K, b, x, self.forcing))
+        return x
+
+    monkeypatch.setattr(solver._NewtonLU, "solve", recorded)
+    tol = 1e-10
+    reports = sum(_reference_runs(SolverConfig(tol_residual=tol)), [])
+    assert all(rep.converged for rep in reports)
+    norms = [r for rep in reports for r in rep.residual_norms[:rep.iterations]]
+    assert len(steps) == len(norms) == sum(rep.iterations for rep in reports)
+    by_forcing = 0
+    for (K, b, x, forcing), r in zip(steps, norms):
+        assert forcing == 0.1 * max(min(r, 1.0) * r, tol)
+        linear = np.abs(b - K @ x).max()
+        strict = 4 * np.finfo(float).eps * (spla.norm(K, np.inf) * np.abs(x).max()
+                                             + np.abs(b).max())
+        assert linear <= max(forcing, strict)
+        by_forcing += linear > strict
+    assert by_forcing > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["disc2d-hitchin3", "disc2d-hitchin4", "disc2d-cyclic3",
+                             "torus-cyclic3"]),
+       t=st.sampled_from([1.0, 8.0, 128.0, 2048.0]),
+       tol=st.sampled_from([1e-6, 1e-10, 1e-13, 1e-16]))
+def test_forced_solves_converge_wherever_strict_ones_do(case, t, tol):
+    # a forced step leaves a linear residual of at most its forcing
+    # tolerance, which moves the next Newton residual by less than twice
+    # that: wherever the strict rule converges, so does the forced one, to
+    # the same tolerance and in at most one more Newton step a member.
+    # Disc2d instances are continuations from t = 0 straight to t
+    config = SolverConfig(tol_residual=tol)
+    if case == "torus-cyclic3":
+        sys = _torus_cyclic(t / 128.0, 16)
+
+        def run():
+            return [solve(sys, config=config)]
+    else:
+        name, n, data = {"disc2d-hitchin3": ("hitchin_component", 3, (quadratic,)),
+                         "disc2d-hitchin4": ("hitchin_component", 4, (quadratic,)),
+                         "disc2d-cyclic3": ("general_cyclic", 3, (one, one, quadratic))}[case]
+        family, disc = make_spec(name, n, data), build_grid(GridSpec("disc2d", 17, 0.8))
+
+        def run():
+            return [rep for _, rep in continuation_solve(
+                lambda s: make_system(replace(family, t=complex(s)), disc), [0.0, t], config)]
+
+    with _strict_refinement():
+        strict = run()
+    forced = run()
+    if all(rep.converged for rep in strict):
+        assert len(forced) == len(strict)
+        for rep, ref in zip(forced, strict):
+            assert rep.converged and rep.final_residual <= tol
+            assert rep.iterations <= ref.iterations + 1
 
 
 def _fresh_factor_every_step(monkeypatch):
@@ -312,7 +402,7 @@ def _record_factorisations(monkeypatch, fail_single=lambda count: False):
 
 
 def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monkeypatch):
-    # t 0 -> 32 moves K too far for refinement with the t = 0 factorisation:
+    # t 0 -> 128 moves K too far for refinement with the t = 0 factorisation:
     # the kept one is released before the new one is made, and the solve
     # still converges in the steps of a fresh-factorisation solve.  Every
     # single-precision factorisation after the first fails here, so each
@@ -325,10 +415,10 @@ def test_far_continuation_jump_refactors_and_never_holds_two_factorisations(monk
 
     with monkeypatch.context() as mp:
         _fresh_factor_every_step(mp)
-        ref = continuation_solve(at, [0.0, 32.0])
+        ref = continuation_solve(at, [0.0, 128.0])
 
     holders, dtypes = _record_factorisations(monkeypatch, fail_single=lambda count: count > 0)
-    runs = continuation_solve(at, [0.0, 32.0])
+    runs = continuation_solve(at, [0.0, 128.0])
     assert len(holders) == 1
     assert all(rep.converged for _, rep in runs)
     assert runs[1][1].counters["factorizations"] >= 1
@@ -350,22 +440,21 @@ def _torus_cyclic(scale, resolution=64):
 
 def test_single_precision_that_cannot_refine_falls_back_to_a_direct_double_solve(monkeypatch):
     # with fields of size 1e-6 the torus K is nearly the singular periodic
-    # Laplacian: refinement through its float32 factorisation cannot reach
-    # 4 eps, so K is factored again in float64 and solved directly, the
-    # float32 factorisation released first
+    # Laplacian: with no forcing tolerance set, refinement through its
+    # float32 factorisation cannot reach 4 eps, so K is factored again in
+    # float64 and solved directly, the float32 factorisation released first
     sys = _torus_cyclic(1e-6)
-    config = SolverConfig(tol_residual=1e-10)
-    with monkeypatch.context() as mp:
-        _fresh_factor_every_step(mp)
-        ref = solve(sys, config=config)
+    u = sys.initial_state().u
+    K, b = sys.jacobian_matrix(u), (-sys.residual_array(u) @ sys.gram).ravel()  # all nodes free
+    ref = solver._factor(K).solve(b)
 
     holders, dtypes = _record_factorisations(monkeypatch)
-    rep = solve(sys, config=config)
-    assert rep.converged and rep.iterations == ref.iterations == 1
+    lu = solver._NewtonLU()
+    x = lu.solve(K, b)
+    assert lu.forcing is None
     assert dtypes == [np.float32, np.float64]
-    assert rep.counters["factorizations"] == 2 and holders[0].dtype is np.float64
-    assert rep.state.u.tobytes() == ref.state.u.tobytes()
-    assert rep.residual_norms == ref.residual_norms
+    assert holders == [lu] and lu.factorizations == 2 and lu.dtype is np.float64
+    assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("failure", ["raises", "overflows"])

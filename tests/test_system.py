@@ -87,7 +87,7 @@ def test_spec_degrees_must_balance():
 def test_spec_degrees_must_be_integers():
     with pytest.raises(ValueError, match=r"deg\(L_1\) must be an integer, got 2.5"):
         make_spec("hitchin_component", 3, (one,), degrees=(2.5, -0.5, -2.0))
-    for bad in (float("nan"), float("inf"), "2", None):
+    for bad in (float("nan"), float("inf"), "2", None, True):
         with pytest.raises(ValueError, match=r"deg\(L_2\) must be an integer"):
             make_spec("hitchin_component", 3, (one,), degrees=(2, bad, -2))
     s = make_spec("hitchin_component", 3, (one,), degrees=(2.0, np.int64(0), -2.0))
