@@ -176,12 +176,6 @@ class Sp4CurvatureReport:
     f2: np.ndarray
     k_sigma: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f1_max": float(self.f1.max()), "f2_max": float(self.f2.max()),
-            "k_min": float(self.k_sigma.min()), "k_max": float(self.k_sigma.max()),
-        }
-
 
 def sp4_curvature(spec: CyclicSpec, state: LogMetricState) -> Sp4CurvatureReport:
     """Rank-4 curvature through the two coefficient ratios.
@@ -208,6 +202,9 @@ SYM_GROUPS = ("sl_real", "sl_complex", "sp_real")
 # below the memory the other verify suites already take (one block of all
 # 10000 default samples raises peak RSS by about 45 MB, 2000 by about 7 MB)
 SYM_BLOCK = 256
+SYM_TOL = 1e-10             # slack on the pinching [-1/n, 0] of sampled planes
+SYM_EXTREMAL_TOL = 1e-12    # largest deviation of the distinguished planes from -1/n
+PATTERN_CASES = 100         # closure-oracle checks in verify_max_principle
 
 
 def _sectional_curvatures(Y: np.ndarray, Z: np.ndarray):
@@ -340,10 +337,6 @@ class DominationReport:
     @property
     def min_margin(self) -> float:
         return min(self.margins) if self.margins else np.nan
-
-    @property
-    def threshold(self) -> float:
-        return max(self.thresholds) if self.thresholds else np.nan
 
     def to_json_dict(self) -> dict:
         return {
@@ -681,17 +674,15 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     return out
 
 
-def verify_sym_space(samples: int = 10000, seed: int = 0,
-                     ns=(2, 3, 4, 5, 6), tol: float = 1e-10,
-                     extremal_tol: float = 1e-12) -> dict:
+def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) -> dict:
     """Sampled pinching of the ambient sectional curvature.
 
-    Random tangent planes per group and rank stay in [-1/n - tol, tol];
-    the distinguished planes hit -1/n within ``extremal_tol``.  Needs
-    ``samples >= 1`` and a nonempty list of ranks >= 2 (a rank-1 tangent
-    vector is zero).  A degenerate sampled plane refuses the whole suite
-    with a ValueError naming the group, the rank and the 0-based sample
-    index within that group and rank.
+    Random tangent planes per group and rank stay in [-1/n - SYM_TOL,
+    SYM_TOL]; the distinguished planes hit -1/n within ``SYM_EXTREMAL_TOL``.
+    Needs ``samples >= 1`` and a nonempty list of ranks >= 2 (a rank-1
+    tangent vector is zero).  A degenerate sampled plane refuses the whole
+    suite with a ValueError naming the group, the rank and the 0-based
+    sample index within that group and rank.
     """
     if samples < 1:
         raise ValueError(f"sym-space samples must be >= 1, got {samples}")
@@ -715,7 +706,7 @@ def verify_sym_space(samples: int = 10000, seed: int = 0,
                         f"{group} n={n} sample {start + int(np.argmax(degenerate))}: "
                         "tangent vectors do not span a nondegenerate plane")
                 kmin, kmax = min(kmin, float(k.min())), max(kmax, float(k.max()))
-            in_range = kmin >= -1.0 / n - tol and kmax <= tol
+            in_range = kmin >= -1.0 / n - SYM_TOL and kmax <= SYM_TOL
             if group == "sp_real":
                 planes = [extremal_plane(group, n, i) for i in range(n // 2)]
             else:
@@ -723,7 +714,7 @@ def verify_sym_space(samples: int = 10000, seed: int = 0,
                           for i in range(n) for j in range(i + 1, n)]
             Y, Z = map(np.stack, zip(*planes))
             ext_dev = float(np.abs(symmetric_space_curvature(Y, Z) + 1.0 / n).max())
-            ok = bool(in_range and ext_dev <= extremal_tol)
+            ok = bool(in_range and ext_dev <= SYM_EXTREMAL_TOL)
             out["groups"].append({"group": group, "n": n, "k_min": kmin,
                                   "k_max": kmax, "extremal_deviation": ext_dev,
                                   "passed": ok})
@@ -732,8 +723,7 @@ def verify_sym_space(samples: int = 10000, seed: int = 0,
 
 
 def verify_max_principle(count: int = 200, seed: int = 0,
-                         grids: list[Grid] | None = None,
-                         pattern_cases: int = 100) -> dict:
+                         grids: list[Grid] | None = None) -> dict:
     """Randomized positivity suite plus negative controls and closure oracle."""
     from .geometry import GridSpec, build_grid
 
@@ -761,7 +751,7 @@ def verify_max_principle(count: int = 200, seed: int = 0,
         ctrl_ok = ctrl_ok and caught and refused
 
     closure_ok = True
-    for _ in range(pattern_cases):
+    for _ in range(PATTERN_CASES):
         n = int(rng.integers(2, 13))
         density = rng.uniform(0.1, 0.9)
         pattern = rng.random((n, n)) < density

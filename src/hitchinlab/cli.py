@@ -48,14 +48,13 @@ class UsageError(ValueError):
 
 
 def _int_from(value, key: str) -> int:
-    """An integer config field; a bool or a number with a fractional part is
-    refused."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{key!r} must be an integer, got {value!r}")
-    try:
+    """An integer config field; a bool, a non-number or a number with a
+    fractional part is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key!r} must be an integer, got {value!r}") from exc
+    raise UsageError(f"{key!r} must be an integer, got {value!r}")
 
 
 def _float_from(value, key: str) -> float:
@@ -304,7 +303,8 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
                     "conditions": cond.to_json_dict()}
         return analysis.verify_max_principle(_int_from(cfg.get("count", 200), "count"), seed)
     if theorem == "sym-space-curvature":
-        ns = tuple(_int_from(n, "ranks") for n in cfg.get("ranks", (2, 3, 4, 5, 6)))
+        ns = tuple(_int_from(n, "ranks")
+                   for n in _list_from(cfg.get("ranks", [2, 3, 4, 5, 6]), "ranks"))
         return analysis.verify_sym_space(_int_from(cfg.get("samples", 10000), "samples"),
                                          seed, ns)
     raise UsageError(f"unknown theorem {theorem!r}")

@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 from .geometry import Grid, hyperbolic_metric
 from .system import CyclicSpec, LogMetricState, arrow_coefficients, expand_log_metrics
 
-DEFAULT_POLE_VALUE = 1.0e6
+POLE_VALUE = 1.0e6          # Dirichlet value at excluded (pole) nodes
 CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
 SUITE_RANKS = (2, 3, 4)     # unknowns per system in the randomized suite
 POSITIVITY_TOL = 1e-8       # relative slack on the suite's positivity verdict
@@ -66,9 +66,9 @@ class CooperativeSystem:
     c has shape (n, n, n_nodes); f has shape (n, n_nodes).  ``metric_weight``
     divides the Laplacian (conformal factor g in Delta_g = g^{-1} Delta);
     ``drift`` holds one velocity component per grid axis.  ``excluded`` lists
-    per-unknown node sets treated as Dirichlet poles with a large positive
-    value (the discrete stand-in for points where the comparison quantity
-    diverges).
+    per-unknown node sets treated as Dirichlet poles with the large positive
+    value ``POLE_VALUE`` (the discrete stand-in for points where the
+    comparison quantity diverges).
     """
 
     grid: Grid
@@ -78,7 +78,6 @@ class CooperativeSystem:
     metric_weight: np.ndarray | None = None
     drift: np.ndarray | None = None
     excluded: list[np.ndarray] = field(default_factory=list)
-    pole_value: float = DEFAULT_POLE_VALUE
 
     def __post_init__(self):
         N = self.grid.n_nodes
@@ -269,7 +268,7 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     """Sparse operator and right-hand side, unknown-major ordering.
 
     Boundary nodes get homogeneous Dirichlet rows; excluded (pole) nodes
-    get Dirichlet rows pinned at ``pole_value``.
+    get Dirichlet rows pinned at ``POLE_VALUE``.
     """
     N = system.grid.n_nodes
     n = system.n
@@ -295,7 +294,7 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
                           shape=(n * N, n * N))
     A.eliminate_zeros()
     rhs = np.where(free, system.f.ravel(), 0.0)
-    rhs[pins] = system.pole_value
+    rhs[pins] = POLE_VALUE
     return A, rhs
 
 
@@ -337,8 +336,7 @@ def rescale_unknowns(system: CooperativeSystem, lambdas) -> CooperativeSystem:
     c = system.c * lam[:, None, None] / lam[None, :, None]
     f = system.f * lam[:, None]
     return CooperativeSystem(system.grid, system.n, c, f, system.metric_weight,
-                             system.drift, [e.copy() for e in system.excluded],
-                             system.pole_value)
+                             system.drift, [e.copy() for e in system.excluded])
 
 
 # -- difference system of a scale family -----------------------------------
@@ -518,8 +516,7 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
         for _ in range(n):
             k = rng.integers(0, len(interior_idx), size=2)
             excluded.append(np.unique(interior_idx[k]))
-    return CooperativeSystem(grid, n, c, f, None, drift,
-                             excluded if excluded else [], DEFAULT_POLE_VALUE)
+    return CooperativeSystem(grid, n, c, f, None, drift, excluded)
 
 
 def randomized_positivity_suite(count: int, seed: int, grids: list[Grid]) -> dict:

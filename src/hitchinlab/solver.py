@@ -24,8 +24,8 @@ projected free rows r E^T E, and (E^T E)^-1 has max-norm below 2, so the
 linear error adds less than twice the forcing tolerance to the next Newton
 residual: Newton keeps its quadratic convergence, and the linear error
 alone cannot hold the residual above tol_residual, which is still tested on
-the true residual.  A ``_NewtonLU`` with no forcing tolerance set refines
-to the 4 eps backward error alone.  Because refinement reaches the accuracy
+the true residual.  With a forcing tolerance of 0, refinement stops only at
+the 4 eps backward error.  Because refinement reaches the accuracy
 asked of it, the factorisation only has to precondition: 2-D matrices are
 factored in single precision, which SuperLU does faster and in half the
 memory.  b, and each vector the factorisation is applied to, is scaled to
@@ -71,14 +71,8 @@ from .system import BlowupError, HitchinSystem, LogMetricState
 class SolverConfig:
     tol_residual: float = 1e-10
     max_newton_iters: int = 40
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-8
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
-        for name in ("backtrack_factor", "min_step", "sufficient_decrease"):
-            if not (0 < getattr(self, name) < 1):
-                raise ValueError(f"{name} must lie in (0, 1)")
         if not (0 < self.tol_residual < np.inf) or self.max_newton_iters < 1:
             raise ValueError("bad tolerance or iteration budget")
 
@@ -148,22 +142,21 @@ def _band_solve(K, b: np.ndarray, bw: int, positions: np.ndarray) -> np.ndarray:
 _MAX_SWEEPS = 10
 _BACKWARD_ERROR = 4.0 * np.finfo(float).eps
 _FORCING = 0.1
+# backtracking line search on the residual max-norm: Armijo constant, step
+# halving, and the step below which it stalls (Nocedal & Wright, 3.1)
+_SUFFICIENT_DECREASE = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 1e-8
 
 
 class _NewtonLU:
     """The last kept factorisation of a solve's Newton matrices, made in
     ``dtype``, with counts of the factorisations made and the refinement
-    (conjugate-gradient) iterations run.  ``band`` is set for each step
-    from the structure of its K: a banded K is factored in double precision
-    by ``_band_solve`` every step and none is kept.  ``forcing``, when set,
-    is the max-norm of b - K x at which a refined x is accepted; None
-    accepts only the backward error of a fresh solve."""
+    (conjugate-gradient) iterations run."""
 
     def __init__(self):
         self.lu = None
         self.dtype = None
-        self.band = None
-        self.forcing = None
         self.factorizations = 0
         self.refinement_sweeps = 0
 
@@ -171,13 +164,15 @@ class _NewtonLU:
         return {"factorizations": self.factorizations,
                 "refinement_sweeps": self.refinement_sweeps}
 
-    def solve(self, K, b: np.ndarray) -> np.ndarray:
-        if self.band is not None:
+    def solve(self, K, b: np.ndarray, band=None, forcing: float = 0.0) -> np.ndarray:
+        """K x = b: by ``_band_solve``, keeping nothing, where K has a
+        ``band`` (``HitchinSystem.band``), else refined to ``forcing``."""
+        if band is not None:
             self.lu = None
             self.factorizations += 1
-            return _band_solve(K, b, *self.band)
+            return _band_solve(K, b, *band)
         if self.lu is not None and self.lu.shape == K.shape:
-            x = self._refine(K, b)
+            x = self._refine(K, b, forcing)
             if x is not None:
                 return x
         self.lu = None  # released before the new factorisation is made
@@ -186,7 +181,7 @@ class _NewtonLU:
         except (FloatingPointError, RuntimeError):
             pass
         else:
-            x = self._refine(K, b)
+            x = self._refine(K, b, forcing)
             if x is not None:
                 return x
             self.lu = None
@@ -202,14 +197,14 @@ class _NewtonLU:
         scale = _pow2(b)
         return self.lu.solve((b / scale).astype(self.dtype, copy=False)) * scale
 
-    def _refine(self, K, b: np.ndarray) -> np.ndarray | None:
+    def _refine(self, K, b: np.ndarray, forcing: float = 0.0) -> np.ndarray | None:
         """x with |b - K x| within ``forcing`` or the backward error of a
         fresh solve, whichever is larger, or None."""
         k_norm = np.bincount(K.indices, np.abs(K.data), K.shape[0]).max()  # |K| row sums, CSC
         scale = _pow2(b)
         b = b / scale  # max-norm ~1, so r^T z neither underflows nor overflows
         b_norm = _norm(b)
-        forcing = 0.0 if self.forcing is None else self.forcing / scale
+        forcing = forcing / scale
         x = self._apply(b)
         p = rz = None
         for its in range(_MAX_SWEEPS + 1):
@@ -232,14 +227,15 @@ class _NewtonLU:
 
 
 def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
-                 lu: _NewtonLU) -> np.ndarray:
+                 lu: _NewtonLU, forcing: float = 0.0) -> np.ndarray:
     """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
     whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
-    the boundary coupling applied to step_B, solved through ``lu``."""
+    the boundary coupling applied to step_B, solved through ``lu`` to the
+    ``forcing`` tolerance."""
     step, free = -r, system.free
     rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
-    lu.band = system.band
-    step[free] = lu.solve(system.jacobian_matrix(u), rhs).reshape(-1, system.m)
+    K = system.jacobian_matrix(u)
+    step[free] = lu.solve(K, rhs, system.band, forcing).reshape(-1, system.m)
     return step
 
 
@@ -283,9 +279,9 @@ def solve(
     for it in range(config.max_newton_iters):
         if rnorm <= config.tol_residual:
             return report(True, it, "converged")
-        lu.forcing = _FORCING * max(min(rnorm, 1.0) * rnorm, config.tol_residual)
+        forcing = _FORCING * max(min(rnorm, 1.0) * rnorm, config.tol_residual)
         try:
-            delta = _newton_step(system, u, r, lu)
+            delta = _newton_step(system, u, r, lu, forcing)
         except BlowupError as exc:
             return report(False, it, str(exc))
         except RuntimeError as exc:
@@ -293,22 +289,22 @@ def solve(
 
         alpha = 1.0
         accepted = False
-        while alpha >= config.min_step:
+        while alpha >= _MIN_STEP:
             trial = u + alpha * delta
             if np.array_equal(trial, u):
                 break  # the step rounds away, and every shorter one does too
             trial_r = system.residual_array(trial)
             residual_evals += 1
             trial_norm = _norm(trial_r)
-            if trial_norm <= (1.0 - config.sufficient_decrease * alpha) * rnorm:
+            if trial_norm <= (1.0 - _SUFFICIENT_DECREASE * alpha) * rnorm:
                 u, r, rnorm = trial, trial_r, trial_norm
                 accepted = True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
             backtracks += 1
         if not accepted:
             return report(False, it + 1,
-                          f"line search stalled below step {config.min_step:g}")
+                          f"line search stalled below step {_MIN_STEP:g}")
         norms.append(rnorm)
         steps.append(alpha)
 

@@ -387,11 +387,6 @@ class HitchinSystem:
         tridiagonal (the radial grid), else None; see ``Grid.block_laplacian``."""
         return self.grid.block_laplacian(self.gram)[3]
 
-    @property
-    def block_tridiagonal(self) -> bool:
-        """Whether K is block tridiagonal (the radial grid), from its pattern."""
-        return self.band is not None
-
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
         if self.grid.kind == "torus":
@@ -425,8 +420,9 @@ def make_system(
     """Bind a spec to a grid.
 
     ``boundary`` is ``"fuchsian"`` (disc kinds; Dirichlet data from the
-    uniformising state), ``"periodic"`` (torus), or an explicit per-unknown
-    array/constant list for custom Dirichlet data.
+    uniformising state), ``"periodic"`` (the torus, its only boundary), or,
+    on a disc, an explicit per-unknown array/constant list for custom
+    Dirichlet data.
 
     ``coefficient_fields`` overrides the squared arrow magnitudes with raw
     nonnegative per-node fields (one per cyclic arrow, scale t still applied
@@ -448,7 +444,7 @@ def make_system(
                          "(field k equal to field n-k for k < n)")
 
     if grid.kind == "torus":
-        if isinstance(boundary, str) and boundary != "periodic":
+        if not (isinstance(boundary, str) and boundary == "periodic"):
             raise ValueError("torus grids take boundary='periodic'")
         return HitchinSystem(spec, grid, None, G)
 
@@ -458,7 +454,10 @@ def make_system(
             raise ValueError("disc grids take boundary='fuchsian' or explicit values")
         bv = fuchsian = fuchsian_log_metrics(spec.n, m, grid)
     else:
-        parts = list(boundary)
+        try:
+            parts = list(boundary)
+        except TypeError:
+            raise ValueError("disc grids take boundary='fuchsian' or explicit values") from None
         if len(parts) != m:
             raise ValueError(f"need {m} boundary entries, got {len(parts)}")
         cols = []

@@ -24,6 +24,7 @@ import functools
 import numpy as np
 import pytest
 
+from hitchinlab import analysis
 from hitchinlab.analysis import (
     extrinsic_curvature,
     pullback_metric,
@@ -259,8 +260,8 @@ def test_08_sp4_curvature_window():
 
 
 def test_09_symmetric_space_pinching():
-    out = verify_sym_space(samples=10000, seed=0, ns=(2, 3, 4, 5, 6),
-                           tol=1e-10, extremal_tol=1e-12)
+    assert (analysis.SYM_TOL, analysis.SYM_EXTREMAL_TOL) == (1e-10, 1e-12)
+    out = verify_sym_space(samples=10000, seed=0, ns=(2, 3, 4, 5, 6))
     ok = out["passed"]
     verdict_line(9, "sampled planes in [-1/n, 0], extremal planes exact", ok)
     assert ok, [e for e in out["groups"] if not e["passed"]]
@@ -270,7 +271,8 @@ def test_09_symmetric_space_pinching():
 
 
 def test_10_maximum_principle_suite():
-    out = verify_max_principle(count=200, seed=0, pattern_cases=100)
+    assert analysis.PATTERN_CASES == 100
+    out = verify_max_principle(count=200, seed=0)
     ok = out["passed"]
     verdict_line(10, "200 certified solves positive, controls flagged", ok)
     assert ok, out

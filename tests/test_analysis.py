@@ -386,7 +386,7 @@ def test_fiber_comparison_refuses_bad_margin_before_solving(monkeypatch, margin)
 
 def test_verify_max_principle_quick():
     grids = [radial(24)]
-    out = verify_max_principle(count=10, seed=3, grids=grids, pattern_cases=20)
+    out = verify_max_principle(count=10, seed=3, grids=grids)
     assert out["passed"]
     assert out["closure_matches_bruteforce"]
     for ctrl in out["negative_controls"]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from hitchinlab import geometry, solver, system
+from hitchinlab import analysis, geometry, solver, system
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -75,8 +75,8 @@ def test_traced_factorisations_equal_the_solvers_own_count(tracing):
     # the benchmark counts a span per splu call, named after the layer that
     # encloses it; the library counts each factorisation it makes.  A small
     # disc2d continuation whose jump to t = 128 refactors, and a
-    # near-singular torus step solved outside any solve with no forcing
-    # tolerance, whose single-precision factorisation falls back to a double
+    # near-singular torus step solved outside any solve at forcing
+    # tolerance 0, whose single-precision factorisation falls back to a double
     # one, must count the same
     disc = geometry.build_grid(geometry.GridSpec("disc2d", 33, 0.8))
     quadratic = geometry.HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])
@@ -99,3 +99,11 @@ def test_traced_factorisations_equal_the_solvers_own_count(tracing):
     assert made == [1, 0, 0, 1, 2]
     factors = Counter(s.name for s in tracer.spans if s.name.endswith(".factor"))
     assert factors == {"solver.factor": sum(made[:-1]), "bench.factor": made[-1]}
+
+
+def test_traced_sym_space_counts_its_sampled_planes(tracing):
+    # the plane counter binds verify_sym_space's signature: ranks 2 and 3 are
+    # sampled in sl_real and sl_complex, and rank 2 alone in sp_real
+    with tracing.Tracer() as tracer:
+        assert analysis.verify_sym_space(20, 0, (2, 3))["passed"]
+    assert tracer.counters["analysis.sym_planes"] == 20 * 5

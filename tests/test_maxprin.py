@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.maxprin import (
+    POLE_VALUE,
     CertificationError,
     CooperativeSystem,
     check_conditions,
@@ -285,7 +286,7 @@ def test_poles_are_pinned_and_positive_elsewhere():
     assert any(len(e) for e in sys_.excluded)
     u, _ = solve_linear_cooperative(sys_)
     for i, e in enumerate(sys_.excluded):
-        np.testing.assert_allclose(u[i, e], sys_.pole_value, rtol=1e-12)
+        np.testing.assert_allclose(u[i, e], POLE_VALUE, rtol=1e-12)
     assert u[:, sys_.scan_mask()].min() > 0.0
 
 
@@ -428,7 +429,7 @@ def _reference_assemble(system):
         blocks.append(row)
         b = np.where(free, system.f[i], 0.0)
         b[system.grid.boundary_mask] = 0.0
-        b[system.excluded[i]] = system.pole_value
+        b[system.excluded[i]] = POLE_VALUE
         rhs[i * N:(i + 1) * N] = b
     return sparse.bmat(blocks, format="csr"), rhs
 

@@ -464,7 +464,7 @@ def test_fresh_2d_step_factored_in_single_precision_is_the_double_solve(kind, da
     r = sys.residual_array(u)
     lu = _NewtonLU()
     step = _newton_step(sys, u, r, lu)
-    assert not sys.block_tridiagonal
+    assert sys.band is None
     assert lu.factorizations == 1 and lu.dtype is np.float32
     K, b = _free_system(sys, u, r)
     x, ref = step[sys.free].ravel(), _factor(K).solve(b)
@@ -504,7 +504,8 @@ def test_only_the_radial_newton_matrix_is_block_tridiagonal(kind):
                       boundary="periodic" if kind == "torus" else "fuchsian")
     K = sys.jacobian_matrix(sys.initial_state().u)
     rows, cols = K.nonzero()
-    assert sys.block_tridiagonal == (np.abs(rows - cols).max() < 2 * sys.m) == (kind == "radial_disc")
+    banded = np.abs(rows - cols).max() < 2 * sys.m
+    assert (sys.band is not None) == banded == (kind == "radial_disc")
 
 
 def test_blowup_raised_on_huge_states():
@@ -535,6 +536,11 @@ def test_boundary_argument_validation():
         make_system(spec, g, boundary=[0.0])  # needs 2 entries
     with pytest.raises(ValueError):
         make_system(spec, g, boundary=[0.0, np.zeros(3)])
+    with pytest.raises(ValueError, match="disc grids take"):
+        make_system(spec, g, boundary=5)  # no list
+    for bad in ([0.5, 0.5], 0.0, None):  # the torus takes only "periodic"
+        with pytest.raises(ValueError, match="torus grids take"):
+            make_system(make_spec("general_cyclic", 3, (one, one, one)), t, boundary=bad)
 
 
 def test_explicit_boundary_values_pin_the_solution():
