@@ -95,6 +95,21 @@ def test_unknown_solver_option_is_usage_error(tmp_path, capsys):
         assert f"unknown solver options: {sorted(option)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [
+    {"backtrack_factor": "0.5"}, {"min_step": 1.5}, {"sufficient_decrease": 0},
+], ids=lambda v: next(iter(v)))
+def test_retired_line_search_option_is_usage_error(tmp_path, capsys, option):
+    # these values were once refused by a type or range check of their own;
+    # the keys are gone now, so any value is refused as an unknown option
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": dict(RADIAL, resolution=16), "spec": HITCHIN3, "solver": option})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unknown solver options: {sorted(option)}" in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("option, message", [
     ({"tol_residual": True}, "'tol_residual' must be a number, got True"),
     ({"tol_residual": 10**400}, "'tol_residual' must be a number within the double range"),
