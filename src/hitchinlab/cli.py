@@ -253,8 +253,14 @@ def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
                  np.column_stack([z.real, z.imag, u]))
 
 
-def _default_boundary(grid: Grid) -> str:
-    return "periodic" if grid.kind == "torus" else "fuchsian"
+def parse_boundary(cfg: dict, grid: Grid):
+    """The ``boundary`` key, by default the grid's own; each entry of a list
+    is a number or a per-node list of numbers."""
+    boundary = cfg.get("boundary", "periodic" if grid.kind == "torus" else "fuchsian")
+    if not isinstance(boundary, list):
+        return boundary
+    return [[_float_from(x, "boundary") for x in p] if isinstance(p, list)
+            else _float_from(p, "boundary") for p in boundary]
 
 
 # -- subcommands -----------------------------------------------------------
@@ -264,8 +270,7 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
     grid = parse_grid(cfg.get("grid"), resolution)
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
-    boundary = cfg.get("boundary", _default_boundary(grid))
-    system = make_system(spec, grid, boundary=boundary)
+    system = make_system(spec, grid, boundary=parse_boundary(cfg, grid))
     report = solve(system, config=sc)
     write_json(os.path.join(out_dir, "report.json"),
                report.to_json_dict(), volatile_ok=True)
@@ -334,7 +339,7 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
 
     region = grid.verdict_region(mc)
     family = analysis.scale_family(spec, grid, t_list, sc,
-                                   boundary=cfg.get("boundary", _default_boundary(grid)))
+                                   boundary=parse_boundary(cfg, grid))
     rows, summaries = [], []
     for spec_t, rep, metric in family:
         t = spec_t.t.real

@@ -18,6 +18,10 @@ discrete comparison arguments rely on.
 The background metric is g0 = 2/(1-|z|^2)^2, normalised so that
 Delta log g0 = g0 with the Delta above (verified symbolically; note this is
 *not* the curvature -1 normalisation, which differs by a factor of 2).
+
+A holomorphic datum has one canonical form, z^l times a polynomial with
+nonzero constant term, so equal data compare equal whichever named
+constructor built them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import dijkstra
 
 GRID_KINDS = ("radial_disc", "disc2d", "torus")
-DATUM_KINDS = ("zero", "constant", "monomial", "polynomial")
 
 _MIN_RESOLUTION = 8
 
@@ -308,122 +311,106 @@ class Grid:
 
 @dataclass(frozen=True)
 class HolomorphicDatum:
-    """A holomorphic coefficient: zero, a constant, c*z^l, or a polynomial.
+    """A holomorphic coefficient z^valuation * sum_k coefficients[k] z^k.
+
+    The form is canonical: both end coefficients are nonzero, and the zero
+    datum stores no coefficient at valuation 0.  So equal polynomials are
+    one datum however they were built, e.g. ``constant(1) == monomial(1, 0)
+    == polynomial([1, 0])``, and c*z^l stores one coefficient at any l.
+    ``kind`` and ``degree`` are read from this support.
 
     Coefficients are stored exactly and |datum|^2 is always evaluated from
     the closed form -- never by sampling and differentiating.
-
-    ``coefficients`` is the full coefficient tuple in increasing degree for
-    the polynomial kind; for ``monomial`` it holds the single coefficient c
-    and ``degree`` the exponent l.
     """
 
-    kind: str
+    valuation: int = 0
     coefficients: tuple[complex, ...] = ()
-    degree: int = 0
 
     def __post_init__(self):
-        if self.kind not in DATUM_KINDS:
-            raise ValueError(f"unknown datum kind {self.kind!r}")
-        object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
-        if self.kind == "zero" and self.coefficients:
-            raise ValueError("zero datum takes no coefficients")
-        if self.kind in ("constant", "monomial") and len(self.coefficients) != 1:
-            raise ValueError(f"{self.kind} datum takes exactly one coefficient")
-        if self.kind == "monomial" and self.degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        if self.kind == "polynomial" and not self.coefficients:
-            raise ValueError("polynomial datum needs at least one coefficient")
+        c = [complex(x) for x in self.coefficients]
+        while c and c[-1] == 0:
+            c.pop()
+        lead = next((k for k, x in enumerate(c) if x != 0), 0)
+        object.__setattr__(self, "valuation", self.valuation + lead if c else 0)
+        object.__setattr__(self, "coefficients", tuple(c[lead:]))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "HolomorphicDatum":
-        return HolomorphicDatum("zero")
+        return HolomorphicDatum()
 
     @staticmethod
     def constant(c: complex) -> "HolomorphicDatum":
-        return HolomorphicDatum("constant", (c,))
+        return HolomorphicDatum(0, (c,))
 
     @staticmethod
     def monomial(c: complex, degree: int) -> "HolomorphicDatum":
-        return HolomorphicDatum("monomial", (c,), degree)
+        if degree < 0:
+            raise ValueError("monomial degree must be nonnegative")
+        return HolomorphicDatum(degree, (c,))
 
     @staticmethod
     def polynomial(coeffs: Sequence[complex]) -> "HolomorphicDatum":
-        return HolomorphicDatum("polynomial", tuple(coeffs))
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("polynomial datum needs at least one coefficient")
+        return HolomorphicDatum(0, coeffs)
+
+    # -- support -----------------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """``zero``, ``constant``, ``monomial`` (one term at a positive
+        valuation) or ``polynomial``."""
+        if not self.coefficients:
+            return "zero"
+        if len(self.coefficients) > 1:
+            return "polynomial"
+        return "monomial" if self.valuation else "constant"
+
+    @property
+    def degree(self) -> int:
+        """The top degree (0 for the zero datum)."""
+        return self.valuation + max(len(self.coefficients) - 1, 0)
 
     # -- algebra -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.kind == "zero":
-            return True
-        return all(c == 0 for c in self.coefficients)
+        return not self.coefficients
 
     def scaled(self, s: complex) -> "HolomorphicDatum":
-        if self.kind == "zero":
-            return self
-        return HolomorphicDatum(self.kind, tuple(s * c for c in self.coefficients), self.degree)
+        return HolomorphicDatum(self.valuation, tuple(s * c for c in self.coefficients))
 
     def __mul__(self, other: "HolomorphicDatum") -> "HolomorphicDatum":
         if not isinstance(other, HolomorphicDatum):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return HolomorphicDatum.zero()
-        a, b = self._as_monomial_or_poly(), other._as_monomial_or_poly()
-        if a[0] == "monomial" and b[0] == "monomial":
-            return HolomorphicDatum.monomial(a[1] * b[1], a[2] + b[2])
-        pa, pb = self._poly_coeffs(), other._poly_coeffs()
-        prod = np.convolve(pa, pb)
-        return HolomorphicDatum.polynomial(tuple(prod))
-
-    def squared(self) -> "HolomorphicDatum":
-        return self * self
-
-    def _as_monomial_or_poly(self):
-        if self.kind == "constant":
-            return ("monomial", self.coefficients[0], 0)
-        if self.kind == "monomial":
-            return ("monomial", self.coefficients[0], self.degree)
-        return ("polynomial", None, None)
-
-    def _poly_coeffs(self) -> np.ndarray:
-        if self.kind == "zero":
-            return np.array([0j])
-        if self.kind == "constant":
-            return np.array([self.coefficients[0]])
-        if self.kind == "monomial":
-            out = np.zeros(self.degree + 1, dtype=complex)
-            out[-1] = self.coefficients[0]
-            return out
-        return np.array(self.coefficients, dtype=complex)
+        return HolomorphicDatum(self.valuation + other.valuation,
+                                tuple(np.convolve(self.coefficients, other.coefficients)))
 
     # -- evaluation --------------------------------------------------------
 
     def value(self, z: np.ndarray) -> np.ndarray:
         """Evaluate the datum at complex chart points."""
         z = np.asarray(z, dtype=complex)
-        if self.kind == "zero":
-            return np.zeros_like(z)
-        if self.kind == "constant":
-            return np.full_like(z, self.coefficients[0])
-        if self.kind == "monomial":
-            return self.coefficients[0] * z**self.degree
         acc = np.zeros_like(z)
         for c in reversed(self.coefficients):  # Horner
             acc = acc * z + c
-        return acc
+        return acc * z**self.valuation if self.valuation else acc
 
     def norm_squared(self, z: np.ndarray) -> np.ndarray:
-        """|datum(z)|^2, exactly (for a monomial this is |c|^2 |z|^(2l)).
+        """|datum(z)|^2, exactly (for one term c*z^l, l > 0, this is
+        |c|^2 |z|^(2l)).
 
         Computed in numpy floats: a coefficient too large to square gives
         inf or NaN, left to the caller to detect, never an exception.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "monomial":
+            if len(self.coefficients) == 1 and self.valuation:
                 return np.abs(self.coefficients[0]) ** 2 * np.abs(np.asarray(z, complex)) ** (
-                    2 * self.degree
+                    2 * self.valuation
                 )
             v = self.value(z)
             return (v * v.conjugate()).real
@@ -432,14 +419,14 @@ class HolomorphicDatum:
         """Whether the datum makes sense on the grid's chart.
 
         The radial reduction only admits rotationally symmetric |datum|^2,
-        i.e. zero/constant/monomial.  On the torus only constants (and zero)
-        are holomorphic; richer periodic coefficient fields are injected
+        i.e. at most one term.  On the torus only constants (and zero) are
+        holomorphic; richer periodic coefficient fields are injected
         directly at system-assembly time.
         """
         if grid.kind == "radial_disc":
-            return self.kind in ("zero", "constant", "monomial")
+            return len(self.coefficients) <= 1
         if grid.kind == "torus":
-            return self.kind in ("zero", "constant")
+            return self.degree == 0
         return True
 
 

@@ -321,24 +321,6 @@ def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True):
     return u, report
 
 
-def rescale_unknowns(system: CooperativeSystem, lambdas) -> CooperativeSystem:
-    """Diagonal rescaling u_i -> lambda_i u_i: c'_ij = c_ij l_i / l_j, f'_i = l_i f_i.
-
-    Solutions transform exactly by the same factors, and positivity of u is
-    equivalent to positivity of the rescaled solution.  Cooperativity and
-    the coupling pattern are invariant, but column dominance is not: it must
-    be re-checked on the transformed system.  Choosing scales that repair
-    dominance is the standard way to widen the reach of the certificate.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (system.n,) or np.any(lam <= 0):
-        raise ValueError("need one positive scale per unknown")
-    c = system.c * lam[:, None, None] / lam[None, :, None]
-    f = system.f * lam[:, None]
-    return CooperativeSystem(system.grid, system.n, c, f, system.metric_weight,
-                             system.drift, [e.copy() for e in system.excluded])
-
-
 # -- difference system of a scale family -----------------------------------
 
 
@@ -351,12 +333,6 @@ class DifferenceSystem:
     mode: str                     # "cyclic" or "vanishing_corner"
     scale_ratio_log: float        # 2 log(t_a / t_b), inf when t_b = 0
     residual_inf: float           # worst interior defect of L v + C v - f
-
-    def row_sum_error(self) -> float:
-        """Max deviation of sum_k v_k from its constant value (cyclic mode)."""
-        if self.mode != "cyclic":
-            raise ValueError("row-sum identity only holds in cyclic mode")
-        return float(np.abs(self.v.sum(axis=0) - self.scale_ratio_log).max())
 
 
 def _phi(v: np.ndarray) -> np.ndarray:

@@ -269,13 +269,6 @@ def fuchsian_log_metrics(n: int, n_unknowns: int, grid: Grid) -> np.ndarray:
     return w[:, :n_unknowns].copy()
 
 
-def fuchsian_state(spec: CyclicSpec, grid: Grid) -> LogMetricState:
-    """Uniformising reference state for any variant on a disc-kind grid."""
-    if grid.kind == "torus":
-        raise ValueError("the torus has no uniformising reference state")
-    return LogMetricState(grid, fuchsian_log_metrics(spec.n, spec.n_unknowns, grid))
-
-
 def expand_log_metrics(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
     """All n log-metrics (log h_1 .. log h_n) of the cyclic bundle, (N, n)."""
     return state.u @ spec.embedding.T
@@ -469,6 +462,8 @@ def make_system(
                 raise ValueError("boundary entries must be scalars or per-node arrays")
             cols.append(arr)
         bv = np.column_stack(cols)
+        if not np.all(np.isfinite(bv)):
+            raise ValueError("explicit boundary values must be finite")
     return HitchinSystem(spec, grid, bv, G, fuchsian)
 
 
@@ -526,14 +521,3 @@ def stability_check(degrees: Sequence[int], which_gamma_zero: int | None = None)
         raise ValueError("only the final arrow may vanish for a cyclic bundle")
     partial = np.cumsum(degs[::-1])[: len(degs) - 1]
     return bool(np.all(partial < 0))
-
-
-def hitchin_component_degrees(n: int, genus: int) -> tuple[int, ...]:
-    """deg(L_k) for the Hitchin-section bundle: L_k = K^((n+1-2k)/2)."""
-    return tuple((n + 1 - 2 * k) * (genus - 1) for k in range(1, n + 1))
-
-
-def sp4_gothen_degrees(deg_n: int, genus: int) -> tuple[int, ...]:
-    """deg(L_k) for the rank-4 bundle N + N K^{-1} + N^{-1} K + N^{-1}."""
-    d, k = deg_n, 2 * genus - 2
-    return (d, d - k, k - d, -d)

@@ -39,8 +39,8 @@ from hitchinlab.analysis import (
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, solve
 from hitchinlab.system import (
+    LogMetricState,
     fuchsian_log_metrics,
-    fuchsian_state,
     gauge_image,
     gauge_log_offsets,
     make_spec,
@@ -81,8 +81,8 @@ def test_01_uniformising_residual_second_order():
         res = {}
         for N in (128, 256, 512):
             g = radial(N)
-            u = fuchsian_state(spec, g).u
-            res[N] = np.abs(make_system(spec, g).residual_array(u)).max()
+            sys_ = make_system(spec, g)
+            res[N] = np.abs(sys_.residual_array(sys_.initial_state().u)).max()
         h = radial(256).spacing
         bound_ok &= res[256] <= C_RESIDUAL * h**2
         o1, o2 = np.log2(res[128] / res[256]), np.log2(res[256] / res[512])
@@ -101,7 +101,8 @@ def test_02_uniformising_curvature_constants():
     worst = 0.0
     for n in (3, 4, 5):
         spec = make_spec("hitchin_component", n, (zero,))
-        curv = extrinsic_curvature(spec, fuchsian_state(spec, g))
+        state = LogMetricState(g, fuchsian_log_metrics(n, spec.n_unknowns, g))
+        curv = extrinsic_curvature(spec, state)
         inner = ~g.boundary_mask
         expect = -6.0 / (n**2 * (n**2 - 1))
         worst = max(worst, float(np.abs(curv.k_sigma[inner] - expect).max()))

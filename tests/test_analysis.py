@@ -28,7 +28,7 @@ from hitchinlab.analysis import (
 )
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid, hyperbolic_metric
 from hitchinlab.solver import SolverConfig, solve
-from hitchinlab.system import LogMetricState, fuchsian_state, make_spec, make_system
+from hitchinlab.system import LogMetricState, fuchsian_log_metrics, make_spec, make_system
 
 one = HolomorphicDatum.constant(1.0)
 zero = HolomorphicDatum.zero()
@@ -40,7 +40,7 @@ def radial(n=64, radius=0.8):
 
 def uniformising(n, grid):
     spec = make_spec("hitchin_component", n, (zero,))
-    return spec, fuchsian_state(spec, grid)
+    return spec, LogMetricState(grid, fuchsian_log_metrics(n, spec.n_unknowns, grid))
 
 
 # -- closed-form constants on the uniformising state -----------------------
@@ -345,8 +345,8 @@ def test_scale_pair_comparison_is_ordered():
 
 def test_compare_states_grid_mismatch_rejected():
     spec = make_spec("hitchin_component", 3, (one,))
-    st_a = fuchsian_state(spec, radial(32))
-    st_b = fuchsian_state(spec, radial(48))
+    st_a, st_b = (LogMetricState(g, fuchsian_log_metrics(3, 1, g))
+                  for g in (radial(32), radial(48)))
     with pytest.raises(ValueError):
         compare_states(spec, st_a, spec, st_b)
     with pytest.raises(ValueError):

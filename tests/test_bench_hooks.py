@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` wraps library functions and methods by name, so a
 renamed or removed entry point would silently drop out of the traced pass.
-The tracer module is loaded read-only: no bytecode is written next to it.
+``perfbench/workloads.py`` names operations from the library's data, so a
+change there would rename what the benchmark compares.  Both modules are
+loaded read-only: no bytecode is written next to them.
 """
 
 import importlib.util
@@ -17,12 +19,11 @@ import scipy.sparse.linalg as spla
 
 from hitchinlab import analysis, geometry, solver, system
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     sys.modules[spec.name] = module     # dataclasses look their module up here
@@ -32,6 +33,16 @@ def tracing():
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def _targets(tracing):
@@ -107,3 +118,13 @@ def test_traced_sym_space_counts_its_sampled_planes(tracing):
     with tracing.Tracer() as tracer:
         assert analysis.verify_sym_space(20, 0, (2, 3))["passed"]
     assert tracer.counters["analysis.sym_planes"] == 20 * 5
+
+
+def test_radial_study_names_its_battery_by_datum_kind_and_degree(workloads):
+    # the names are f"{q.kind}{q.degree}" of each datum; the benchmark pairs
+    # operations across commits by name
+    names = [op.name for op in workloads.radial_study(0)]
+    battery = [n for n in names if n.split("/")[0] in ("nu-bounds", "curvature")]
+    assert len(battery) == 18
+    assert set(battery) == {f"{theorem}/n{n}-{q}" for theorem in ("nu-bounds", "curvature")
+                            for n in (3, 4, 5) for q in ("monomial1", "monomial2", "constant0")}

@@ -258,6 +258,27 @@ def test_boundary_of_the_wrong_shape_is_usage_error(tmp_path, capsys, grid, boun
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("boundary,message", [
+    (["0.5"], "'boundary' must be a number, got '0.5'"),
+    ([True], "'boundary' must be a number, got True"),
+    ([None], "'boundary' must be a number, got None"),
+    ([[0.1, "x"]], "'boundary' must be a number, got 'x'"),
+    ([float("nan")], "explicit boundary values must be finite"),
+], ids=["string", "bool", "null", "per-node-string", "nan"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_boundary_entry_that_is_no_finite_number_is_usage_error(tmp_path, capsys, command,
+                                                                boundary, message):
+    # "0.5" and true once solved and exited 0, null and NaN became NaN
+    # Dirichlet values that failed numerically, and "x" inside a per-node
+    # list surfaced numpy's conversion error without naming the key
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=16), "spec": HITCHIN3,
+                                           "boundary": boundary, "t_list": [0.0, 1.0]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(out.iterdir())
+
+
 def test_integral_float_fields_are_accepted(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {"samples": 5e1, "ranks": [2.0, 3], "seed": 7.0})
     out = tmp_path / "out"
@@ -656,6 +677,28 @@ def test_bad_datum_kind_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": spec})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "unknown datum kind" in capsys.readouterr().err
+
+
+def test_one_datum_spelled_two_ways_solves_to_the_same_bytes(tmp_path, capsys):
+    # z as a one-term polynomial was once refused on the radial grid
+    outs = []
+    for k, datum in enumerate(({"kind": "polynomial", "coefficients": [0, 1]},
+                               {"kind": "monomial", "coefficient": 1.0, "degree": 1})):
+        cfg = write_cfg(tmp_path, f"cfg{k}.json", {"grid": RADIAL,
+                                                    "spec": dict(HITCHIN3, data=[datum])})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / str(k))]) == 0
+        outs.append((tmp_path / str(k) / "state.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_monomial_of_huge_degree_verifies(tmp_path):
+    # c z^l is stored as one coefficient whatever l is
+    datum = {"kind": "monomial", "coefficient": 1.0, "degree": 1e12}
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=64),
+                                           "spec": dict(HITCHIN3, data=[datum])})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)]) == 0
+    assert read_json(out / "verdict.json")["passed"] is True
 
 
 def test_torus_solve_path(tmp_path):

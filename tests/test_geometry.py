@@ -312,11 +312,48 @@ def test_datum_constructors_and_algebra():
     pp = p * p
     ref = np.polymul([1.0, 0.0, -0.25][::-1], [1.0, 0.0, -0.25][::-1])[::-1]
     np.testing.assert_allclose([complex(x) for x in pp.coefficients], ref)
-    sq = z.squared()
+    sq = z * z
     assert sq.degree == 6
     zero = HolomorphicDatum.zero()
     assert (zero * p).is_zero()
     assert zero.scaled(3.0).is_zero()
+
+
+def test_equal_polynomials_are_one_datum_whichever_constructor_built_them():
+    D = HolomorphicDatum
+    assert [f.name for f in dataclasses.fields(D)] == ["valuation", "coefficients"]
+    spellings = (D.constant(1), D.monomial(1, 0), D.polynomial([1, 0]))
+    assert spellings[0] == spellings[1] == spellings[2]
+    assert len({hash(d) for d in spellings}) == 1
+    assert D.monomial(0, 3) == D.zero() == D.polynomial([0, 0]) == D.constant(2).scaled(0)
+    assert D.polynomial([0, 0, 2.0, 0]) == D.monomial(2.0, 2)
+    assert D.monomial(1.0, 1) * D.constant(2.0) == D.polynomial([0, 2.0])
+    assert [(d.kind, d.degree) for d in (D.zero(), D.constant(3), D.monomial(2, 3),
+                                         D.polynomial([0, 1, 2]))] == [
+        ("zero", 0), ("constant", 0), ("monomial", 3), ("polynomial", 2)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        D.monomial(1.0, -1)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        D.polynomial([])
+    # a one-term polynomial is a monomial, so the radial chart takes it
+    g = radial(16)
+    np.testing.assert_array_equal(eval_norm_squared(D.polynomial([0, 1j]), g),
+                                  eval_norm_squared(D.monomial(1j, 1), g))
+    # and a polynomial of degree 0, or one with zero coefficients, is
+    # constant on the torus
+    t = build_grid(GridSpec("torus", (8, 8)))
+    np.testing.assert_array_equal(eval_norm_squared(D.polynomial([2.0, 0.0]), t), 4.0)
+    np.testing.assert_array_equal(eval_norm_squared(D.monomial(0.0, 2), t), 0.0)
+
+
+def test_a_monomial_of_huge_degree_stores_one_coefficient():
+    # the CLI takes any nonnegative integer degree; a dense coefficient
+    # tuple would need l + 1 entries for c z^l
+    d = HolomorphicDatum.monomial(1.0, 10**12)
+    assert d.coefficients == (1.0,) and d.degree == 10**12
+    assert (d * d).coefficients == (1.0,) and (d * d).degree == 2 * 10**12
+    nsq = eval_norm_squared(d, radial(16))
+    assert np.isfinite(nsq).all() and nsq.max() == 0.0
 
 
 def test_datum_evaluation_against_direct_formula():

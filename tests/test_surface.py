@@ -1,0 +1,62 @@
+"""No library name that only tests read.
+
+Every public module-level function or class and every public method in
+``src/hitchinlab`` must be referenced from ``src/`` or ``perfbench/``: as a
+name, as an attribute, or as an identifier string, since
+``perfbench/tracing.py`` wraps functions by their name strings.  The sources
+are parsed, so a docstring that mentions a name is no reference.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "hitchinlab").glob("*.py"))
+CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+
+# names that only tests read, kept on purpose
+EXEMPT = {
+    "cells_to_boundary": "the loop-constructor reference test compares its bytes",
+    "scale_last_arrow": "the gauge acceptance criterion is built on it",
+    "gauge_image": "the gauge acceptance criterion is built on it",
+    "gauge_log_offsets": "the gauge acceptance criterion is built on it",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of public module-level functions and classes
+    and of public methods."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    referenced = {name for path in CALLERS for name in _references(_parse(path))}
+    defined = [(f"{path.stem}.{qualified}", name) for path in LIBRARY
+               for qualified, name in _public_definitions(_parse(path))]
+    assert not [qualified for qualified, name in defined
+                if name not in referenced and name not in EXEMPT]
+    # an exemption outlives its reason once the name gains a caller or goes
+    assert set(EXEMPT) <= {name for _, name in defined} - referenced

@@ -22,14 +22,11 @@ from hitchinlab.system import (
     LogMetricState,
     arrow_kernel,
     expand_log_metrics,
-    fuchsian_state,
     gauge_image,
     gauge_log_offsets,
-    hitchin_component_degrees,
     make_spec,
     make_system,
     scale_last_arrow,
-    sp4_gothen_degrees,
     stability_check,
 )
 
@@ -135,7 +132,7 @@ def test_fuchsian_state_solves_system_to_truncation_error():
     for n in (2, 3, 4, 5):
         spec = make_spec("hitchin_component", n, (zero,))
         sys = make_system(spec, g)
-        worst = np.abs(sys.residual_array(fuchsian_state(spec, g).u)).max()
+        worst = np.abs(sys.residual_array(sys.initial_state().u)).max()
         assert worst < 500 * g.spacing**2, (n, worst)
 
 
@@ -144,14 +141,8 @@ def test_fuchsian_state_general_formulation_matches():
     g = radial(96)
     spec = make_spec("general_cyclic", 4, (one, one, one, zero))
     sys = make_system(spec, g)
-    worst = np.abs(sys.residual_array(fuchsian_state(spec, g).u)).max()
+    worst = np.abs(sys.residual_array(sys.initial_state().u)).max()
     assert worst < 500 * g.spacing**2
-
-
-def test_fuchsian_state_refused_on_torus():
-    t = build_grid(GridSpec("torus", (8, 8)))
-    with pytest.raises(ValueError):
-        fuchsian_state(make_spec("hitchin_component", 3, (one,)), t)
 
 
 def test_expand_log_metrics_layouts():
@@ -188,7 +179,7 @@ def test_symmetric_and_general_formulations_agree_pointwise():
     sys_h = make_system(hit, g)
     sys_g = make_system(gen, g)
 
-    u = fuchsian_state(hit, g).u
+    u = sys_h.initial_state().u
     bump = np.exp(-np.abs(g.z()) ** 2 / 0.1) * 0.3
     u[:, 0] += bump * (~g.boundary_mask)
     r_h = sys_h.residual_array(u)
@@ -538,6 +529,9 @@ def test_boundary_argument_validation():
         make_system(spec, g, boundary=[0.0, np.zeros(3)])
     with pytest.raises(ValueError, match="disc grids take"):
         make_system(spec, g, boundary=5)  # no list
+    for bad in ([np.nan, 0.0], [0.0, np.full(g.n_nodes, np.inf)]):
+        with pytest.raises(ValueError, match="boundary values must be finite"):
+            make_system(spec, g, boundary=bad)
     for bad in ([0.5, 0.5], 0.0, None):  # the torus takes only "periodic"
         with pytest.raises(ValueError, match="torus grids take"):
             make_system(make_spec("general_cyclic", 3, (one, one, one)), t, boundary=bad)
@@ -686,17 +680,13 @@ def test_gauge_log_offsets_values():
 def test_stability_check_cases():
     assert stability_check((1, 0, -1)) is True  # no vanishing arrow
     assert stability_check((0, 0), which_gamma_zero=2) is False
-    assert stability_check(hitchin_component_degrees(3, 2), which_gamma_zero=3) is True
-    assert stability_check(sp4_gothen_degrees(4, 3), which_gamma_zero=4) is True
+    # deg L_k of the Hitchin-section bundle (n = 3, genus 2) and of
+    # N + N K^-1 + N^-1 K + N^-1 (deg N = 4, genus 3)
+    assert stability_check((2, 0, -2), which_gamma_zero=3) is True
+    assert stability_check((4, 0, 0, -4), which_gamma_zero=4) is True
     # deg L_4 >= 0 makes the last line subbundle destabilising
     assert stability_check((-2, 1, 1, 0), which_gamma_zero=4) is False
     with pytest.raises(ValueError):
         stability_check((1, 0, -1), which_gamma_zero=2)
     with pytest.raises(ValueError):
         stability_check((1, 1, 1))
-
-
-def test_degree_helpers():
-    assert hitchin_component_degrees(3, 2) == (2, 0, -2)
-    assert sum(sp4_gothen_degrees(5, 2)) == 0
-    assert sp4_gothen_degrees(4, 3) == (4, 0, 0, -4)
