@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Grid, HolomorphicDatum, eval_norm_squared, zero_set
+from .geometry import Grid, HolomorphicDatum, zero_set
 from .solver import SolverConfig, continuation_solve, solve
 from .system import (
     CyclicSpec,
@@ -415,14 +415,13 @@ def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_
     if spec_hit.variant != "hitchin_component" or spec_hit.n != spec.n:
         raise ValueError("partner must be the hitchin_component spec of equal rank")
     n, m = spec.n, spec.n_unknowns
-    mu_sq = eval_norm_squared(spec.middle_datum(), grid)
-    rung_sq = [eval_norm_squared(d, grid) for d in spec.rung_data()]
-    mu_weight = np.sqrt(mu_sq) if n % 2 == 0 else mu_sq
+    G = arrow_coefficients(spec, grid)
+    mu_weight = np.sqrt(G[:, m - 1]) if n % 2 == 0 else G[:, m - 1]
     lows, highs, masks = [], [], []
     for k in range(1, m + 1):
         w = mu_weight.copy()
         for j in range(k - 1, m - 1):
-            w = w * rung_sq[j]
+            w = w * G[:, j]
         lows.append(w * np.exp(state_hit.u[:, k - 1]))
         highs.append(np.exp(state.u[:, k - 1]))
         masks.append(region & (w > 0.0))
@@ -524,12 +523,14 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     verdict region; the k = 1 lower bound is checked away from the exact
     zeros of q_n, where the ratio equals its reference value zero.
     """
+    if spec.variant != "hitchin_component":
+        raise ValueError("ratio invariants are defined for hitchin_component states")
     region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     ratios = nu_ratios(spec, rep.state)
-    qzeros = zero_set(spec.corner_datum().scaled(spec.t), grid)
+    qzeros = zero_set(spec.cyclic_data()[-1].scaled(spec.t), grid)
     zmask = np.zeros(grid.n_nodes, dtype=bool)
     zmask[qzeros] = True
     out = {"n": spec.n, "passed": True, "bounds": [],
@@ -568,7 +569,7 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     if spec.n >= 4:
         # at zeros of the differential the curvature dips to (or below) the
         # uniformising constant -6/(n^2(n^2-1))
-        qz = [p for p in zero_set(spec.corner_datum().scaled(spec.t), grid) if region[p]]
+        qz = [p for p in zero_set(spec.cyclic_data()[-1].scaled(spec.t), grid) if region[p]]
         if qz:
             fuchs = -6.0 / (spec.n**2 * (spec.n**2 - 1))
             worst = float(max(curv.k_sigma[p] for p in qz))
@@ -646,14 +647,14 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     f2max = float(curv.f2[region].max())
     kmin = float(curv.k_sigma[region].min())
     kmax = float(curv.k_sigma[region].max())
-    mu_fuchsian = spec.corner_datum().is_zero() or spec.t == 0
+    mu_fuchsian = spec.cyclic_data()[-1].is_zero() or spec.t == 0
     out = {"mu_fuchsian": bool(mu_fuchsian),
            "f1_max": f1max, "f2_max": f2max, "k_min": kmin, "k_max": kmax,
            "solver": rep.to_json_dict()}
     ok = f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0 and kmin >= -0.125 - CURVATURE_SLACK
     if mu_fuchsian:
         ok = ok and kmax < -1.0 / 40.0
-        mu_zeros = zero_set(spec.middle_datum(), grid)
+        mu_zeros = zero_set(spec.cyclic_data()[1], grid)  # mu = gamma_2
         sharp = []
         for p in mu_zeros:
             sharp.append({"node": int(p), "k_sigma": float(curv.k_sigma[p]),

@@ -69,13 +69,22 @@ class GridSpec:
             pair = (res, res) if isinstance(res, int) else tuple(res)
             if len(pair) != 2 or any(int(p) < _MIN_RESOLUTION for p in pair):
                 raise ValueError(f"torus resolution must be >= {_MIN_RESOLUTION} per dimension")
-            if any(p <= 0 for p in self.periods):
-                raise ValueError("torus periods must be positive")
+            if not all(0.0 < p < np.inf for p in self.periods):
+                raise ValueError("torus periods must be positive and finite")
+            spacings = np.divide(self.periods, self.resolution_pair())
         else:
             if not isinstance(res, int) or res < _MIN_RESOLUTION:
                 raise ValueError(f"resolution must be an int >= {_MIN_RESOLUTION}")
             if not (0.0 < self.radius < 1.0):
                 raise ValueError("chart radius must lie in (0, 1)")
+            spacings = (np.diff(np.linspace(-self.radius, self.radius, res)[:2])
+                        if self.kind == "disc2d" else np.array([self.radius / (res - 1)]))
+        # the stencil weights scale as 1/h^2, h as the grid builder computes it
+        with np.errstate(all="ignore"):
+            weights = 1.0 / np.square(spacings)
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise ValueError(f"grid spacings {spacings.tolist()} give no finite positive "
+                             "stencil weight 1/h^2")
 
     def resolution_pair(self) -> tuple[int, int]:
         res = self.resolution

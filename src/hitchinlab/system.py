@@ -19,16 +19,20 @@ Variants
 * ``slnr_even``/``slnr_odd`` : data (nu, gamma_1..gamma_{m-1}, mu).
 * ``sp4_gothen``         : data (mu, nu); rank 4 with arrows (1, mu, 1, nu).
 
+Only ``CyclicSpec.cyclic_data`` reads this layout.  Everything else reads
+the n arrows it unfolds by index: the rungs gamma_1..gamma_{m-1} are [:m-1],
+the middle arrows (mu, twice for odd rank) [m-1 : n-m], the corner [-1].
+
 The symmetric variants (all but ``general_cyclic``) impose
 h_{n+1-k} = h_k^{-1}, leaving m = floor(n/2) unknowns:
 E = [I_m; -J_m] for even n and [I_m; 0; -J_m] for odd n, with J the flip.
-Their arrows unfold as in ``CyclicSpec.cyclic_data``.
 
 The scale parameter ``t`` always multiplies the final arrow (gamma_n or nu).
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -46,22 +50,15 @@ class BlowupError(RuntimeError):
     """Raised when residual/Jacobian evaluation produces non-finite values."""
 
 
-def _one() -> HolomorphicDatum:
-    return HolomorphicDatum.constant(1.0)
-
-
 @dataclass(frozen=True)
 class CyclicSpec:
     """Holomorphic data of a cyclic bundle plus the last-arrow scale t.
 
-    ``data`` ordering by variant:
-      general_cyclic    : (gamma_1, ..., gamma_n)
-      hitchin_component : (q_n,)
-      slnr_even/odd     : (nu, gamma_1, ..., gamma_{m-1}, mu)
-      sp4_gothen        : (mu, nu)
-
-    ``degrees`` optionally records deg(L_1..L_n) for stability bookkeeping.
-    A scale whose |t|^2 is not a finite float is refused.
+    ``data`` is laid out per variant as in the module docstring and read
+    only by ``cyclic_data``; no arrow but the corner may vanish identically.
+    ``degrees`` optionally records deg(L_1..L_n), as exact integers, for
+    stability bookkeeping.  A scale whose |t|^2 is not a finite float is
+    refused.
     """
 
     n: int
@@ -79,49 +76,36 @@ class CyclicSpec:
             raise ValueError(f"the scale t = {self.t!r} has no finite |t|^2")
         if self.degrees is not None:
             for k, d in enumerate(self.degrees, 1):
-                if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
-                        and float(d).is_integer()):
+                # an integer is taken as it is: float() would overflow past 1e308
+                if isinstance(d, bool) or not (isinstance(d, numbers.Integral) or (
+                        isinstance(d, numbers.Real) and float(d).is_integer())):
                     raise ValueError(f"deg(L_{k}) must be an integer, got {d!r}")
             degs = tuple(int(d) for d in self.degrees)
             if len(degs) != self.n or sum(degs) != 0:
                 raise ValueError("degrees must list deg(L_1..L_n) and sum to zero")
             object.__setattr__(self, "degrees", degs)
-        n, m = self.n, self.n // 2
-        v = self.variant
+        n, v = self.n, self.variant
         if n < 2:
             raise ValueError("rank must be at least 2")
-        if v == "general_cyclic":
-            if len(self.data) != n:
-                raise ValueError(f"general_cyclic rank {n} needs {n} data entries")
-            if any(d.is_zero() for d in self.data[:-1]):
-                raise ValueError("interior arrows gamma_1..gamma_{n-1} must not vanish identically")
-        elif v == "hitchin_component":
-            if len(self.data) != 1:
-                raise ValueError("hitchin_component takes exactly one datum (q_n)")
-        elif v in ("slnr_even", "slnr_odd"):
-            if v == "slnr_even" and n % 2:
-                raise ValueError("slnr_even needs even rank")
-            if v == "slnr_odd" and (n % 2 == 0 or n < 3):
-                raise ValueError("slnr_odd needs odd rank >= 3")
-            if len(self.data) != m + 1:
-                raise ValueError(f"{v} rank {n} needs {m + 1} data entries (nu, gammas, mu)")
-            if any(d.is_zero() for d in self.data[1:]):
-                raise ValueError("gamma and mu entries must not vanish identically")
-        elif v == "sp4_gothen":
-            if n != 4:
-                raise ValueError("sp4_gothen is a rank-4 variant")
-            if len(self.data) != 2:
-                raise ValueError("sp4_gothen takes (mu, nu)")
-            if self.data[0].is_zero():
-                raise ValueError("mu must not vanish identically")
+        if v == "slnr_even" and n % 2:
+            raise ValueError("slnr_even needs even rank")
+        if v == "slnr_odd" and n % 2 == 0:
+            raise ValueError("slnr_odd needs odd rank >= 3")
+        if v == "sp4_gothen" and n != 4:
+            raise ValueError("sp4_gothen is a rank-4 variant")
+        size = {"general_cyclic": n, "hitchin_component": 1, "slnr_even": n // 2 + 1,
+                "slnr_odd": n // 2 + 1, "sp4_gothen": 2}[v]
+        if len(self.data) != size:
+            raise ValueError(f"{v} rank {n} takes {size} data entries, got {len(self.data)}")
+        if any(d.is_zero() for d in self.cyclic_data()[:-1]):
+            raise ValueError("the arrows gamma_1..gamma_{n-1} before the corner "
+                             "must not vanish identically")
 
     # -- structure ---------------------------------------------------------
 
     @property
     def n_unknowns(self) -> int:
-        if self.variant == "general_cyclic":
-            return self.n - 1
-        return self.n // 2
+        return self.n // 2 if self.is_symmetric else self.n - 1
 
     @property
     def scale_sq(self) -> float:
@@ -145,66 +129,36 @@ class CyclicSpec:
             E[n - 1] = -1.0
         return E
 
-    def corner_datum(self) -> HolomorphicDatum:
-        """The final arrow (gamma_n, q_n, or nu), before scaling by t."""
-        if self.variant == "general_cyclic":
-            return self.data[-1]
-        if self.variant == "hitchin_component":
-            return self.data[0]
-        if self.variant == "sp4_gothen":
-            return self.data[1]
-        return self.data[0]
-
-    def middle_datum(self) -> HolomorphicDatum:
-        """The top arrow mu of the symmetric variants (1 for hitchin_component)."""
-        if self.variant == "hitchin_component":
-            return _one()
-        if self.variant == "sp4_gothen":
-            return self.data[0]
-        if self.variant in ("slnr_even", "slnr_odd"):
-            return self.data[-1]
-        raise ValueError("general_cyclic has no distinguished middle arrow")
-
-    def rung_data(self) -> tuple[HolomorphicDatum, ...]:
-        """gamma_1..gamma_{m-1} of the symmetric ladder."""
-        m = self.n // 2
-        if self.variant == "hitchin_component":
-            return tuple(_one() for _ in range(m - 1))
-        if self.variant == "sp4_gothen":
-            return (_one(),)
-        if self.variant in ("slnr_even", "slnr_odd"):
-            return self.data[1:-1]
-        raise ValueError("general_cyclic has no symmetric ladder")
-
     def cyclic_data(self) -> tuple[HolomorphicDatum, ...]:
         """All n arrows (gamma_1..gamma_n) of the equivalent cyclic bundle.
 
-        The symmetric variants unfold as (gammas, mu, mirrored gammas, nu),
-        with mu repeated once more for odd rank.  The scale t is *not*
-        applied here.
+        The symmetric variants unfold as (rungs, mu, mu again for odd rank,
+        mirrored rungs, nu).  The scale t is *not* applied here.
         """
         if self.variant == "general_cyclic":
             return self.data
-        m = self.n // 2
-        rungs = self.rung_data()
-        mu = self.middle_datum()
-        nu = self.corner_datum()
-        if self.n % 2 == 0:
-            return (*rungs, mu, *reversed(rungs), nu)
-        return (*rungs, mu, mu, *reversed(rungs), nu)
+        one = HolomorphicDatum.constant(1.0)
+        if self.variant == "hitchin_component":
+            (nu,), mu, rungs = self.data, one, (one,) * (self.n // 2 - 1)
+        elif self.variant == "sp4_gothen":
+            (mu, nu), rungs = self.data, (one,)
+        else:
+            nu, *rungs, mu = self.data
+        return (*rungs, *(mu,) * (1 + self.n % 2), *reversed(rungs), nu)
 
     def partner_differential(self) -> HolomorphicDatum:
         """q_n of the Hitchin-section bundle in the same determinant fiber.
 
-        For even rank q_n = gamma_1^2 .. gamma_{m-1}^2 * mu * nu, for odd rank
-        the mu factor enters squared.
+        The product of all arrows, t times the corner first, then the
+        middle arrows (mu, twice for odd rank), then each rung squared.
         """
         if not self.is_symmetric:
             raise ValueError("fiber partner is defined for the symmetric variants")
-        q = self.corner_datum().scaled(self.t)
-        mu = self.middle_datum()
-        q = q * mu if self.n % 2 == 0 else q * mu * mu
-        for g in self.rung_data():
+        arrows, m = self.cyclic_data(), self.n // 2
+        q = arrows[-1].scaled(self.t)
+        for a in arrows[m - 1:self.n - m]:
+            q = q * a
+        for g in arrows[:m - 1]:
             q = q * g * g
         return q
 
@@ -519,5 +473,5 @@ def stability_check(degrees: Sequence[int], which_gamma_zero: int | None = None)
         return True
     if which_gamma_zero != len(degs):
         raise ValueError("only the final arrow may vanish for a cyclic bundle")
-    partial = np.cumsum(degs[::-1])[: len(degs) - 1]
-    return bool(np.all(partial < 0))
+    # partial sums in Python ints: np.cumsum wraps past 2**63
+    return all(p < 0 for p in itertools.accumulate(degs[:0:-1]))

@@ -177,6 +177,19 @@ def test_verify_sp4_rejects_wrong_variant(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("solver", [{}, {"max_newton_iters": 1}],
+                         ids=["converging", "unconverged"])
+def test_verify_nu_bounds_refuses_wrong_variant_before_solving(tmp_path, capsys, solver):
+    spec = {"variant": "slnr_even", "n": 4,
+            "data": [{"kind": "constant", "coefficient": 1.0}] * 3}
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": spec, "solver": solver})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hitchin_component" in err
+    assert not (out / "verdict.json").exists()
+
+
 def test_verify_sym_space_small_sample(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {"samples": 50, "ranks": [2, 3]})
     out = tmp_path / "out"
@@ -570,6 +583,23 @@ def test_sweep_degrees_must_be_integers(tmp_path, capsys):
     assert sweep([2.0, 0.0, -2.0]) == 0
 
 
+def test_sweep_degrees_beyond_the_double_range_are_exact(tmp_path, capsys):
+    big = 10**400  # float(big) overflows
+
+    def sweep(degrees):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "grid": RADIAL, "spec": dict(HITCHIN3, degrees=degrees), "t_list": [0.0, 1.0]})
+        return main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    assert sweep([big, 0, 1 - big]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sum to zero" in err
+    assert sweep([-big, 0, big]) == 1
+    assert "unstable" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.json").exists()
+    assert sweep([big, 0, -big]) == 0
+
+
 @pytest.mark.parametrize("degrees, message", [
     (5, "'degrees' must be a list, got 5"),
     ({"L_1": 1}, "'degrees' must be a list"),
@@ -669,6 +699,24 @@ def test_bad_grid_kind_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "bad grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    {"kind": "torus", "resolution": [12, 12], "periods": [1e308, 1.0]},
+    {"kind": "torus", "resolution": [12, 12], "periods": [1e-200, 1.0]},
+    {"kind": "torus", "resolution": [12, 12], "periods": [float("nan"), 1.0]},
+    {"kind": "torus", "resolution": [12, 12], "periods": [float("inf"), 1.0]},
+    dict(RADIAL, radius=1e-200),
+    {"kind": "disc2d", "resolution": 9, "radius": 1e-200},
+], ids=["period-1e308", "period-1e-200", "period-nan", "period-inf", "radial-1e-200",
+        "disc2d-1e-200"])
+def test_chart_without_finite_stencil_weights_is_usage_error(tmp_path, capsys, grid):
+    # a spacing whose 1/h^2 overflows or underflows, or a non-finite period
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": grid, "spec": HITCHIN3})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad grid: ")
+    assert not (out / "report.json").exists()
 
 
 def test_bad_datum_kind_is_usage_error(tmp_path, capsys):

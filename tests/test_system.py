@@ -91,6 +91,14 @@ def test_spec_degrees_must_be_integers():
     assert s.degrees == (2, 0, -2) and all(type(d) is int for d in s.degrees)
 
 
+def test_spec_degrees_are_exact_integers_beyond_the_double_range():
+    big = 10**400  # float(big) overflows
+    s = make_spec("hitchin_component", 3, (one,), degrees=(big, 0, -big))
+    assert s.degrees == (big, 0, -big)
+    with pytest.raises(ValueError, match="sum to zero"):
+        make_spec("hitchin_component", 3, (one,), degrees=(big, 0, 1 - big))
+
+
 def test_unknown_counts_by_variant():
     assert make_spec("general_cyclic", 5, (one,) * 5).n_unknowns == 4
     assert make_spec("hitchin_component", 5, (one,)).n_unknowns == 2
@@ -122,6 +130,52 @@ def test_partner_differential_accumulates_all_arrows():
     np.testing.assert_allclose(q.value(z), expect, rtol=1e-14)
     with pytest.raises(ValueError):
         make_spec("general_cyclic", 3, (one, one, one)).partner_differential()
+
+
+_RANKS = {"general_cyclic": [2, 3, 4, 5, 6], "hitchin_component": [2, 3, 4, 5, 6],
+          "slnr_even": [2, 4, 6], "slnr_odd": [3, 5, 7], "sp4_gothen": [4]}
+_DATA_LENGTH = {"general_cyclic": lambda n: n, "hitchin_component": lambda n: 1,
+                "slnr_even": lambda n: n // 2 + 1, "slnr_odd": lambda n: n // 2 + 1,
+                "sp4_gothen": lambda n: 2}
+
+
+@st.composite
+def _unfolding_case(draw):
+    """A variant, a valid rank, one-term data (some possibly zero) and t."""
+    variant = draw(st.sampled_from(sorted(_RANKS)))
+    n = draw(st.sampled_from(_RANKS[variant]))
+    data = []
+    for _ in range(_DATA_LENGTH[variant](n)):
+        c = draw(st.sampled_from([0.0, 1.0, 0.5 - 2j, -1.5 + 0.25j]))
+        data.append(HolomorphicDatum.monomial(c, draw(st.integers(0, 3))))
+    t = complex(draw(st.sampled_from([0.0, 1.0, 2.5, -0.5 + 1j])))
+    return variant, n, tuple(data), t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_unfolding_case())
+def test_unfolding_gives_n_arrows_whose_product_is_the_partner(case):
+    variant, n, data, t = case
+    # stand a distinct nonzero marker in for each zero datum: the spec is
+    # refused exactly when a marker unfolds to an arrow before the corner
+    markers = {i: HolomorphicDatum.constant(100.0 + i) for i, d in enumerate(data)
+               if d.is_zero()}
+    marked = tuple(markers.get(i, d) for i, d in enumerate(data))
+    arrows = make_spec(variant, n, marked, t=t).cyclic_data()
+    if any(a in markers.values() for a in arrows[:-1]):
+        with pytest.raises(ValueError, match="must not vanish identically"):
+            make_spec(variant, n, data, t=t)
+        return
+    spec = make_spec(variant, n, data, t=t)
+    arrows = spec.cyclic_data()
+    assert len(arrows) == n
+    if not spec.is_symmetric:
+        return
+    assert arrows[:-1] == arrows[-2::-1]
+    z = np.array([0.0, 0.3 + 0.2j, -0.55 + 0.1j, 0.7j])
+    np.testing.assert_allclose(spec.partner_differential().value(z),
+                               t * np.prod([a.value(z) for a in arrows], axis=0),
+                               rtol=1e-13, atol=0.0)
 
 
 # -- reference state and layout expansion ----------------------------------
@@ -690,3 +744,12 @@ def test_stability_check_cases():
         stability_check((1, 0, -1), which_gamma_zero=2)
     with pytest.raises(ValueError):
         stability_check((1, 1, 1))
+
+
+def test_stability_partial_sums_do_not_wrap_past_int64():
+    # every partial sum from the top is negative (-2**62, -2**63 - 1,
+    # -2**62 - 1), though the second one is below the int64 range
+    assert stability_check((2**62 + 1, 2**62, -2**62 - 1, -2**62), which_gamma_zero=4) is True
+    assert stability_check((2**62, 2**62 + 1, -2**62, -2**62 - 1), which_gamma_zero=4) is True
+    # partial sums -2**62 - 1, -1, 2**62: the last one destabilises
+    assert stability_check((-2**62, 2**62 + 1, 2**62, -2**62 - 1), which_gamma_zero=4) is False
