@@ -200,7 +200,7 @@ SYM_GROUPS = ("sl_real", "sl_complex", "sp_real")
 # planes drawn and evaluated at once by verify_sym_space: enough to amortise
 # numpy's per-call cost, few enough that a block's temporaries stay well
 # below the memory the other verify suites already take (one block of all
-# 10000 default samples raises peak RSS by about 45 MB, 2000 by about 7 MB)
+# 10000 default samples raises peak RSS by about 48 MB, 2000 by about 11 MB)
 SYM_BLOCK = 256
 SYM_TOL = 1e-10             # slack on the pinching [-1/n, 0] of sampled planes
 SYM_EXTREMAL_TOL = 1e-12    # largest deviation of the distinguished planes from -1/n
@@ -210,22 +210,12 @@ PATTERN_CASES = 100         # closure-oracle checks in verify_max_principle
 def _sectional_curvatures(Y: np.ndarray, Z: np.ndarray):
     """Curvatures of stacked planes and the mask of degenerate ones.
 
-    Y, Z have shape (..., n, n).  Raises ValueError if any matrix is not a
-    square trace-free Hermitian matrix; a degenerate plane is not an error
-    here but is flagged, and its curvature is meaningless.
+    Y, Z: unchecked trace-free Hermitian (..., n, n) stacks of one dtype, float64
+    or complex128, with a contiguous last axis.  A flagged plane's k is meaningless.
     """
-    Y = np.asarray(Y)
-    Z = np.asarray(Z)
-    if Y.ndim < 2 or Y.shape[-1] != Y.shape[-2] or Z.shape != Y.shape:
-        raise ValueError("tangent vectors must be square matrices of equal size")
     n = Y.shape[-1]
-    for M in (Y, Z):
-        scale = 1e-10 * (1 + np.abs(M).max(axis=(-2, -1)))
-        if (np.abs(np.trace(M, axis1=-2, axis2=-1)) > scale).any():
-            raise ValueError("tangent vectors must be trace-free")
-        if (np.abs(M - M.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > scale).any():
-            raise ValueError("tangent vectors must be Hermitian/symmetric")
-    B = lambda X, W: 2.0 * n * np.trace(X @ W, axis1=-2, axis2=-1).real
+    # for Hermitian X, W, tr(XW) is the dot product of their real coordinates
+    B = lambda X, W: 2.0 * n * np.einsum("...ij,...ij->...", X.view(float), W.view(float))
     with np.errstate(divide="ignore", invalid="ignore"):    # degenerate planes
         # orthogonalise the plane first: evaluating the Gram determinant
         # directly cancels catastrophically for nearly parallel draws, while
@@ -235,10 +225,16 @@ def _sectional_curvatures(Y: np.ndarray, Z: np.ndarray):
         bz = B(Zp, Zp)
         # negated so that the NaN a zero Y leaves in bz is flagged as well
         degenerate = ~(bz > 1e-12 * np.maximum(B(Z, Z), 1e-300))
-        comm = Y @ Zp - Zp @ Y
-        # comm is anti-Hermitian, so B(comm, comm) = -2n ||comm||_F^2; writing
-        # it as a negated norm keeps the numerator exactly nonpositive
-        num = -2.0 * n * (np.abs(comm) ** 2).sum(axis=(-2, -1))
+        # [Y, Zp] = P - P^H for P = Y Zp: antisymmetric real, symmetric imaginary part
+        if Y.dtype.kind == "c":
+            yr, yi, zr, zi = Y.real, Y.imag, Zp.real, Zp.imag
+            re, im = yr @ zr - yi @ zi, yr @ zi + yi @ zr
+            comm = (re - re.swapaxes(-2, -1), im + im.swapaxes(-2, -1))
+        else:
+            P = Y @ Zp
+            comm = (P - P.swapaxes(-2, -1),)
+        # B([Y,Zp], [Y,Zp]) = -2n ||[Y,Zp]||_F^2: a negated sum of squares, so num <= 0
+        num = -sum(B(c, c) for c in comm)
         return num / (by * bz), degenerate
 
 
@@ -252,9 +248,21 @@ def symmetric_space_curvature(Y: np.ndarray, Z: np.ndarray):
         K = B([Y, Z], [Y, Z]) / (B(Y,Y) B(Z,Z) - B(Y,Z)^2).
 
     The commutator is anti-Hermitian so the numerator is <= 0, and the
-    value lies in [-1/n, 0].  A single pair gives a float, a stack an array
-    of its leading shape; any degenerate plane refuses the whole call.
+    value lies in [-1/n, 0].  In real arithmetic, B(X, W) = 2n sum_ij (Re X_ij
+    Re W_ij + Im X_ij Im W_ij), and [Y, Z] = P - P^H with P = Y Z once Z is
+    B-orthogonal to Y.  A single pair gives a float, a stack an array of its
+    leading shape; any degenerate plane refuses the whole call.
     """
+    dtype = complex if np.iscomplexobj(Y) or np.iscomplexobj(Z) else float
+    Y, Z = (np.ascontiguousarray(M, dtype) for M in (Y, Z))
+    if Y.ndim < 2 or Y.shape[-1] != Y.shape[-2] or Z.shape != Y.shape:
+        raise ValueError("tangent vectors must be square matrices of equal size")
+    for M in (Y, Z):
+        scale = 1e-10 * (1 + np.abs(M).max(axis=(-2, -1)))
+        if (np.abs(np.trace(M, axis1=-2, axis2=-1)) > scale).any():
+            raise ValueError("tangent vectors must be trace-free")
+        if (np.abs(M - M.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > scale).any():
+            raise ValueError("tangent vectors must be Hermitian/symmetric")
     k, degenerate = _sectional_curvatures(Y, Z)
     if degenerate.any():
         raise ValueError("tangent vectors do not span a nondegenerate plane")
@@ -556,6 +564,8 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
 
     -1/(n (n-1)^2) - CURVATURE_SLACK <= K < 0 on the defined verdict region.
     """
+    if spec.variant != "hitchin_component":
+        raise ValueError("the curvature bounds are proved for hitchin_component states")
     region = grid.verdict_region(margin_cells)
     rep = solve(make_system(spec, grid), config=config)
     if not rep.converged:

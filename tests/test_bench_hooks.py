@@ -8,6 +8,7 @@ loaded read-only: no bytecode is written next to them.
 """
 
 import importlib.util
+import inspect
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -118,6 +119,9 @@ def test_traced_sym_space_counts_its_sampled_planes(tracing):
     with tracing.Tracer() as tracer:
         assert analysis.verify_sym_space(20, 0, (2, 3))["passed"]
     assert tracer.counters["analysis.sym_planes"] == 20 * 5
+    # the suites workload passes these arguments by position; the counter reads samples by name
+    bound = inspect.signature(analysis.verify_sym_space).bind(10000, 0, (2, 3, 4, 5, 6))
+    assert bound.arguments["samples"] == 10000
 
 
 def test_radial_study_names_its_battery_by_datum_kind_and_degree(workloads):

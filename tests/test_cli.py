@@ -438,6 +438,24 @@ def test_failed_solve_is_inconclusive(tmp_path, capsys, theorem, spec, keys):
         assert report["iterations"] == 1
 
 
+def _const(c):
+    return {"kind": "constant", "coefficient": c}
+
+
+@pytest.mark.parametrize("spec", [
+    {"variant": "slnr_even", "n": 4, "data": [_MONO1, _const(3.0), _const(0.2)]},
+    {"variant": "general_cyclic", "n": 3, "data": [_const(1.0), _const(2.0), _MONO1]},
+], ids=["slnr_even", "general_cyclic"])
+def test_verify_curvature_refuses_wrong_variant_before_solving(tmp_path, capsys, spec):
+    # both solve, and read k_min below the Hitchin-section bound on radial 128
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": spec})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--theorem", "curvature", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hitchin_component" in err
+    assert not (out / "verdict.json").exists()
+
+
 def test_sweep_and_monotonicity_agree_on_the_family(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "grid": RADIAL, "spec": dict(HITCHIN3, data=[_MONO1]), "t_list": [0.0, 0.5, 1.0, 2.0]})
