@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._parallel import imap_in_order
 from .geometry import Grid, HolomorphicDatum, zero_set
 from .solver import SolverConfig, continuation_solve, solve
 from .system import (
@@ -693,7 +694,11 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
     Needs ``samples >= 1`` and a nonempty list of ranks >= 2 (a rank-1
     tangent vector is zero).  A degenerate sampled plane refuses the whole
     suite with a ValueError naming the group, the rank and the 0-based
-    sample index within that group and rank.
+    sample index within that group and rank.  Each (group, rank) pair draws
+    from its own stream, so the pairs are sampled concurrently on the
+    process's CPUs; the report lists them in group-major order, and a
+    refusal names the first failing pair in that order, as a serial loop
+    would.
     """
     if samples < 1:
         raise ValueError(f"sym-space samples must be >= 1, got {samples}")
@@ -701,35 +706,38 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
         raise ValueError("sym-space ranks must be a nonempty list")
     if min(ns) < 2:
         raise ValueError(f"sym-space ranks must be >= 2, got {min(ns)}")
+    pairs = [(group, n) for group in SYM_GROUPS for n in ns
+             if not (group == "sp_real" and n % 2)]
+
+    def sampled_range(pair):
+        group, n = pair
+        rng = np.random.default_rng([seed, SYM_GROUPS.index(group), n])
+        kmin, kmax = np.inf, -np.inf
+        for start in range(0, samples, SYM_BLOCK):
+            Y, Z = random_tangent_planes(group, n, rng, min(SYM_BLOCK, samples - start))
+            k, degenerate = _sectional_curvatures(Y, Z)
+            if degenerate.any():
+                raise ValueError(
+                    f"{group} n={n} sample {start + int(np.argmax(degenerate))}: "
+                    "tangent vectors do not span a nondegenerate plane")
+            kmin, kmax = min(kmin, float(k.min())), max(kmax, float(k.max()))
+        return group, n, kmin, kmax
+
     out = {"samples": samples, "seed": seed, "groups": [], "passed": True}
-    for group in SYM_GROUPS:
-        for n in ns:
-            if group == "sp_real" and n % 2:
-                continue
-            rng = np.random.default_rng([seed, SYM_GROUPS.index(group), n])
-            kmin, kmax = np.inf, -np.inf
-            for start in range(0, samples, SYM_BLOCK):
-                Y, Z = random_tangent_planes(group, n, rng,
-                                             min(SYM_BLOCK, samples - start))
-                k, degenerate = _sectional_curvatures(Y, Z)
-                if degenerate.any():
-                    raise ValueError(
-                        f"{group} n={n} sample {start + int(np.argmax(degenerate))}: "
-                        "tangent vectors do not span a nondegenerate plane")
-                kmin, kmax = min(kmin, float(k.min())), max(kmax, float(k.max()))
-            in_range = kmin >= -1.0 / n - SYM_TOL and kmax <= SYM_TOL
-            if group == "sp_real":
-                planes = [extremal_plane(group, n, i) for i in range(n // 2)]
-            else:
-                planes = [extremal_plane(group, n, i, j)
-                          for i in range(n) for j in range(i + 1, n)]
-            Y, Z = map(np.stack, zip(*planes))
-            ext_dev = float(np.abs(symmetric_space_curvature(Y, Z) + 1.0 / n).max())
-            ok = bool(in_range and ext_dev <= SYM_EXTREMAL_TOL)
-            out["groups"].append({"group": group, "n": n, "k_min": kmin,
-                                  "k_max": kmax, "extremal_deviation": ext_dev,
-                                  "passed": ok})
-            out["passed"] = out["passed"] and ok
+    for group, n, kmin, kmax in imap_in_order(sampled_range, pairs):
+        in_range = kmin >= -1.0 / n - SYM_TOL and kmax <= SYM_TOL
+        if group == "sp_real":
+            planes = [extremal_plane(group, n, i) for i in range(n // 2)]
+        else:
+            planes = [extremal_plane(group, n, i, j)
+                      for i in range(n) for j in range(i + 1, n)]
+        Y, Z = map(np.stack, zip(*planes))
+        ext_dev = float(np.abs(symmetric_space_curvature(Y, Z) + 1.0 / n).max())
+        ok = bool(in_range and ext_dev <= SYM_EXTREMAL_TOL)
+        out["groups"].append({"group": group, "n": n, "k_min": kmin,
+                              "k_max": kmax, "extremal_deviation": ext_dev,
+                              "passed": ok})
+        out["passed"] = out["passed"] and ok
     return out
 
 

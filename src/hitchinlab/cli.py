@@ -409,6 +409,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else _int_from(cfg.get("seed", 0), "seed")
+        if seed < 0:
+            raise UsageError(f"'seed' must be a nonnegative integer, got {seed}")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

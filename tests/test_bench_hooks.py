@@ -9,6 +9,7 @@ loaded read-only: no bytecode is written next to them.
 
 import importlib.util
 import inspect
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -122,6 +123,21 @@ def test_traced_sym_space_counts_its_sampled_planes(tracing):
     # the suites workload passes these arguments by position; the counter reads samples by name
     bound = inspect.signature(analysis.verify_sym_space).bind(10000, 0, (2, 3, 4, 5, 6))
     assert bound.arguments["samples"] == 10000
+
+
+def test_traced_max_principle_sees_the_solves_made_on_worker_threads(tracing, monkeypatch):
+    # the certified solves run on a thread pool and look their function up
+    # on the module at call time, so the tracer's wrapper sees each one: 200
+    # suite solves and 3 refused negative controls, each suite solve
+    # factored under the maxprin layer; three workers make a pool on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with tracing.Tracer() as tracer:
+        assert analysis.verify_max_principle(200, 0)["passed"]
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counters, tracer.hook_s, 1.0)
+    assert metrics["maxprin.coop_solves"] == 203
+    assert metrics["maxprin.refusals"] == 3
+    assert Counter(s.name for s in tracer.spans if s.name.endswith(".factor")) == {
+        "maxprin.factor": 200}
 
 
 def test_radial_study_names_its_battery_by_datum_kind_and_degree(workloads):

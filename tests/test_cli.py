@@ -246,6 +246,24 @@ def test_fractional_integer_field_is_usage_error(tmp_path, capsys, key, theorem,
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("theorem,payload", [
+    ("max-principle", {"count": 2}),
+    ("sym-space-curvature", {"samples": 5, "ranks": [2]}),
+    ("nu-bounds", {"grid": RADIAL, "spec": HITCHIN3}),
+])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, theorem, payload, source):
+    # the randomized suites once died in numpy's "expected non-negative
+    # integer", naming no field, and nu-bounds wrote "seed": -1
+    cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=-1) if source == "config" else payload)
+    out = tmp_path / "out"
+    argv = ["verify", "--config", cfg, "--theorem", theorem, "--out", str(out)]
+    rc = main(argv + (["--seed", "-1"] if source == "flag" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: 'seed' must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ranks", [5, "23", {"2": 3}])
 def test_sym_space_ranks_that_are_no_list_are_usage_error(tmp_path, capsys, ranks):
     # 5 once died in a TypeError traceback, and "23" ran ranks 2 and 3

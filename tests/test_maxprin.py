@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from hitchinlab import analysis
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.maxprin import (
     POLE_VALUE,
@@ -283,6 +284,14 @@ def test_suite_without_solves_is_refused(count):
     # "passed" with worst_relative_min = inf
     with pytest.raises(ValueError, match="count must be >= 1"):
         randomized_positivity_suite(count, seed=0, grids=[radial(24)])
+
+
+def test_suite_without_grids_is_refused():
+    # case k draws on grids[k % len(grids)]: an empty list once died in a
+    # ZeroDivisionError, here and in verify_max_principle
+    for run in (randomized_positivity_suite, analysis.verify_max_principle):
+        with pytest.raises(ValueError, match="needs at least one grid"):
+            run(1, 0, [])
 
 
 def test_phi_against_quadrature():
