@@ -6,9 +6,11 @@ the extrinsic curvature of the image surface, the dedicated rank-4
 curvature formula, and sectional curvatures of the ambient symmetric
 space.  On top of those sit ``verify_*`` runners that orchestrate solves
 and produce machine-checkable verdicts with explicit margins; the CLI and
-the acceptance suite both call these.  ``scale_family`` solves a t-family
-(stability gate, continuation, per-member metric) for both
-``verify_monotonicity`` and the CLI's ``sweep``.
+the acceptance suite both call these.  The verdicts are plain dicts, and so
+is each strict comparison that ``compare_states`` returns; the report
+classes hold only the fields a verdict or a caller reads.  ``scale_family``
+solves a t-family (stability gate, continuation, per-member metric) for
+both ``verify_monotonicity`` and the CLI's ``sweep``.
 
 Pairwise comparisons measure their margins on the log scale, field by
 field, and call a margin resolved when it exceeds
@@ -72,21 +74,8 @@ def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
 class MetricReport:
     """Pullback metric g = 2n * sum_k arrow_k (coefficient of dz dzbar)."""
 
-    spec: CyclicSpec
-    grid: Grid
     density: np.ndarray          # (N,) metric coefficient
-    arrows: np.ndarray           # (N, n) individual arrow terms
     morse_energy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.spec.variant,
-            "n": self.spec.n,
-            "t": [self.spec.t.real, self.spec.t.imag],
-            "density_min": float(self.density.min()),
-            "density_max": float(self.density.max()),
-            "morse_energy": self.morse_energy,
-        }
 
 
 def pullback_metric(spec: CyclicSpec, state: LogMetricState) -> MetricReport:
@@ -98,7 +87,7 @@ def pullback_metric(spec: CyclicSpec, state: LogMetricState) -> MetricReport:
     a = arrow_terms(spec, state)
     density = 2.0 * spec.n * a.sum(axis=1)
     energy = float((a.sum(axis=1) * 2.0 * state.grid.area_weights()).sum())
-    return MetricReport(spec, state.grid, density, a, energy)
+    return MetricReport(density, energy)
 
 
 # -- interior ratio invariants ---------------------------------------------
@@ -108,7 +97,6 @@ def pullback_metric(spec: CyclicSpec, state: LogMetricState) -> MetricReport:
 class NuRatioReport:
     values: np.ndarray           # (m, N) ratio fields
     reference: list[Fraction]    # exact uniformising values, per k
-    n: int
 
 
 def nu_ratios(spec: CyclicSpec, state: LogMetricState) -> NuRatioReport:
@@ -129,7 +117,7 @@ def nu_ratios(spec: CyclicSpec, state: LogMetricState) -> NuRatioReport:
     for k in range(2, m + 1):
         vals[k - 1] = a[:, k - 2] / a[:, k - 1]
     ref = [Fraction(0)] + [Fraction((k - 1) * (n + 1 - k), k * (n - k)) for k in range(2, m + 1)]
-    return NuRatioReport(vals, ref, n)
+    return NuRatioReport(vals, ref)
 
 
 # -- extrinsic curvature ---------------------------------------------------
@@ -139,7 +127,6 @@ def nu_ratios(spec: CyclicSpec, state: LogMetricState) -> NuRatioReport:
 class CurvatureReport:
     k_sigma: np.ndarray          # (N,), NaN where undefined
     defined_mask: np.ndarray     # (N,) bool: image surface defined (phi != 0)
-    n: int
 
     def interior_range(self, region: np.ndarray) -> tuple[float, float]:
         sel = region & self.defined_mask
@@ -164,11 +151,11 @@ def extrinsic_curvature(spec: CyclicSpec, state: LogMetricState) -> CurvatureRep
     k_sigma = np.full(state.grid.n_nodes, np.nan)
     if spec.n == 2:
         k_sigma[defined] = -0.5
-        return CurvatureReport(k_sigma, defined, spec.n)
+        return CurvatureReport(k_sigma, defined)
     diff = a - np.roll(a, -1, axis=1)
     num = (diff**2).sum(axis=1)
     k_sigma[defined] = -num[defined] / (2.0 * spec.n * total[defined] ** 2)
-    return CurvatureReport(k_sigma, defined, spec.n)
+    return CurvatureReport(k_sigma, defined)
 
 
 @dataclass
@@ -324,44 +311,14 @@ def extremal_plane(group: str, n: int, i: int = 0, j: int = 1):
 # -- pairwise comparisons --------------------------------------------------
 
 
-@dataclass
-class DominationReport:
-    """Outcome of a strict pointwise comparison on a verdict region.
-
-    ``margins`` holds the per-field minimum log-scale margins; the verdict
-    is true only when every margin exceeds its per-field threshold.  In a
-    two-solve comparison the shared discretization bias cancels up to a
-    term proportional to the difference field itself, so the resolvable
-    threshold is max(10 * tol, C * h^2 * max|field|) rather than an
-    absolute C * h^2.
-    """
-
-    quantity: str
-    verdict: bool
-    margins: list[float]
-    thresholds: list[float]
-    region_nodes: int
-    notes: str = ""
-
-    @property
-    def min_margin(self) -> float:
-        return min(self.margins) if self.margins else np.nan
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "verdict": self.verdict,
-            "min_margin": self.min_margin,
-            "margins": self.margins,
-            "thresholds": self.thresholds,
-            "region_nodes": self.region_nodes,
-            "notes": self.notes,
-        }
-
-
 def _log_margin_report(quantity, lower_fields, upper_fields, masks, region, grid,
                        solver_tol, notes=""):
-    """Per-field min of log(hi) - log(lo) over each field's mask, thresholded."""
+    """The verdict dict of a strict comparison on a verdict region.
+
+    ``margins`` holds the per-field minimum of log(hi) - log(lo) over each
+    field's mask, ``min_margin`` the least of them; the verdict is true only
+    when every margin exceeds its threshold max(10 * tol, C * h^2 * max|field|).
+    """
     margins, thresholds = [], []
     floor = 10.0 * solver_tol
     for lo, hi, mask in zip(lower_fields, upper_fields, masks):
@@ -370,9 +327,10 @@ def _log_margin_report(quantity, lower_fields, upper_fields, masks, region, grid
         margins.append(float(np.min(m)))
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         thresholds.append(max(floor, MARGIN_COEFF_PAIRED * grid.spacing**2 * scale))
-    verdict = bool(all(m > t for m, t in zip(margins, thresholds)))
-    return DominationReport(quantity, verdict, margins, thresholds,
-                            int(region.sum()), notes)
+    return {"quantity": quantity,
+            "verdict": bool(all(m > t for m, t in zip(margins, thresholds))),
+            "min_margin": min(margins), "margins": margins, "thresholds": thresholds,
+            "region_nodes": int(region.sum()), "notes": notes}
 
 
 def compare_states(
@@ -381,7 +339,7 @@ def compare_states(
     quantity: str = "pullback_metric",
     margin_cells: int = 5,
     solver_tol: float = 1e-10,
-) -> DominationReport:
+) -> dict:
     """Strict domination check: does the b-state dominate the a-state?
 
     ``quantity`` selects pullback metric density, consecutive metric
@@ -463,7 +421,7 @@ def scale_family(spec: CyclicSpec, grid: Grid, t_values,
     """
     t_values = [float(t) for t in t_values]
     if (spec.degrees is not None and 0.0 in t_values
-            and not stability_check(spec.degrees, which_gamma_zero=spec.n)):
+            and not stability_check(spec.degrees)):
         raise ValueError(f"refused — the t=0 member is unstable for degrees {spec.degrees}: every "
                          "partial sum of the degrees from the top of the grading must be negative")
     scaled = {t: replace(spec, t=complex(t)) for t in t_values}
@@ -482,8 +440,14 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     the pullback metric on the verdict region, strict increase of the
     integrated energy, and assembles the cooperative difference system for
     each pair (conditions (a)-(c) plus positivity of the log-ratios), which
-    re-derives the comparison by the maximum-principle route.
+    re-derives the comparison by the maximum-principle route.  A ``t_values``
+    list that is not strictly increasing with at least two members would
+    compare nothing, or a member with itself, and is refused before any solve.
     """
+    t_values = [float(t) for t in t_values]
+    if len(t_values) < 2 or any(b <= a for a, b in zip(t_values, t_values[1:])):
+        raise ValueError("monotonicity needs a strictly increasing 't_list' of at least "
+                         f"2 values, got {t_values}")
     config = config or SolverConfig()
     region = grid.verdict_region(margin_cells)
     family = scale_family(spec, grid, t_values, config)
@@ -508,14 +472,14 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
         v_min = float(ds.v[:, region].min())
         pair = {
             "t_low": sb.t.real, "t_high": sa.t.real,
-            "ratios": ratios.to_json_dict(),
-            "pullback": metric.to_json_dict(),
+            "ratios": ratios,
+            "pullback": metric,
             "difference_conditions": cond.to_json_dict(),
             "difference_mode": ds.mode,
             "v_min_verdict_region": v_min,
             "difference_defect": ds.residual_inf,
         }
-        ok = ok and ratios.verdict and metric.verdict and cond.passed and v_min > 0
+        ok = ok and ratios["verdict"] and metric["verdict"] and cond.passed and v_min > 0
         results["pairs"].append(pair)
     energy_ok = all(b > a for a, b in zip(energies, energies[1:]))
     results["morse_energy_increasing"] = energy_ok
@@ -614,14 +578,14 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     if spec.n <= 4:
         metric = compare_states(spec, rep_a.state, partner, rep_b.state,
                                 "pullback_metric", margin_cells, config.tol_residual)
-        out["metric"] = metric.to_json_dict()
-        out["passed"] = out["passed"] and metric.verdict
+        out["metric"] = metric
+        out["passed"] = out["passed"] and metric["verdict"]
     else:
         out["metric"] = None
     comp = compare_states(spec, rep_a.state, partner, rep_b.state,
                           "harmonic_components", margin_cells, config.tol_residual)
-    out["components"] = comp.to_json_dict()
-    out["passed"] = bool(out["passed"] and comp.verdict)
+    out["components"] = comp
+    out["passed"] = bool(out["passed"] and comp["verdict"])
     if _same_system(spec, partner, grid):
         out["degenerate"] = ("the two sides assemble identical systems; the "
                              "comparison reduces to a self-comparison and the "

@@ -369,7 +369,7 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
             cmpres = analysis.compare_states(sa, ra.state, sb, rb.state,
                                              "ratio_fields", mc, sc.tol_residual)
             ratio_margins.append({"t_low": sa.t.real, "t_high": sb.t.real,
-                                  "min_margin": cmpres.min_margin})
+                                  "min_margin": cmpres["min_margin"]})
     verdict = {"passed": bool(all_converged and monotone),
                "all_converged": all_converged,
                "morse_energy_increasing": monotone,

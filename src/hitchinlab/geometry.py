@@ -472,10 +472,6 @@ def eval_norm_squared(datum: HolomorphicDatum, grid: Grid) -> np.ndarray:
     return nsq
 
 
-def zero_set(datum: HolomorphicDatum, grid: Grid, tol: float = 0.0) -> np.ndarray:
-    """Node indices where |datum|^2 <= tol * max |datum|^2 (default: exact zeros)."""
-    nsq = eval_norm_squared(datum, grid)
-    scale = nsq.max()
-    if scale == 0.0:
-        return np.arange(grid.n_nodes)
-    return np.nonzero(nsq <= tol * scale)[0]
+def zero_set(datum: HolomorphicDatum, grid: Grid) -> np.ndarray:
+    """Node indices where |datum|^2 is exactly zero (every node for the zero datum)."""
+    return np.flatnonzero(eval_norm_squared(datum, grid) == 0.0)

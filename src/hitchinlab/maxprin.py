@@ -337,7 +337,6 @@ class DifferenceSystem:
     system: CooperativeSystem
     v: np.ndarray                 # (n_v, n_nodes) log-ratio fields
     mode: str                     # "cyclic" or "vanishing_corner"
-    scale_ratio_log: float        # 2 log(t_a / t_b), inf when t_b = 0
     residual_inf: float           # worst interior defect of L v + C v - f
 
 
@@ -422,9 +421,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     defect += np.einsum("kjN,jN->kN", C, v) - f
     interior = grid.interior_mask
     residual_inf = float(np.abs(defect[:, interior]).max()) if interior.any() else 0.0
-
-    ratio = 2.0 * (np.log(ta) - np.log(tb)) if tb > 0 else np.inf
-    return DifferenceSystem(sys_, v, mode, ratio, residual_inf)
+    return DifferenceSystem(sys_, v, mode, residual_inf)
 
 
 # -- randomized positivity suite -------------------------------------------

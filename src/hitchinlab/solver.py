@@ -266,7 +266,7 @@ def solve(
     def report(converged: bool, iterations: int, message: str) -> SolveReport:
         counters = {k: v - counts0[k] for k, v in lu.counts().items()}
         counters.update(residual_evals=residual_evals, backtracks=backtracks)
-        return SolveReport(LogMetricState(system.grid, u, rnorm), converged, iterations,
+        return SolveReport(LogMetricState(system.grid, u), converged, iterations,
                            norms, steps, message, time.perf_counter() - t0, counters)
 
     r = system.residual_array(u)

@@ -180,7 +180,6 @@ class LogMetricState:
 
     grid: Grid
     u: np.ndarray
-    residual_norm: float = np.inf
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -192,7 +191,7 @@ class LogMetricState:
         return self.u.shape[1]
 
     def copy(self) -> "LogMetricState":
-        return LogMetricState(self.grid, self.u.copy(), self.residual_norm)
+        return LogMetricState(self.grid, self.u.copy())
 
 
 # -- Fuchsian reference state ---------------------------------------------
@@ -272,13 +271,7 @@ class HitchinSystem:
         self.m = spec.n_unknowns
         self.coeff_sq = coeff_sq  # (N, n) squared arrow coefficients, t^2 in last column
         self.free = grid.interior_mask  # every node of the torus
-        if grid.kind == "torus":
-            self.boundary_values = None
-        else:
-            bv = np.zeros((grid.n_nodes, self.m)) if boundary_values is None else boundary_values
-            if bv.shape != (grid.n_nodes, self.m):
-                raise ValueError("boundary value array has wrong shape")
-            self.boundary_values = bv
+        self.boundary_values = boundary_values  # (N, m) on a disc, None on the torus
         self._fuchsian = fuchsian  # uniformising log-metrics, computed on first need
         self._embedding = E = spec.embedding
         self.gram = E.T @ E
@@ -458,20 +451,16 @@ def gauge_log_offsets(spec: CyclicSpec, t: complex) -> np.ndarray:
 # -- stability -------------------------------------------------------------
 
 
-def stability_check(degrees: Sequence[int], which_gamma_zero: int | None = None) -> bool:
-    """Stability of the cyclic bundle from line-bundle degrees.
+def stability_check(degrees: Sequence[int]) -> bool:
+    """Stability of the cyclic bundle from line-bundle degrees when its
+    final arrow gamma_n vanishes identically.
 
-    With all arrows nonvanishing the bundle is automatically stable.  When
-    the final arrow is identically zero (``which_gamma_zero = n``), the
-    invariant subbundles L_n, L_n + L_{n-1}, ... must all have negative
-    degree: sum_{i=1}^{k} deg L_{n+1-i} < 0 for k = 1..n-1.
+    The invariant subbundles L_n, L_n + L_{n-1}, ... must then all have
+    negative degree: sum_{i=1}^{k} deg L_{n+1-i} < 0 for k = 1..n-1.  (With
+    all arrows nonvanishing the bundle is automatically stable.)
     """
     degs = [int(d) for d in degrees]
     if sum(degs) != 0:
         raise ValueError("line bundle degrees must sum to zero")
-    if which_gamma_zero is None:
-        return True
-    if which_gamma_zero != len(degs):
-        raise ValueError("only the final arrow may vanish for a cyclic bundle")
     # partial sums in Python ints: np.cumsum wraps past 2**63
     return all(p < 0 for p in itertools.accumulate(degs[:0:-1]))

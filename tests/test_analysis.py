@@ -23,6 +23,7 @@ from hitchinlab.analysis import (
     verify_curvature_bounds,
     verify_fiber_comparison,
     verify_max_principle,
+    verify_monotonicity,
     verify_sp4_bounds,
     verify_sym_space,
 )
@@ -118,9 +119,7 @@ def test_morse_energy_against_hyperbolic_area_integral():
     rep = pullback_metric(spec, st)
     exact = 2 * np.pi * R**2 / (1 - R**2)
     assert abs(rep.morse_energy - exact) / exact < 2e-3
-    np.testing.assert_allclose(rep.density, 2 * 2 * rep.arrows.sum(axis=1))
-    d = rep.to_json_dict()
-    assert d["morse_energy"] == rep.morse_energy and d["n"] == 2
+    np.testing.assert_allclose(rep.density, 2 * 2 * arrow_terms(spec, st).sum(axis=1))
 
 
 # -- rank-4 symplectic curvature -------------------------------------------
@@ -352,8 +351,8 @@ def test_compare_state_with_itself_is_false_with_zero_margins():
     assert rep.converged
     for quantity in ("pullback_metric", "ratio_fields"):
         out = compare_states(spec, rep.state, spec, rep.state, quantity)
-        assert not out.verdict
-        assert all(m == 0.0 for m in out.margins)
+        assert not out["verdict"]
+        assert all(m == 0.0 for m in out["margins"])
 
 
 def test_scale_pair_comparison_is_ordered():
@@ -365,14 +364,12 @@ def test_scale_pair_comparison_is_ordered():
     rep_hi = solve(make_system(hi, g), config=cfg)
     assert rep_lo.converged and rep_hi.converged
     fwd = compare_states(lo, rep_lo.state, hi, rep_hi.state, "ratio_fields")
-    assert fwd.verdict and fwd.min_margin > 0
-    assert "corner ratio included" in fwd.notes
+    assert fwd["verdict"] and fwd["min_margin"] > 0
+    assert "corner ratio included" in fwd["notes"]
     bwd = compare_states(hi, rep_hi.state, lo, rep_lo.state, "ratio_fields")
-    assert not bwd.verdict
+    assert not bwd["verdict"]
     met = compare_states(lo, rep_lo.state, hi, rep_hi.state, "pullback_metric")
-    assert met.verdict
-    d = met.to_json_dict()
-    assert d["verdict"] and d["min_margin"] == met.min_margin
+    assert met["verdict"] and met["min_margin"] == min(met["margins"])
 
 
 def test_compare_states_grid_mismatch_rejected():
@@ -429,6 +426,18 @@ def test_fiber_comparison_refuses_bad_margin_before_solving(monkeypatch, margin)
     spec = make_spec("slnr_even", 2, (one, HolomorphicDatum.monomial(1.0, 2)))
     with pytest.raises(ValueError, match="margin_cells"):
         verify_fiber_comparison(spec, radial(32), margin_cells=margin)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_values", [[1.0], [1.0, 1.0, 2.0], [2.0, 1.0]],
+                         ids=["one", "repeated", "descending"])
+def test_monotonicity_refuses_a_family_that_is_not_strictly_increasing(monkeypatch, t_values):
+    calls = []
+    monkeypatch.setattr(analysis, "continuation_solve",
+                        lambda *args, **kwargs: calls.append(args))
+    spec = make_spec("hitchin_component", 3, (one,))
+    with pytest.raises(ValueError, match="strictly increasing 't_list' of at least 2"):
+        verify_monotonicity(spec, radial(32), t_values)
     assert calls == []
 
 

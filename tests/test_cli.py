@@ -545,6 +545,21 @@ def test_sweep_singleton_family(tmp_path):
         assert len(list(csv.reader(fh))) == 2
 
 
+@pytest.mark.parametrize("t_list", [[1.0], [1.0, 1.0, 2.0]], ids=["one", "repeated"])
+def test_monotonicity_refuses_t_list_that_is_not_strictly_increasing(tmp_path, capsys, t_list):
+    # one member compares nothing and a repeated one compares a state with
+    # itself; either is refused with no verdict, where sweep takes a singleton
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3, "t_list": t_list})
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", "monotonicity", "--config", cfg,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: monotonicity needs a strictly increasing 't_list' "
+                            f"of at least 2 values, got {t_list}\n")
+    assert not (out / "verdict.json").exists()
+
+
 SWEEP_HEADER = ["t", "morse_energy", "g_min", "g_max", "k_min", "k_max"]
 
 

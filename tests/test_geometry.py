@@ -406,7 +406,7 @@ def test_zero_set_polynomial_on_lattice():
     # roots of z^2 - 1/4 sit at +-0.5; with an odd lattice those are nodes
     g = build_grid(GridSpec("disc2d", 33, 0.8))
     p = HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])
-    hits = zero_set(p, g, tol=1e-12)
+    hits = zero_set(p, g)
     pts = g.z()[hits]
     assert len(pts) == 2
     assert sorted(np.round(pts.real, 10)) == [-0.5, 0.5]

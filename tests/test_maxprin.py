@@ -319,8 +319,8 @@ def test_difference_system_cyclic_identities():
     spec_a, st_a, spec_b, st_b = _two_member_family()
     ds = difference_system(spec_a, st_a, spec_b, st_b)
     assert ds.mode == "cyclic"
-    np.testing.assert_allclose(ds.scale_ratio_log, 2 * np.log(2.0), rtol=1e-15)
-    assert np.abs(ds.v.sum(axis=0) - ds.scale_ratio_log).max() < 1e-12
+    # the log-ratios sum to log of the scale ratio squared: 2 log(t_a / t_b)
+    assert np.abs(ds.v.sum(axis=0) - 2 * np.log(2.0 / 1.0)).max() < 1e-12
     assert ds.residual_inf < 5e-9
     rep = check_conditions(ds.system)
     assert rep.passed
@@ -349,7 +349,8 @@ def test_difference_system_vanishing_corner_mode():
     spec_a, st_a, spec_b, st_b = _two_member_family(t_a=1.0, t_b=0.0)
     ds = difference_system(spec_a, st_a, spec_b, st_b)
     assert ds.mode == "vanishing_corner"
-    assert np.isinf(ds.scale_ratio_log)
+    # log(t_a / t_b) is infinite: the corner log-ratio drops out of v
+    assert ds.v.shape == (spec_a.n - 1, st_a.grid.n_nodes)
     # source terms are nonpositive and not identically zero
     assert ds.system.f.max() <= 0.0
     assert ds.system.f.min() < 0.0

@@ -61,7 +61,7 @@ def test_solved_state_residual_matches_report():
     rep = solve(sys)
     assert rep.converged
     r = np.abs(sys.residual_array(rep.state.u)).max()
-    np.testing.assert_allclose(r, rep.state.residual_norm, rtol=1e-12)
+    np.testing.assert_allclose(r, rep.final_residual, rtol=1e-12)
 
 
 def test_iteration_budget_reported_not_raised():

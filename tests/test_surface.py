@@ -3,8 +3,12 @@
 Every public module-level function or class and every public method in
 ``src/hitchinlab`` must be referenced from ``src/`` or ``perfbench/``: as a
 name, as an attribute, or as an identifier string, since
-``perfbench/tracing.py`` wraps functions by their name strings.  The sources
-are parsed, so a docstring that mentions a name is no reference.
+``perfbench/tracing.py`` wraps functions by their name strings.  Every public
+dataclass field and every public attribute set in an ``__init__`` must be
+read there: as an attribute, or as an identifier string.  The sources are
+parsed, so a docstring that mentions a name is no reference.  The checks go
+by name alone, so a field whose name some other object's attribute shares
+passes.
 """
 
 import ast
@@ -41,15 +45,57 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _public_fields(tree):
+    """(qualified name, name) of public dataclass fields and of public
+    attributes that an ``__init__`` sets on ``self``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                names = [item.target.id]
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                names = [sub.attr for sub in ast.walk(item)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                         and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name
+
+
+def _identifier_strings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def _reads(tree):
+    """Attribute loads and identifier strings: how a field is read."""
+    yield from _identifier_strings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def _references(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            yield node.value
+    yield from _identifier_strings(tree)
 
 
 def test_every_public_library_name_has_a_caller_outside_the_tests():
@@ -60,3 +106,11 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
                 if name not in referenced and name not in EXEMPT]
     # an exemption outlives its reason once the name gains a caller or goes
     assert set(EXEMPT) <= {name for _, name in defined} - referenced
+
+
+def test_every_public_field_is_read_outside_the_tests():
+    read = {name for path in CALLERS for name in _reads(_parse(path))}
+    fields = [(f"{path.stem}.{qualified}", name) for path in LIBRARY
+              for qualified, name in _public_fields(_parse(path))]
+    assert fields
+    assert not [qualified for qualified, name in fields if name not in read]

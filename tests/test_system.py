@@ -732,16 +732,14 @@ def test_gauge_log_offsets_values():
 
 
 def test_stability_check_cases():
-    assert stability_check((1, 0, -1)) is True  # no vanishing arrow
-    assert stability_check((0, 0), which_gamma_zero=2) is False
+    # every case has a vanishing final arrow
+    assert stability_check((0, 0)) is False
     # deg L_k of the Hitchin-section bundle (n = 3, genus 2) and of
     # N + N K^-1 + N^-1 K + N^-1 (deg N = 4, genus 3)
-    assert stability_check((2, 0, -2), which_gamma_zero=3) is True
-    assert stability_check((4, 0, 0, -4), which_gamma_zero=4) is True
+    assert stability_check((2, 0, -2)) is True
+    assert stability_check((4, 0, 0, -4)) is True
     # deg L_4 >= 0 makes the last line subbundle destabilising
-    assert stability_check((-2, 1, 1, 0), which_gamma_zero=4) is False
-    with pytest.raises(ValueError):
-        stability_check((1, 0, -1), which_gamma_zero=2)
+    assert stability_check((-2, 1, 1, 0)) is False
     with pytest.raises(ValueError):
         stability_check((1, 1, 1))
 
@@ -749,7 +747,7 @@ def test_stability_check_cases():
 def test_stability_partial_sums_do_not_wrap_past_int64():
     # every partial sum from the top is negative (-2**62, -2**63 - 1,
     # -2**62 - 1), though the second one is below the int64 range
-    assert stability_check((2**62 + 1, 2**62, -2**62 - 1, -2**62), which_gamma_zero=4) is True
-    assert stability_check((2**62, 2**62 + 1, -2**62, -2**62 - 1), which_gamma_zero=4) is True
+    assert stability_check((2**62 + 1, 2**62, -2**62 - 1, -2**62)) is True
+    assert stability_check((2**62, 2**62 + 1, -2**62, -2**62 - 1)) is True
     # partial sums -2**62 - 1, -1, 2**62: the last one destabilises
-    assert stability_check((-2**62, 2**62 + 1, 2**62, -2**62 - 1), which_gamma_zero=4) is False
+    assert stability_check((-2**62, 2**62 + 1, 2**62, -2**62 - 1)) is False
