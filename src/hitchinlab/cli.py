@@ -25,11 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, maxprin
-from .geometry import Grid, GridSpec, HolomorphicDatum, build_grid
+from .geometry import VERDICT_FRACTION, Grid, GridSpec, HolomorphicDatum, build_grid
 from .solver import SolverConfig, solve
 from .system import BlowupError, CyclicSpec, make_spec, make_system
 
-# theorems checked on solved states: runner(spec, grid, [t_list,] config, margin_cells)
+# theorems checked on solved states: runner(spec, grid, [t_list,] config)
 SOLVE_RUNNERS = {
     "monotonicity": analysis.verify_monotonicity,
     "nu-bounds": analysis.verify_nu_bounds,
@@ -170,6 +170,17 @@ def parse_solver(obj) -> SolverConfig:
         raise UsageError(f"bad solver config: {exc}") from exc
 
 
+def _refuse_retired_key(cfg: dict) -> None:
+    """Refuse a config that still sets the retired graph-distance margin of the
+    verdict region: ignoring it would assert the verdict on a set the config
+    did not ask for."""
+    key, f = "margin_cells", Fraction(VERDICT_FRACTION)
+    if key in cfg:
+        raise UsageError(f"{key!r} is retired: verdicts are asserted on the fixed region "
+                         f"|z| <= {f.numerator}R/{f.denominator} of a disc chart of radius R "
+                         "(every node of a torus); remove the key")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -284,8 +295,8 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
 
 
 def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
+    _refuse_retired_key(cfg)
     sc = parse_solver(cfg.get("solver"))
-    mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
     if theorem in SOLVE_RUNNERS:
         grid = parse_grid(cfg.get("grid"), resolution)
         if grid.kind == "torus":
@@ -293,7 +304,7 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
                              "not a torus")
         extra = [parse_t_list(cfg, theorem)] if theorem == "monotonicity" else []
         spec = parse_spec(cfg.get("spec"))
-        return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc, mc)
+        return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc)
     if theorem == "max-principle":
         violate = cfg.get("violate")
         if violate is not None:
@@ -331,13 +342,13 @@ def cmd_verify(cfg: dict, theorem: str, out_dir: str, seed: int, resolution=None
 
 
 def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
+    _refuse_retired_key(cfg)
     grid = parse_grid(cfg.get("grid"), resolution)
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
-    mc = _int_from(cfg.get("margin_cells", 5), "margin_cells")
     t_list = parse_t_list(cfg, "sweep")
 
-    region = grid.verdict_region(mc)
+    region = grid.verdict_region()
     family = analysis.scale_family(spec, grid, t_list, sc,
                                    boundary=parse_boundary(cfg, grid))
     rows, summaries = [], []
@@ -367,7 +378,7 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     if all_converged:
         for (sa, ra, _), (sb, rb, _) in zip(family[:-1], family[1:]):
             cmpres = analysis.compare_states(sa, ra.state, sb, rb.state,
-                                             "ratio_fields", mc, sc.tol_residual)
+                                             "ratio_fields", sc.tol_residual)
             ratio_margins.append({"t_low": sa.t.real, "t_high": sb.t.real,
                                   "min_margin": cmpres["min_margin"]})
     verdict = {"passed": bool(all_converged and monotone),

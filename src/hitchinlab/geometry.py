@@ -31,11 +31,13 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.csgraph import dijkstra
 
 GRID_KINDS = ("radial_disc", "disc2d", "torus")
 
 _MIN_RESOLUTION = 8
+
+# theorem verdicts are asserted on |z| <= VERDICT_FRACTION * R of a disc chart
+VERDICT_FRACTION = 7 / 8
 
 
 @dataclass(frozen=True)
@@ -191,11 +193,11 @@ class Grid:
                      np.zeros(nx * ny, dtype=bool), np.full(nx * ny, hx * hy))
 
     def _finish(self, nbr, weights, diag, boundary, area):
-        """Assemble the Laplacian and the boundary distance from the stencil.
+        """Assemble the Laplacian from the stencil.
 
         ``nbr`` is the (n_nodes, 2*dim) neighbour table and ``weights`` the
         matching off-diagonal entries (or one per column).  Boundary rows
-        stay empty; the distance is the graph distance along the table.
+        stay empty.
         """
         n_nodes = len(nbr)
         self.n_nodes = n_nodes
@@ -203,20 +205,12 @@ class Grid:
         self.interior_mask = ~boundary
         self._nbr = nbr
         self._area = area
-        live = nbr >= 0
-        p, k = np.nonzero(live & self.interior_mask[:, None])
+        p, k = np.nonzero((nbr >= 0) & self.interior_mask[:, None])
         interior = np.nonzero(self.interior_mask)[0]
         rows = np.concatenate([p, interior])
         cols = np.concatenate([nbr[p, k], interior])
         vals = np.concatenate([np.broadcast_to(weights, nbr.shape)[p, k], diag[interior]])
         self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-
-        row_ptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
-        adj = sparse.csr_matrix((np.ones(row_ptr[-1]), nbr[live], row_ptr),
-                                shape=(n_nodes, n_nodes))
-        dist = dijkstra(adj, indices=np.nonzero(boundary)[0], unweighted=True, min_only=True)
-        dist[np.isinf(dist)] = np.iinfo(np.int32).max
-        self._cells_to_boundary = dist.astype(int)
         self._block_laplacians: dict = {}
 
     # -- queries -----------------------------------------------------------
@@ -233,10 +227,6 @@ class Grid:
         """Quadrature weight (Euclidean area dx dy) owned by each node."""
         return self._area.copy()
 
-    def cells_to_boundary(self) -> np.ndarray:
-        """Graph distance (in grid steps) from each node to the boundary."""
-        return self._cells_to_boundary.copy()
-
     def directional_neighbors(self) -> tuple[np.ndarray, tuple[float, ...]]:
         """Neighbor table and per-direction spacings for first-order stencils.
 
@@ -245,19 +235,18 @@ class Grid:
         """
         return self._nbr.copy(), self._dir_spacing
 
-    def verdict_region(self, margin_cells: int = 5) -> np.ndarray:
-        """Interior nodes at least ``margin_cells`` grid steps from the boundary.
+    def verdict_region(self) -> np.ndarray:
+        """The nodes on which theorem verdicts are asserted.
 
-        Theorem verdicts are only asserted on this region; on the torus it is
-        every node.  A negative margin, or one that leaves no node, is a
-        ``ValueError``.
+        On a disc chart of radius R these are the interior nodes with
+        |z| <= VERDICT_FRACTION * R, one chart set at every resolution (a
+        coarse ``disc2d`` lattice has boundary nodes inside that radius); on
+        the torus it is every node.  The region is never empty: the node
+        nearest the centre is interior on every grid of resolution >= 8.
         """
-        if margin_cells < 0:
-            raise ValueError(f"margin_cells must be >= 0, got {margin_cells} on {self!r}")
-        region = self._cells_to_boundary >= margin_cells
-        if not region.any():
-            raise ValueError(f"margin_cells={margin_cells} leaves no verdict region on {self!r}")
-        return region
+        if self.kind == "torus":
+            return self.interior_mask.copy()
+        return self.interior_mask & (np.abs(self.z()) <= VERDICT_FRACTION * self.spec.radius)
 
     def block_laplacian(self, gram: np.ndarray):
         """The Laplacian on m unknowns per interior node, coupled by ``gram``.

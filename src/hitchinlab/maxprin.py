@@ -14,7 +14,8 @@ f <= 0 rests on three structure conditions:
                           c_ij identically zero for i in alpha, j in beta.
 
 ``check_conditions`` verifies all three with witnesses, ``fully_coupled``
-runs the iterative reachability closure for (c), and
+decides (c) by a breadth-first search of the coupling digraph from each
+unknown (``scipy.sparse.csgraph``), and
 ``solve_linear_cooperative`` solves the assembled sparse system (refusing
 to certify positivity when a condition fails).
 
@@ -27,8 +28,7 @@ the stencil pattern is symmetric away from the identity rows and the
 upwinded drift, and on a 2-D grid this ordering fills about half as much
 as the default COLAMD.  The default pivot threshold keeps partial
 pivoting, so systems solved with ``certify=False`` are factored stably
-too.  ``fully_coupled_bruteforce``, the oracle for the closure, scans
-every proper subset of the unknowns as a bitmask.
+too.
 
 ``difference_system`` assembles the cooperative system satisfied by the
 log-ratios of two solved cyclic states that share holomorphic data and
@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from ._parallel import imap_in_order
 from .geometry import Grid, hyperbolic_metric
@@ -191,12 +192,12 @@ def coupling_pattern(system: CooperativeSystem) -> np.ndarray:
 
 
 def fully_coupled(pattern: np.ndarray):
-    """Decide full coupling by iterative reachability closure.
+    """Decide full coupling by reachability in the coupling digraph.
 
-    Starting from each unknown, repeatedly adjoin every unknown its current
-    set couples into; if the closure stabilises on a proper subset alpha,
-    then (alpha, complement) is a decoupling partition and the system is
-    not fully coupled.
+    The unknowns reachable from a start unknown along edges i -> j with
+    pattern[i, j] set form a set alpha that nothing couples out of; if it
+    is a proper subset, (alpha, complement) is a decoupling partition and
+    the system is not fully coupled.  Start unknowns are tried in order.
 
     Returns (True, None) or (False, (alpha, beta)).
     """
@@ -204,35 +205,13 @@ def fully_coupled(pattern: np.ndarray):
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("pattern must be square")
+    graph = sparse.csr_matrix(P, dtype=float)
     for s in range(n):
-        alpha = {s}
-        while True:
-            reach = {j for i in alpha for j in range(n) if P[i, j]}
-            grown = alpha | reach
-            if grown == alpha:
-                break
-            alpha = grown
-        if len(alpha) < n:
-            beta = tuple(sorted(set(range(n)) - alpha))
-            return False, (tuple(sorted(alpha)), beta)
+        alpha = np.sort(breadth_first_order(graph, s, return_predecessors=False))
+        if alpha.size < n:
+            beta = np.setdiff1d(np.arange(n), alpha)
+            return False, (tuple(alpha.tolist()), tuple(beta.tolist()))
     return True, None
-
-
-def fully_coupled_bruteforce(pattern: np.ndarray) -> bool:
-    """Oracle: scan all 2^n - 2 proper nonempty subsets for a decoupling.
-
-    A subset is a bitmask s over the unknowns.  reach[s] is the OR of the
-    row masks of s's members, so (s, complement) decouples iff
-    reach[s] & ~s == 0.
-    """
-    P = np.asarray(pattern, dtype=bool)
-    n = P.shape[0]
-    row_masks = P.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    reach = np.zeros(1, dtype=np.int64)
-    for m in row_masks:                 # subsets with bit i set follow those without
-        reach = np.concatenate([reach, reach | m])
-    s = np.arange(1, 2**n - 1, dtype=np.int64)
-    return not np.any((reach[1:-1] & ~s) == 0)
 
 
 def check_conditions(system: CooperativeSystem) -> ConditionReport:

@@ -148,7 +148,7 @@ def test_sp4_vanishing_corner_reduces_to_constant_curvature():
     rep = solve(make_system(spec, g), config=SolverConfig(tol_residual=1e-11))
     assert rep.converged
     s4 = sp4_curvature(spec, rep.state)
-    inner = g.verdict_region(3)
+    inner = g.verdict_region()
     np.testing.assert_allclose(s4.k_sigma[inner], -1.0 / 40.0, atol=1e-11)
     np.testing.assert_allclose(s4.f1[inner], 0.0, atol=1e-13)
     np.testing.assert_allclose(s4.f2[inner], 4.0 / 3.0, atol=1e-10)
@@ -372,6 +372,23 @@ def test_scale_pair_comparison_is_ordered():
     assert met["verdict"] and met["min_margin"] == min(met["margins"])
 
 
+def test_ratio_margin_on_the_verdict_region_is_resolution_independent():
+    # on the fixed region |z| <= 7R/8 the margin of t = 2 over t = 1 is a
+    # property of the solution: 2.58e-3 at every N.  Five grid steps from the
+    # rim it halved with each doubling of N (7.8e-4 at 128, 9.7e-5 at 1024)
+    q = HolomorphicDatum.monomial(1.0, 1)
+    cfg = SolverConfig(tol_residual=1e-9)
+    margins = []
+    for N in (128, 256, 512, 1024):
+        g = radial(N)
+        lo, hi = (make_spec("hitchin_component", 3, (q,), t=t) for t in (1.0, 2.0))
+        rep_lo, rep_hi = (solve(make_system(s, g), config=cfg) for s in (lo, hi))
+        assert rep_lo.converged and rep_hi.converged
+        margins.append(compare_states(lo, rep_lo.state, hi, rep_hi.state, "ratio_fields",
+                                      solver_tol=cfg.tol_residual)["min_margin"])
+    assert min(margins) > 0 and max(margins) <= 1.01 * min(margins), margins
+
+
 def test_compare_states_grid_mismatch_rejected():
     spec = make_spec("hitchin_component", 3, (one,))
     st_a, st_b = (LogMetricState(g, fuchsian_log_metrics(3, 1, g))
@@ -419,16 +436,6 @@ def test_curvature_bounds_refuse_other_variants_before_solving(monkeypatch, spec
     assert calls == []
 
 
-@pytest.mark.parametrize("margin", [1000, -3])
-def test_fiber_comparison_refuses_bad_margin_before_solving(monkeypatch, margin):
-    calls = []
-    monkeypatch.setattr(analysis, "solve", lambda *args, **kwargs: calls.append(args))
-    spec = make_spec("slnr_even", 2, (one, HolomorphicDatum.monomial(1.0, 2)))
-    with pytest.raises(ValueError, match="margin_cells"):
-        verify_fiber_comparison(spec, radial(32), margin_cells=margin)
-    assert calls == []
-
-
 @pytest.mark.parametrize("t_values", [[1.0], [1.0, 1.0, 2.0], [2.0, 1.0]],
                          ids=["one", "repeated", "descending"])
 def test_monotonicity_refuses_a_family_that_is_not_strictly_increasing(monkeypatch, t_values):
@@ -445,6 +452,5 @@ def test_verify_max_principle_quick():
     grids = [radial(24)]
     out = verify_max_principle(count=10, seed=3, grids=grids)
     assert out["passed"]
-    assert out["closure_matches_bruteforce"]
     for ctrl in out["negative_controls"]:
         assert ctrl["flagged"] and ctrl["refused"]

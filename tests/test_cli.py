@@ -219,7 +219,8 @@ _DEGREE_17 = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degr
     ("ranks", "sym-space-curvature", {"samples": 5, "ranks": [2.9]}),
     ("count", "max-principle", {"count": 3.7}),
     ("n", "nu-bounds", {"grid": RADIAL, "spec": dict(HITCHIN3, n=3.5)}),
-    ("margin_cells", "nu-bounds", {"grid": RADIAL, "spec": HITCHIN3, "margin_cells": 5.5}),
+    ("max_newton_iters", "curvature",
+     {"grid": RADIAL, "spec": HITCHIN3, "solver": {"max_newton_iters": 5.5}}),
     ("seed", "sym-space-curvature", {"samples": 5, "ranks": [2], "seed": 0.5}),
     ("resolution", "nu-bounds", {"grid": dict(RADIAL, resolution=64.9), "spec": HITCHIN3}),
     ("degree", "nu-bounds", {"grid": RADIAL, "spec": _DEGREE_17}),
@@ -229,7 +230,8 @@ _DEGREE_17 = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degr
     ("count", "max-principle", {"count": "3"}),
     ("n", "max-principle", {"violate": "column", "n": "3"}),
     ("n", "nu-bounds", {"grid": RADIAL, "spec": dict(HITCHIN3, n="3")}),
-    ("margin_cells", "nu-bounds", {"grid": RADIAL, "spec": HITCHIN3, "margin_cells": "5"}),
+    ("max_newton_iters", "curvature",
+     {"grid": RADIAL, "spec": HITCHIN3, "solver": {"max_newton_iters": "5"}}),
     ("seed", "sym-space-curvature", {"samples": 5, "ranks": [2], "seed": "0"}),
     ("resolution", "nu-bounds", {"grid": dict(RADIAL, resolution="64"), "spec": HITCHIN3}),
     ("resolution", "max-principle",
@@ -320,16 +322,24 @@ def test_integral_float_fields_are_accepted(tmp_path):
     assert verdict["seed"] == 7 and verdict["samples"] == 50
 
 
-@pytest.mark.parametrize("margin", [1000, -3])
-def test_nu_bounds_margin_without_region_is_usage_error(tmp_path, capsys, margin):
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "nu-bounds"], ["sweep"]],
+                         ids=["verify", "sweep"])
+@pytest.mark.parametrize("margin", [5, 1000, -3])
+def test_retired_margin_cells_key_is_usage_error(tmp_path, capsys, monkeypatch, margin, argv):
+    # the key once chose the verdict region by graph distance from the rim;
+    # the region is fixed now, so an old config is refused, not reinterpreted,
+    # before any grid is built
+    calls = []
+    monkeypatch.setattr("hitchinlab.cli.parse_grid", lambda *args: calls.append(args))
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3,
-                                           "margin_cells": margin})
+                                           "t_list": [0.0, 1.0], "margin_cells": margin})
     out = tmp_path / "out"
-    rc = main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "margin_cells" in err and "radial_disc" in err
-    assert not (out / "verdict.json").exists()
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'margin_cells' is retired: verdicts are asserted on the fixed region "
+        "|z| <= 7R/8 of a disc chart of radius R (every node of a torus); remove the key\n")
+    assert calls == []
+    assert not any(out.iterdir())
 
 
 def test_verify_max_principle_violation_demo(tmp_path):

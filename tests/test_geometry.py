@@ -1,5 +1,4 @@
 import dataclasses
-from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,33 +72,6 @@ def test_area_weights_radial_total():
     assert abs(g.area_weights().sum() - np.pi * 0.7**2) < 1e-10
 
 
-def test_verdict_region_distances():
-    g = radial(64)
-    region = g.verdict_region(5)
-    c = g.cells_to_boundary()
-    assert np.array_equal(region, c >= 5)
-    assert not region[g.boundary_mask].any()
-    g2 = build_grid(GridSpec("torus", (12, 12)))
-    assert g2.verdict_region(5).all()
-
-
-def test_verdict_region_refuses_negative_and_empty_margins():
-    g = radial(16)
-    assert g.verdict_region(0).all()
-    assert g.verdict_region(15).sum() == 1
-    with pytest.raises(ValueError, match="margin_cells.*radial_disc"):
-        g.verdict_region(-1)
-    with pytest.raises(ValueError, match="margin_cells=16 leaves no verdict region"):
-        g.verdict_region(16)
-    d = build_grid(GridSpec("disc2d", 9, 0.8))
-    with pytest.raises(ValueError, match="margin_cells=5.*disc2d"):
-        d.verdict_region(5)
-    t = build_grid(GridSpec("torus", (8, 8)))
-    assert t.verdict_region(1000).all()
-    with pytest.raises(ValueError, match="margin_cells"):
-        t.verdict_region(-3)
-
-
 # -- reference: the per-node loop constructors the stencil assembler replaced --
 
 
@@ -122,33 +94,12 @@ def _reference_radial(spec):
     r_out = np.minimum(r + h / 2, spec.radius)
     r_in = np.maximum(r - h / 2, 0.0)
     g.area = np.pi * (r_out**2 - r_in**2)
-    g.cells = (n - 1) - np.arange(n)
     nbr = np.empty((n, 2), dtype=int)
     nbr[:, 0] = np.arange(n) - 1
     nbr[:, 1] = np.arange(n) + 1
     nbr[n - 1, 1] = -1
     g.nbr = nbr
     return g
-
-
-def _reference_bfs_cells(n_nodes, index, inside, boundary, n):
-    dist = np.full(n_nodes, -1, dtype=int)
-    queue = deque()
-    for p in np.nonzero(boundary)[0]:
-        dist[p] = 0
-        queue.append(p)
-    where = {index[i, j]: (i, j) for i in range(n) for j in range(n) if inside[i, j]}
-    while queue:
-        p = queue.popleft()
-        i, j = where[p]
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            i2, j2 = i + di, j + dj
-            if 0 <= i2 < n and 0 <= j2 < n and inside[i2, j2]:
-                q = index[i2, j2]
-                if dist[q] < 0:
-                    dist[q] = dist[p] + 1
-                    queue.append(q)
-    return dist
 
 
 def _reference_disc2d(spec):
@@ -194,7 +145,6 @@ def _reference_disc2d(spec):
     g.nbr = nbr_table
     g.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
     g.area = np.full(n_nodes, h * h)
-    g.cells = _reference_bfs_cells(n_nodes, index, inside, boundary, n)
     return g
 
 
@@ -228,7 +178,6 @@ def _reference_torus(spec):
             vals.append(-2.0 * (cx + cy))
     g.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
     g.area = np.full(n_nodes, hx * hy)
-    g.cells = np.full(n_nodes, np.iinfo(np.int32).max)
     g.nbr = nbr_table
     return g
 
@@ -237,12 +186,15 @@ _REFERENCE = {"radial_disc": _reference_radial, "disc2d": _reference_disc2d,
               "torus": _reference_torus}
 
 
-@pytest.mark.parametrize("spec", [
+_LOOP_GRIDS = pytest.mark.parametrize("spec", [
     *(GridSpec("disc2d", n, R) for n in (8, 9, 16, 17, 32, 33) for R in (0.5, 0.99)),
     GridSpec("torus", (9, 13), periods=(2.5, 0.7)),
     GridSpec("radial_disc", 8, 0.8),
     GridSpec("radial_disc", 1024, 0.8),
 ], ids=lambda s: f"{s.kind}-{s.resolution}-{s.radius if s.kind != 'torus' else s.periods}")
+
+
+@_LOOP_GRIDS
 def test_grid_arrays_match_loop_constructors(spec):
     g = build_grid(spec)
     ref = _REFERENCE[spec.kind](spec)
@@ -251,10 +203,23 @@ def test_grid_arrays_match_loop_constructors(spec):
     for got, want in ((g.lap.data, lap.data), (g.lap.indices, lap.indices),
                       (g.lap.indptr, lap.indptr), (g.directional_neighbors()[0], ref.nbr),
                       (g.boundary_mask, ref.boundary_mask), (g.interior_mask, ~ref.boundary_mask),
-                      (g.cells_to_boundary(), ref.cells), (g.area_weights(), ref.area),
-                      (g.xy, ref.xy)):
+                      (g.area_weights(), ref.area), (g.xy, ref.xy)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@_LOOP_GRIDS
+def test_verdict_region_is_one_chart_set(spec):
+    # the interior nodes with |z| <= 7R/8 of a disc, every node of the torus;
+    # the smallest lattices here (resolution 8) keep it nonempty
+    g = build_grid(spec)
+    region = g.verdict_region()
+    assert region.dtype == bool and region.any()
+    assert not region[g.boundary_mask].any()
+    if spec.kind == "torus":
+        assert region.all()
+    else:
+        assert np.array_equal(region, g.interior_mask & (np.abs(g.z()) <= 7 / 8 * spec.radius))
 
 
 def test_directional_neighbors_tables():

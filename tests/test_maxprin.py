@@ -18,7 +18,6 @@ from hitchinlab.maxprin import (
     coupling_pattern,
     difference_system,
     fully_coupled,
-    fully_coupled_bruteforce,
     assemble_matrix,
     random_cooperative_system,
     randomized_positivity_suite,
@@ -108,6 +107,23 @@ def test_decoupled_control_reports_a_real_partition():
     alpha, beta = partition
     P = coupling_pattern(sys_)
     assert not any(P[i, j] for i in alpha for j in beta)
+
+
+def fully_coupled_bruteforce(pattern):
+    """Oracle: scan all 2^n - 2 proper nonempty subsets for a decoupling.
+
+    A subset is a bitmask s over the unknowns.  reach[s] is the OR of the
+    row masks of s's members, so (s, complement) decouples iff
+    reach[s] & ~s == 0.
+    """
+    P = np.asarray(pattern, dtype=bool)
+    n = P.shape[0]
+    row_masks = P.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    reach = np.zeros(1, dtype=np.int64)
+    for m in row_masks:                 # subsets with bit i set follow those without
+        reach = np.concatenate([reach, reach | m])
+    s = np.arange(1, 2**n - 1, dtype=np.int64)
+    return not np.any((reach[1:-1] & ~s) == 0)
 
 
 def test_closure_matches_bruteforce_on_random_patterns():
@@ -325,7 +341,7 @@ def test_difference_system_cyclic_identities():
     rep = check_conditions(ds.system)
     assert rep.passed
     # the log-ratios are strictly positive away from the boundary
-    inner = ds.system.grid.verdict_region(3)
+    inner = ds.system.grid.verdict_region()
     assert ds.v[:, inner].min() > 0.0
 
 
@@ -354,7 +370,7 @@ def test_difference_system_vanishing_corner_mode():
     # source terms are nonpositive and not identically zero
     assert ds.system.f.max() <= 0.0
     assert ds.system.f.min() < 0.0
-    inner = ds.system.grid.verdict_region(3)
+    inner = ds.system.grid.verdict_region()
     assert ds.v[:, inner].min() > 0.0
 
 

@@ -20,7 +20,6 @@ CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 # names that only tests read, kept on purpose
 EXEMPT = {
-    "cells_to_boundary": "the loop-constructor reference test compares its bytes",
     "scale_last_arrow": "the gauge acceptance criterion is built on it",
     "gauge_image": "the gauge acceptance criterion is built on it",
     "gauge_log_offsets": "the gauge acceptance criterion is built on it",
