@@ -8,6 +8,12 @@ processes, because the heavy work (SuperLU, numpy kernels) releases the GIL
 and the inputs need no pickling.  The BLAS thread variables
 (``OMP_NUM_THREADS`` and the like) size BLAS pools, not this one, and are
 not read.
+
+A SuperLU factor must be released on the thread that made it, so ``fn``
+must not return one, nor anything that holds one.  With scipy 1.17.1 a
+float32 factor of a disc2d 256 operator made on a worker thread and
+released on the calling thread leaks about 17 MB each time (RSS 159 -> 313
+MB over 12 factors); released where it was made, RSS stays flat.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ from .system import (
     CyclicSpec,
     LogMetricState,
     arrow_coefficients,
-    arrow_kernel,
-    expand_log_metrics,
+    arrows,
+    log_ratios,
     make_system,
     stability_check,
 )
@@ -59,7 +59,7 @@ CURVATURE_SLACK = 1e-6
 
 def arrow_terms(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
     """All n arrow terms |gamma_k|^2 h_k^{-1} h_{k+1}, (N, n), t^2 included."""
-    return arrow_kernel(arrow_coefficients(spec, state.grid), expand_log_metrics(spec, state))
+    return arrows(arrow_coefficients(spec, state.grid), log_ratios(spec, state.u))
 
 
 def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
@@ -69,8 +69,7 @@ def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
     is monotone in the family scale); the holomorphic coefficients are not
     included.
     """
-    w = expand_log_metrics(spec, state)
-    ratios = np.exp(np.roll(w, -1, axis=1) - w)
+    ratios = np.exp(log_ratios(spec, state.u))
     ratios[:, -1] *= spec.scale_sq
     return ratios
 
@@ -157,8 +156,7 @@ def extrinsic_curvature(spec: CyclicSpec, state: LogMetricState) -> CurvatureRep
     if spec.n == 2:
         k_sigma[defined] = -0.5
         return CurvatureReport(k_sigma, defined)
-    diff = a - np.roll(a, -1, axis=1)
-    num = (diff**2).sum(axis=1)
+    num = (np.diff(a, axis=1, append=a[:, :1]) ** 2).sum(axis=1)
     k_sigma[defined] = -num[defined] / (2.0 * spec.n * total[defined] ** 2)
     return CurvatureReport(k_sigma, defined)
 

@@ -54,7 +54,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from ._parallel import imap_in_order
 from .geometry import Grid, hyperbolic_metric
-from .system import CyclicSpec, LogMetricState, arrow_coefficients, expand_log_metrics
+from .system import CyclicSpec, LogMetricState, arrow_coefficients, log_ratios
 
 POLE_VALUE = 1.0e6          # Dirichlet value at excluded (pole) nodes
 CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
@@ -205,7 +205,10 @@ def fully_coupled(pattern: np.ndarray):
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("pattern must be square")
-    graph = sparse.csr_matrix(P, dtype=float)
+    # the edges in CSR form directly: np.nonzero lists them row by row
+    rows, cols = np.nonzero(P)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    graph = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
     for s in range(n):
         alpha = np.sort(breadth_first_order(graph, s, return_predecessors=False))
         if alpha.size < n:
@@ -360,10 +363,8 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     g0 = hyperbolic_metric(grid)
     G = arrow_coefficients(replace(spec_a, t=1.0), grid)        # t enters through v
 
-    w_a = expand_log_metrics(spec_a, state_a)
-    w_b = expand_log_metrics(spec_b, state_b)
-    lr_a = np.roll(w_a, -1, axis=1) - w_a          # log consecutive ratios
-    lr_b = np.roll(w_b, -1, axis=1) - w_b
+    lr_a = log_ratios(spec_a, state_a.u)           # log consecutive ratios
+    lr_b = log_ratios(spec_b, state_b.u)
     mode = "cyclic" if tb > 0 else "vanishing_corner"
 
     if mode == "cyclic":

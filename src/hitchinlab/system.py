@@ -9,7 +9,10 @@ its logs w_k = log h_k satisfy the Toda-type system
 with indices mod n and Delta = del_z del_zbar.  Every variant is this one
 system read through a constant n x m embedding E of its independent
 unknowns u (an (N, m) array): w = u E^T, and the equations solved are the
-first m rows.
+first m rows.  The arrows read w only through its consecutive differences,
+the log-ratios w_{k+1} - w_k = u D^T with the constant D = roll(E, -1) - E,
+so every reader of arrow terms computes a = G exp(u D^T) through
+``log_ratios`` and ``arrows``.
 
 Variants
 --------
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,6 +132,13 @@ class CyclicSpec:
             E[n - 1] = -1.0
         return E
 
+    @property
+    def ratio_matrix(self) -> np.ndarray:
+        """The (n, m) matrix D = roll(E, -1, axis 0) - E taking unknowns to the
+        log consecutive ratios w_{k+1} - w_k (indices mod n): u D^T."""
+        E = self.embedding
+        return np.concatenate((E[1:], E[:1])) - E
+
     def cyclic_data(self) -> tuple[HolomorphicDatum, ...]:
         """All n arrows (gamma_1..gamma_n) of the equivalent cyclic bundle.
 
@@ -222,16 +232,16 @@ def fuchsian_log_metrics(n: int, n_unknowns: int, grid: Grid) -> np.ndarray:
     return w[:, :n_unknowns].copy()
 
 
-def expand_log_metrics(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
-    """All n log-metrics (log h_1 .. log h_n) of the cyclic bundle, (N, n)."""
-    return state.u @ spec.embedding.T
+def log_ratios(spec: CyclicSpec, u: np.ndarray) -> np.ndarray:
+    """Log consecutive ratios log h_k^{-1} h_{k+1} of the unknowns u, (N, n)."""
+    return u @ spec.ratio_matrix.T
 
 
-def arrow_kernel(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+def arrows(G: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     """Arrow terms a_k = G_k h_k^{-1} h_{k+1} from squared coefficients G and
-    log-metrics w, both (N, n); overflow is left to the caller to detect."""
+    log-ratios, both (N, n); overflow is left to the caller to detect."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return G * np.exp(np.roll(w, -1, axis=1) - w)
+        return G * np.exp(log_ratio)
 
 
 # -- assembled system ------------------------------------------------------
@@ -273,22 +283,23 @@ class HitchinSystem:
         self.free = grid.interior_mask  # every node of the torus
         self.boundary_values = boundary_values  # (N, m) on a disc, None on the torus
         self._fuchsian = fuchsian  # uniformising log-metrics, computed on first need
-        self._embedding = E = spec.embedding
+        E = spec.embedding
         self.gram = E.T @ E
         # arrow i has log-derivative d[i] = d(w_{i+1} - w_i)/du; the Hessian
         # block sums a_i d[i]^T d[i], kept once per unordered pair (k, l)
-        d = np.roll(E, -1, axis=0) - E
+        self._d = d = spec.ratio_matrix
         self._pairs = np.triu_indices(self.m)
         self._dd = d[:, self._pairs[0]] * d[:, self._pairs[1]]
 
     # -- nonlinear couplings ----------------------------------------------
 
     def _arrows(self, u: np.ndarray) -> np.ndarray:
-        return arrow_kernel(self.coeff_sq, u @ self._embedding.T)
+        return arrows(self.coeff_sq, u @ self._d.T)
 
     def _coupling_residual(self, u: np.ndarray) -> np.ndarray:
-        a = self._arrows(u)
-        return (a - np.roll(a, 1, axis=1))[:, :self.m]
+        """a_k - a_{k-1} for k = 1..m, with a_0 = a_n."""
+        a, m = self._arrows(u), self.m
+        return a[:, :m] - np.concatenate((a[:, -1:], a[:, :m - 1]), axis=1)
 
     # -- residual and Newton matrix ----------------------------------------
 
@@ -412,40 +423,6 @@ def make_system(
         if not np.all(np.isfinite(bv)):
             raise ValueError("explicit boundary values must be finite")
     return HitchinSystem(spec, grid, bv, G, fuchsian)
-
-
-# -- spec transformations --------------------------------------------------
-
-
-def scale_last_arrow(spec: CyclicSpec, t: complex) -> CyclicSpec:
-    """(gamma_1, ..., gamma_n) -> (gamma_1, ..., t * gamma_n)."""
-    return replace(spec, t=spec.t * complex(t))
-
-
-def gauge_image(spec: CyclicSpec, t: complex) -> CyclicSpec:
-    """Multiply every arrow by t^(1/n) (principal root).
-
-    Scaling the last arrow by t and scaling all arrows by t^(1/n) give
-    gauge-equivalent bundles; their solved pullback metrics must agree once
-    boundary data is shifted consistently (see ``gauge_log_offsets``).
-    """
-    t = complex(t)
-    if t == 0:
-        raise ValueError("gauge image needs t != 0")
-    root = t ** (1.0 / spec.n)
-    return replace(spec, data=tuple(d.scaled(root) for d in spec.data))
-
-
-def gauge_log_offsets(spec: CyclicSpec, t: complex) -> np.ndarray:
-    """Constant shifts of log h_k matching gauge_image against scale_last_arrow.
-
-    The diagonal gauge that rescales the last arrow shifts
-    log h_k by ((n + 1 - 2k)/n) log|t| for k = 1..n; the first n_unknowns
-    entries apply to the independent unknowns of either formulation.
-    """
-    n = spec.n
-    lt = np.log(abs(complex(t)))
-    return np.array([(n + 1 - 2 * k) / n * lt for k in range(1, spec.n_unknowns + 1)])
 
 
 # -- stability -------------------------------------------------------------

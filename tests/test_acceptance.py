@@ -38,15 +38,9 @@ from hitchinlab.analysis import (
 )
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, solve
-from hitchinlab.system import (
-    LogMetricState,
-    fuchsian_log_metrics,
-    gauge_image,
-    gauge_log_offsets,
-    make_spec,
-    make_system,
-    scale_last_arrow,
-)
+from hitchinlab.system import LogMetricState, fuchsian_log_metrics, make_spec, make_system
+
+from gauge import gauge_image, gauge_log_offsets, scale_last_arrow
 
 zero = HolomorphicDatum.zero()
 one = HolomorphicDatum.constant(1.0)

@@ -25,7 +25,9 @@ from hitchinlab.maxprin import (
     _phi,
 )
 from hitchinlab.solver import SolverConfig, solve
-from hitchinlab.system import make_spec, make_system, scale_last_arrow
+from hitchinlab.system import make_spec, make_system
+
+from gauge import scale_last_arrow
 
 one = HolomorphicDatum.constant(1.0)
 

@@ -5,6 +5,7 @@ the tests pin that set with ``monkeypatch`` to compare a pool against the
 plain one-worker loop on any machine.
 """
 
+import gc
 import os
 import random
 import sys
@@ -12,6 +13,7 @@ import threading
 import time
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from hitchinlab import _parallel, analysis, maxprin
 from hitchinlab.geometry import GridSpec, build_grid
@@ -248,3 +250,29 @@ def test_drawn_systems_wait_for_at_most_one_window(monkeypatch, workers):
     out = maxprin.randomized_positivity_suite(300, 0, [build_grid(GridSpec("radial_disc", 16, 0.8))])
     assert out["passed"] and drawn == solved == 300
     assert 1 < peak <= WINDOW * workers
+
+
+def test_every_superlu_factor_is_released_on_the_thread_that_made_it(monkeypatch, suite_grids):
+    # a factor freed on another thread leaks its memory (see the module
+    # docstring of _parallel), so no factor may outlive its worker's call
+    made, released = [], []
+    real_splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self._lu, self._thread = lu, threading.get_ident()
+            made.append(self._thread)
+
+        def solve(self, rhs):
+            return self._lu.solve(rhs)
+
+        def __del__(self):
+            released.append((self._thread, threading.get_ident()))
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Factor(real_splu(*args, **kwargs)))
+    force_workers(monkeypatch, 3)
+    out = maxprin.randomized_positivity_suite(24, 0, suite_grids)
+    gc.collect()
+    assert out["passed"] and len(made) == len(released) == 24
+    assert set(made) - {threading.get_ident()}, "no factor was made on a worker thread"
+    assert all(made_on == freed_on for made_on, freed_on in released)

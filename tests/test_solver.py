@@ -15,7 +15,9 @@ from scipy.linalg.lapack import dgbsv
 from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, SolveReport, continuation_solve, solve
-from hitchinlab.system import LogMetricState, make_spec, make_system, scale_last_arrow
+from hitchinlab.system import LogMetricState, make_spec, make_system
+
+from gauge import scale_last_arrow
 
 one = HolomorphicDatum.constant(1.0)
 quadratic = HolomorphicDatum.polynomial([-0.25, 0.0, 1.0])  # z^2 - 1/4

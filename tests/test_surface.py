@@ -18,13 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "hitchinlab").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
-# names that only tests read, kept on purpose
-EXEMPT = {
-    "scale_last_arrow": "the gauge acceptance criterion is built on it",
-    "gauge_image": "the gauge acceptance criterion is built on it",
-    "gauge_log_offsets": "the gauge acceptance criterion is built on it",
-}
-
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
@@ -101,10 +94,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     referenced = {name for path in CALLERS for name in _references(_parse(path))}
     defined = [(f"{path.stem}.{qualified}", name) for path in LIBRARY
                for qualified, name in _public_definitions(_parse(path))]
-    assert not [qualified for qualified, name in defined
-                if name not in referenced and name not in EXEMPT]
-    # an exemption outlives its reason once the name gains a caller or goes
-    assert set(EXEMPT) <= {name for _, name in defined} - referenced
+    assert not [qualified for qualified, name in defined if name not in referenced]
 
 
 def test_every_public_field_is_read_outside_the_tests():

@@ -5,7 +5,10 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import hitchinlab.analysis as analysis_module
+import hitchinlab.maxprin as maxprin_module
 import hitchinlab.system as system_module
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import (
@@ -20,15 +23,13 @@ from hitchinlab.system import (
     BlowupError,
     CyclicSpec,
     LogMetricState,
-    arrow_kernel,
-    expand_log_metrics,
-    gauge_image,
-    gauge_log_offsets,
+    log_ratios,
     make_spec,
     make_system,
-    scale_last_arrow,
     stability_check,
 )
+
+from gauge import gauge_image, gauge_log_offsets, scale_last_arrow
 
 one = HolomorphicDatum.constant(1.0)
 zero = HolomorphicDatum.zero()
@@ -199,29 +200,35 @@ def test_fuchsian_state_general_formulation_matches():
     assert worst < 500 * g.spacing**2
 
 
-def test_expand_log_metrics_layouts():
+def test_embedding_and_log_ratio_layouts():
     g = radial(16)
     N = g.n_nodes
     rng = np.random.default_rng(7)
 
     gen = make_spec("general_cyclic", 4, (one, one, one, one))
-    st = LogMetricState(g, rng.normal(size=(N, 3)))
-    full = expand_log_metrics(gen, st)
+    u = rng.normal(size=(N, 3))
+    full = u @ gen.embedding.T
     assert full.shape == (N, 4)
     np.testing.assert_allclose(full.sum(axis=1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(full[:, :3], st.u)
+    np.testing.assert_allclose(full[:, :3], u)
+    np.testing.assert_allclose(log_ratios(gen, u), np.roll(full, -1, axis=1) - full,
+                               atol=1e-14)
 
     ev = make_spec("slnr_even", 4, (one, one, one))
-    st = LogMetricState(g, rng.normal(size=(N, 2)))
-    full = expand_log_metrics(ev, st)
-    np.testing.assert_allclose(full, np.column_stack([st.u, -st.u[:, ::-1]]))
+    u = rng.normal(size=(N, 2))
+    full = u @ ev.embedding.T
+    np.testing.assert_allclose(full, np.column_stack([u, -u[:, ::-1]]))
+    np.testing.assert_array_equal(
+        log_ratios(ev, u), np.column_stack([u[:, 1] - u[:, 0], -2 * u[:, 1],
+                                            u[:, 1] - u[:, 0], 2 * u[:, 0]]))
 
     od = make_spec("slnr_odd", 5, (one, one, one))
-    st = LogMetricState(g, rng.normal(size=(N, 2)))
-    full = expand_log_metrics(od, st)
+    u = rng.normal(size=(N, 2))
+    full = u @ od.embedding.T
     assert full.shape == (N, 5)
     np.testing.assert_allclose(full[:, 2], 0.0)
-    np.testing.assert_allclose(full[:, 3:], -st.u[:, ::-1])
+    np.testing.assert_allclose(full[:, 3:], -u[:, ::-1])
+    assert np.array_equal(od.ratio_matrix, np.roll(od.embedding, -1, axis=0) - od.embedding)
 
 
 def test_symmetric_and_general_formulations_agree_pointwise():
@@ -317,6 +324,75 @@ def test_symmetric_system_is_general_system_on_embedding(case):
     np.testing.assert_allclose(c_s, c_g, rtol=1e-13, atol=1e-13 * np.abs(k_s).max())
 
 
+# -- the arrow kernel against the expand-and-roll formulas -----------------
+
+EPS = np.finfo(float).eps
+KERNEL_GRID = radial(8)
+KERNEL_CASES = [(v, n) for v in system_module.VARIANTS for n in range(2, 7)
+                if {"slnr_even": n % 2 == 0, "slnr_odd": n % 2 == 1 and n > 2,
+                    "sp4_gothen": n == 4}.get(v, True)]
+
+
+def _expand_and_roll(spec, u):
+    """Log consecutive ratios as w = u E^T, rolled and differenced."""
+    w = u @ spec.embedding.T
+    return np.roll(w, -1, axis=1) - w
+
+
+def _assert_same_up_to_cancellation(spec, new, old, scale):
+    """Bitwise equal on the symmetric variants, whose log-ratios are each
+    one rounding of at most two terms; on general_cyclic within 4 ulp of
+    ``scale``, the size of the sums that the log-ratios cancel."""
+    if spec.is_symmetric:
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    else:
+        assert np.all(np.abs(new - old) <= 4 * EPS * scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(KERNEL_CASES), data=st.data())
+def test_arrow_kernel_matches_expand_and_roll(case, data):
+    variant, n = case
+    g, N = KERNEL_GRID, KERNEL_GRID.n_nodes
+    size = {"general_cyclic": n, "hitchin_component": 1, "sp4_gothen": 2}.get(variant, n // 2 + 1)
+    t_a = data.draw(st.floats(0.1, 10.0))
+    t_b = data.draw(st.sampled_from([0.0, 0.5 * t_a]))
+    spec = make_spec(variant, n, (one,) * size, t=t_a)
+    m = spec.n_unknowns
+    floats = st.floats(-30.0, 30.0, allow_subnormal=False)
+    u = data.draw(hnp.arrays(np.float64, (N, m), elements=floats))
+    u_b = data.draw(hnp.arrays(np.float64, (N, m), elements=floats))
+    G = data.draw(hnp.arrays(np.float64, (N, n), elements=st.floats(0.0, 1e3)))
+    abs_d = np.abs(np.roll(spec.embedding, -1, axis=0) - spec.embedding)
+    S, S_b = np.abs(u) @ abs_d.T, np.abs(u_b) @ abs_d.T    # the sums each log-ratio cancels
+
+    lr = _expand_and_roll(spec, u)
+    _assert_same_up_to_cancellation(spec, log_ratios(spec, u), lr, S)
+
+    sys_ = system_module.HitchinSystem(spec, g, None, G)
+    a = G * np.exp(lr)
+    scale = a * (1 + S)
+    _assert_same_up_to_cancellation(spec, sys_._arrows(u), a, scale)
+    _assert_same_up_to_cancellation(spec, sys_._coupling_residual(u),
+                                    (a - np.roll(a, 1, axis=1))[:, :m],
+                                    (scale + np.roll(scale, 1, axis=1))[:, :m])
+
+    ratios = np.exp(lr)
+    ratios[:, -1] *= spec.scale_sq
+    state = LogMetricState(g, u)
+    _assert_same_up_to_cancellation(spec, analysis_module.metric_ratio_fields(spec, state),
+                                    ratios, ratios * (1 + S))
+
+    spec_b = make_spec(variant, n, (one,) * size, t=t_b)
+    ds = maxprin_module.difference_system(spec, state, spec_b, LogMetricState(g, u_b))
+    lr_b, n_v = _expand_and_roll(spec_b, u_b), n - (t_b == 0)
+    if t_b > 0:
+        lr[:, -1] += 2.0 * np.log(t_a)
+        lr_b[:, -1] += 2.0 * np.log(t_b)
+    _assert_same_up_to_cancellation(spec, ds.v, (lr - lr_b)[:, :n_v].T,
+                                    (S + S_b + np.abs(lr) + np.abs(lr_b))[:, :n_v].T)
+
+
 # -- Jacobian correctness --------------------------------------------------
 
 
@@ -392,7 +468,8 @@ def _full_jacobian_reference(sys, u: np.ndarray) -> sparse.csr_matrix:
     g, m, E = sys.grid, sys.m, sys.spec.embedding
     N = g.n_nodes
     d = np.roll(E, -1, axis=0) - E
-    D_full = arrow_kernel(sys.coeff_sq, u @ E.T)[:, :, None] * d
+    w = u @ E.T
+    D_full = (sys.coeff_sq * np.exp(np.roll(w, -1, axis=1) - w))[:, :, None] * d
     D = (D_full - np.roll(D_full, 1, axis=1))[:, :m]
     if sys.boundary_values is not None:
         D[g.boundary_mask, :, :] = 0.0
@@ -693,7 +770,7 @@ def test_palindromic_data_give_antisymmetric_log_metrics():
     spec = make_spec("general_cyclic", 4, (c, one, c, one), t=0.8)
     rep = solve(make_system(spec, g))
     assert rep.converged
-    full = expand_log_metrics(spec, rep.state)
+    full = rep.state.u @ spec.embedding.T
     sym_defect = np.abs(full + full[:, ::-1]).max()
     assert sym_defect < 1e-8
 
