@@ -251,15 +251,13 @@ class Grid:
     def block_laplacian(self, gram: np.ndarray):
         """The Laplacian on m unknowns per interior node, coupled by ``gram``.
 
-        For an m x m matrix ``gram`` returns ``(A, blocks, coupling, band)``:
+        For an m x m matrix ``gram`` returns ``(A, blocks, band)``:
 
         * ``A`` (CSC) is lap_II (x) gram over the interior nodes (every node
           of the torus), node-major: unknown k of the f-th interior node is
           index f*m + k.  Its pattern also holds a full m x m block at every
           node, for callers that couple a node's own unknowns.
         * ``blocks[f, l, k]`` is the position in ``A.data`` of A[(f, k), (f, l)].
-        * ``coupling`` (CSR) is lap_IB (x) gram, from the boundary unknowns
-          into the interior rows; it has no columns on the torus.
         * ``band`` is ``(bw, positions)`` where each interior node couples
           only to its neighbours in node order, so that ``A`` is block
           tridiagonal with half-bandwidth bw < 2m (the radial grid), and
@@ -276,9 +274,17 @@ class Grid:
         if key in self._block_laplacians:
             return self._block_laplacians[key]
         m = gram.shape[0]
-        lap_i = self.lap[self.interior_mask]
-        lap_ii = lap_i[:, self.interior_mask].tocsc()
-        n = lap_ii.shape[0]
+        # lap_II from lap's CSR arrays: the boundary rows are empty, so drop
+        # the entries in boundary columns and renumber the others
+        lap, inner = self.lap, self.interior_mask
+        number = np.where(inner, np.cumsum(inner, dtype=lap.indices.dtype) - 1, -1)
+        cols = number.take(lap.indices)
+        keep = cols >= 0
+        starts = lap.indptr[np.append(np.flatnonzero(inner), len(inner))]
+        drop = np.searchsorted(starts, np.flatnonzero(~keep), "right")
+        starts -= np.cumsum(np.bincount(drop, minlength=len(starts)), dtype=starts.dtype)
+        n = len(starts) - 1
+        lap_ii = sparse.csr_matrix((lap.data[keep], cols[keep], starts), shape=(n, n)).tocsc()
         # CSC arrays of lap_II read as CSR are lap_II^T; with the blocks
         # lap[i, j] gram^T they describe A^T in CSR, i.e. A in CSC.  NaN
         # marks each node's own block, so dropping the stored zeros of gram
@@ -291,17 +297,16 @@ class Grid:
         own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
         A.data[own] = lap_ii.diagonal()[:, None, None] * gram.T
         A = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-        coupling = sparse.kron(lap_i[:, self.boundary_mask], gram, format="csr")
         band = None
         if np.all(np.abs(lap_ii.indices - col) <= 1):
             i, j = A.indices, np.repeat(np.arange(n * m), np.diff(A.indptr))
             bw = int(np.abs(i - j).max())
             band = bw, (2 * bw + i - j) + (3 * bw + 1) * j
             band[1].flags.writeable = False
-        for arr in (A.data, A.indices, A.indptr, own, coupling.data):
+        for arr in (A.data, A.indices, A.indptr, own):
             arr.flags.writeable = False
-        self._block_laplacians[key] = A, own, coupling, band
-        return A, own, coupling, band
+        self._block_laplacians[key] = A, own, band
+        return A, own, band
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

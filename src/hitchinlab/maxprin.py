@@ -227,17 +227,13 @@ def check_conditions(system: CooperativeSystem) -> ConditionReport:
     scan_idx = np.nonzero(scan)[0]
     n = system.n
 
+    off_diag = ~np.eye(n, dtype=bool)
+    off = system.c[off_diag][:, scan]  # (n(n-1), n_scan), pairs (i, j) in i-major order
     worst_off = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vals = system.c[i, j, scan]
-            if vals.size == 0:
-                continue
-            k = int(np.argmin(vals))
-            if worst_off is None or vals[k] < worst_off[3]:
-                worst_off = (i, j, int(scan_idx[k]), float(vals[k]))
+    if off.size:
+        p, k = np.unravel_index(np.argmin(off), off.shape)
+        i, j = np.argwhere(off_diag)[p]
+        worst_off = (int(i), int(j), int(scan_idx[k]), float(off[p, k]))
     cooperative_ok = worst_off is None or worst_off[3] >= -CONDITION_TOL
 
     colsums = system.c.sum(axis=0)[:, scan]  # (n, n_scan)

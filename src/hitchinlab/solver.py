@@ -230,12 +230,15 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
                  lu: _NewtonLU, forcing: float = 0.0) -> np.ndarray:
     """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
     whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
-    the boundary coupling applied to step_B, solved through ``lu`` to the
-    ``forcing`` tolerance."""
+    (lap_FB step_B) E^T E, solved through ``lu`` to the ``forcing``
+    tolerance.  That boundary term is skipped when step_B is zero, as it is
+    from a system's own seed, which holds the boundary values."""
     step, free = -r, system.free
-    rhs = (step[free] @ system.gram).ravel() - system.boundary_coupling @ step[~free].ravel()
+    rhs = step[free] @ system.gram
+    if np.any(step[~free]):
+        rhs -= (system.grid.lap @ np.where(free[:, None], 0.0, step))[free] @ system.gram
     K = system.jacobian_matrix(u)
-    step[free] = lu.solve(K, rhs, system.band, forcing).reshape(-1, system.m)
+    step[free] = lu.solve(K, rhs.ravel(), system.band, forcing).reshape(-1, system.m)
     return step
 
 

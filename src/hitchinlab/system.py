@@ -264,8 +264,8 @@ class HitchinSystem:
         K = lap_FF (x) E^T E - blockdiag(d^T diag(a) d),  d = roll(E, -1) - E,
 
     is that energy's Hessian: symmetric wherever lap is.  The free rows
-    couple to the boundary unknowns only through the constant
-    ``boundary_coupling`` lap_FB (x) E^T E.
+    see the boundary unknowns only through lap_FB u_B E^T E, a term that is
+    constant in u_F.
     """
 
     def __init__(
@@ -320,7 +320,7 @@ class HitchinSystem:
         hess = self._arrows(u)[self.free] @ self._dd
         if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
-        lap_k, blocks, _, _ = self.grid.block_laplacian(self.gram)
+        lap_k, blocks, _ = self.grid.block_laplacian(self.gram)
         k, l = self._pairs
         upper, lower = blocks[:, l, k], blocks[:, k, l]
         K = lap_k.copy()
@@ -328,15 +328,10 @@ class HitchinSystem:
         return K
 
     @property
-    def boundary_coupling(self) -> sparse.csr_matrix:
-        """lap_FB (x) E^T E: how the free rows see the boundary unknowns."""
-        return self.grid.block_laplacian(self.gram)[2]
-
-    @property
     def band(self) -> tuple[int, np.ndarray] | None:
         """K's half-bandwidth and band-storage positions where K is block
         tridiagonal (the radial grid), else None; see ``Grid.block_laplacian``."""
-        return self.grid.block_laplacian(self.gram)[3]
+        return self.grid.block_laplacian(self.gram)[2]
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""

@@ -420,6 +420,32 @@ def test_fiber_comparison_identical_data_degenerates():
     assert all(m == 0.0 for m in out["components"]["margins"])
 
 
+@pytest.mark.parametrize("spec,solves", [
+    (make_spec("slnr_even", 4, (one, one, one), t=1.0), 1),
+    (make_spec("slnr_even", 4, (one, one, HolomorphicDatum.monomial(1.0, 4)), t=1.0), 2),
+], ids=["self-partner", "distinct-data"])
+def test_fiber_comparison_solves_a_self_partner_once(monkeypatch, spec, solves):
+    # a bundle that assembles its partner's system reuses its own solve; the
+    # verdict is the one built from both sides solved apart
+    g = radial(64)
+    partner = make_spec("hitchin_component", 4, (spec.partner_differential(),))
+    config = SolverConfig()
+    rep_a = solve(make_system(spec, g), config=config)
+    rep_b = solve(make_system(partner, g), config=config)
+    want = {"n": 4, "passed": True}
+    for quantity, key in (("pullback_metric", "metric"), ("harmonic_components", "components")):
+        want[key] = compare_states(spec, rep_a.state, partner, rep_b.state, quantity,
+                                   config.tol_residual)
+        want["passed"] = bool(want["passed"] and want[key]["verdict"])
+    calls = []
+    monkeypatch.setattr(analysis, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    out = verify_fiber_comparison(spec, g, config)
+    assert len(calls) == solves
+    assert ("degenerate" in out) == (solves == 1)
+    out.pop("degenerate", None)
+    assert out == want
+
+
 @pytest.mark.parametrize("spec", [
     make_spec("slnr_even", 4, (HolomorphicDatum.monomial(1.0, 1), HolomorphicDatum.constant(3.0),
                                HolomorphicDatum.constant(0.2))),

@@ -186,12 +186,17 @@ _REFERENCE = {"radial_disc": _reference_radial, "disc2d": _reference_disc2d,
               "torus": _reference_torus}
 
 
-_LOOP_GRIDS = pytest.mark.parametrize("spec", [
+def _spec_id(s):
+    return f"{s.kind}-{s.resolution}-{s.radius if s.kind != 'torus' else s.periods}"
+
+
+_LOOP_SPECS = [
     *(GridSpec("disc2d", n, R) for n in (8, 9, 16, 17, 32, 33) for R in (0.5, 0.99)),
     GridSpec("torus", (9, 13), periods=(2.5, 0.7)),
     GridSpec("radial_disc", 8, 0.8),
     GridSpec("radial_disc", 1024, 0.8),
-], ids=lambda s: f"{s.kind}-{s.resolution}-{s.radius if s.kind != 'torus' else s.periods}")
+]
+_LOOP_GRIDS = pytest.mark.parametrize("spec", _LOOP_SPECS, ids=_spec_id)
 
 
 @_LOOP_GRIDS
@@ -206,6 +211,61 @@ def test_grid_arrays_match_loop_constructors(spec):
                       (g.area_weights(), ref.area), (g.xy, ref.xy)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _scipy_block_laplacian(lap, interior, gram):
+    """Oracle: lap_II by sparse fancy indexing, then the BSR -> CSR -> CSC
+    pipeline that ``Grid.block_laplacian`` shares."""
+    m = gram.shape[0]
+    lap_ii = lap[interior][:, interior].tocsc()
+    n = lap_ii.shape[0]
+    col = np.repeat(np.arange(n), np.diff(lap_ii.indptr))
+    blocks = lap_ii.data[:, None, None] * gram.T
+    blocks[lap_ii.indices == col] = np.nan
+    A = sparse.bsr_matrix((blocks, lap_ii.indices, lap_ii.indptr), shape=(n * m, n * m)).tocsr()
+    A.eliminate_zeros()
+    own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
+    A.data[own] = lap_ii.diagonal()[:, None, None] * gram.T
+    A = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    if not np.all(np.abs(lap_ii.indices - col) <= 1):
+        return A, own, None
+    i, j = A.indices, np.repeat(np.arange(n * m), np.diff(A.indptr))
+    bw = int(np.abs(i - j).max())
+    return A, own, (bw, (2 * bw + i - j) + (3 * bw + 1) * j)
+
+
+_BLOCK_GRAMS = [2.0 * np.eye(1), 2.0 * np.eye(2), 2.0 * np.eye(3), np.eye(2) + 1.0, np.eye(3) + 1.0]
+
+
+@pytest.mark.parametrize("spec", [
+    *_LOOP_SPECS,
+    *(GridSpec("radial_disc", n, 0.8) for n in (64, 256, 384, 512, 2048, 4096)),
+    GridSpec("disc2d", 256, 0.8),
+    GridSpec("torus", 16),
+    GridSpec("torus", 128),
+], ids=_spec_id)
+def test_block_laplacian_is_the_scipy_pipeline_byte_for_byte(spec):
+    # lap_II read straight from lap's CSR arrays gives the very arrays of
+    # fancy indexing, for the symmetric (2 I) and general (I + 1 1^T) grams,
+    # and leaves lap as it was
+    g = build_grid(spec)
+    lap = g.lap.copy()
+    for gram in _BLOCK_GRAMS:
+        A, blocks, band = g.block_laplacian(gram)
+        A0, blocks0, band0 = _scipy_block_laplacian(lap, g.interior_mask, gram)
+        assert A.format == "csc" and A.shape == A0.shape
+        assert (band is None) == (band0 is None) == (spec.kind != "radial_disc")
+        pairs = [(A.data, A0.data), (A.indices, A0.indices), (A.indptr, A0.indptr),
+                 (blocks, blocks0)]
+        if band is not None:
+            assert band[0] == band0[0]
+            pairs.append((band[1], band0[1]))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    for got, want in ((g.lap.data, lap.data), (g.lap.indices, lap.indices),
+                      (g.lap.indptr, lap.indptr)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @_LOOP_GRIDS

@@ -169,6 +169,46 @@ def test_bitmask_bruteforce_matches_itertools_oracle(n, density, seed):
     assert got == _itertools_bruteforce(P)
 
 
+def _worst_offdiag_loop(system):
+    """Oracle: the n(n-1) pair scan that ``check_conditions`` replaced.  The
+    witness is the first pair (i, j) in i-major order holding the minimum,
+    and that pair's first scanned node holding it."""
+    scan = system.scan_mask()
+    scan_idx = np.nonzero(scan)[0]
+    worst = None
+    for i in range(system.n):
+        for j in range(system.n):
+            if i == j:
+                continue
+            vals = system.c[i, j, scan]
+            if vals.size == 0:
+                continue
+            k = int(np.argmin(vals))
+            if worst is None or vals[k] < worst[3]:
+                worst = (i, j, int(scan_idx[k]), float(vals[k]))
+    return worst
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 4), levels=st.integers(1, 3), constant=st.booleans(),
+       poles=st.lists(st.integers(0, 7), max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(n=3, levels=1, constant=True, poles=[], seed=0)
+@example(n=3, levels=2, constant=False, poles=list(range(8)), seed=0)
+def test_worst_offdiag_witness_matches_the_pair_loop(n, levels, constant, poles, seed):
+    # couplings drawn from a few integers tie across pairs and nodes, and
+    # constant fields tie at every node; poles shrink the scan, down to empty
+    g = radial(8)
+    c = np.random.default_rng(seed).integers(-levels, levels + 1, size=(n, n, g.n_nodes))
+    if constant:
+        c[:] = c[..., :1]
+    sys_ = CooperativeSystem(g, n, c, np.zeros((n, g.n_nodes)),
+                             excluded=[np.array(poles, dtype=int)] * n)
+    rep = check_conditions(sys_)
+    want = _worst_offdiag_loop(sys_)
+    assert rep.worst_offdiag == want
+    assert rep.cooperative_ok == (want is None or want[3] >= 0.0)
+
+
 def test_certified_solve_against_dense_oracle():
     from hitchinlab.maxprin import assemble_matrix
 

@@ -39,6 +39,12 @@ def radial(n=64, radius=0.8):
     return build_grid(GridSpec("radial_disc", n, radius))
 
 
+def boundary_coupling(sys):
+    """Oracle: lap_FB (x) E^T E, how the free rows see the boundary unknowns."""
+    free = sys.free
+    return sparse.kron(sys.grid.lap[free][:, ~free], sys.gram, format="csr")
+
+
 # -- spec validation -------------------------------------------------------
 
 
@@ -319,8 +325,8 @@ def test_symmetric_system_is_general_system_on_embedding(case):
     k_s = sym.jacobian_matrix(u).toarray()
     k_g = (lift_f.T @ gen.jacobian_matrix(w) @ lift_f).toarray()
     np.testing.assert_allclose(k_s, k_g, rtol=1e-13, atol=1e-13 * np.abs(k_s).max())
-    c_s = sym.boundary_coupling.toarray()
-    c_g = (lift_f.T @ gen.boundary_coupling @ lift_b).toarray()
+    c_s = boundary_coupling(sym).toarray()
+    c_g = (lift_f.T @ boundary_coupling(gen) @ lift_b).toarray()
     np.testing.assert_allclose(c_s, c_g, rtol=1e-13, atol=1e-13 * np.abs(k_s).max())
 
 
@@ -434,7 +440,7 @@ def test_jacobian_matches_central_differences(grid_spec, spec):
         fd[:, j] = (projected(up) - projected(dn)) / (2 * eps)
     unknowns = np.arange(flat.size).reshape(u.shape)
     K = sys.jacobian_matrix(u).toarray()
-    C = sys.boundary_coupling.toarray()
+    C = boundary_coupling(sys).toarray()
     scale = max(1.0, np.abs(K).max())
     assert np.abs(K - fd[:, unknowns[free].ravel()]).max() < 1e-6 * scale
     assert np.abs(C - fd[:, unknowns[~free].ravel()]).max(initial=0.0) < 1e-6 * scale
@@ -564,12 +570,54 @@ def test_step_through_a_kept_factorisation_is_the_fresh_step(kind, data):
 def _free_system(sys, u, r):
     """K and the right-hand side of the free-node Newton solve at ``u``."""
     free = sys.free
-    b = (-r[free] @ sys.gram).ravel() + sys.boundary_coupling @ r[~free].ravel()
+    b = (-r[free] @ sys.gram).ravel() + boundary_coupling(sys) @ r[~free].ravel()
     return sys.jacobian_matrix(u), b
 
 
 def _backward_error(K, x, b) -> float:
     return np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max() + np.abs(b).max())
+
+
+class _RecordingLU(_NewtonLU):
+    """Keeps the right-hand side of the last solve and returns a zero step."""
+
+    def solve(self, K, b, band=None, forcing=0.0):
+        self.rhs = b.copy()
+        return np.zeros_like(b)
+
+
+@pytest.mark.parametrize("grid_spec", [GridSpec("radial_disc", 64, 0.8), GridSpec("disc2d", 17, 0.8)],
+                         ids=["radial64", "disc2d17"])
+@pytest.mark.parametrize("spec", [
+    make_spec("hitchin_component", 3, (HolomorphicDatum.monomial(1.0, 1),)),
+    make_spec("general_cyclic", 3, (one, HolomorphicDatum.constant(1.5),
+                                    HolomorphicDatum.monomial(0.6, 1)), t=1.2),
+], ids=["symmetric", "general_cyclic"])
+def test_newton_rhs_sees_the_boundary_step_through_the_coupling(grid_spec, spec):
+    # from a seed whose u_B is off the boundary values the step is nonzero at
+    # the boundary, and the free rows see it through lap_FB (x) E^T E; from
+    # the system's own seed it is zero and the right-hand side is -(r E^T E)_F
+    g = build_grid(grid_spec)
+    sys = make_system(spec, g)
+    rng = np.random.default_rng(7)
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
+    r = sys.residual_array(u)
+    assert np.all(r[~sys.free] != 0)
+    lu = _RecordingLU()
+    _newton_step(sys, u, r, lu)
+    _, b = _free_system(sys, u, r)
+    projected = (-r[sys.free] @ sys.gram).ravel()
+    assert np.abs(b - projected).max() > 1e-3 * np.abs(b).max()
+    if spec.is_symmetric:  # E^T E = 2 I scales exactly
+        np.testing.assert_array_equal(lu.rhs, b)
+    else:
+        np.testing.assert_allclose(lu.rhs, b, rtol=1e-13, atol=1e-14 * np.abs(b).max())
+
+    u0 = sys.initial_state().u
+    r0 = sys.residual_array(u0)
+    _newton_step(sys, u0, r0, lu)
+    assert not r0[~sys.free].any()
+    np.testing.assert_array_equal(lu.rhs, _free_system(sys, u0, r0)[1])
 
 
 @pytest.mark.parametrize("kind", sorted(_REUSE_GRIDS))
