@@ -5,9 +5,14 @@ max-norm.  A step is -r at the Dirichlet nodes; at the free nodes it solves
 the system's Newton matrix K, the Hessian of a convex energy (see
 ``HitchinSystem``): symmetric negative definite on disc2d and torus grids,
 and such a matrix times a positive diagonal on the radial grid.  On the 2-D
-grids SuperLU factors K in its symmetric mode (minimum-degree ordering of
-K^T + K, applied to rows and columns alike) with diagonal pivots, which such
-a matrix admits without row interchanges.
+grids SuperLU factors K in its symmetric mode (one ordering applied to rows
+and columns alike) with diagonal pivots, which such a matrix admits without
+row interchanges.  The ordering is SuperLU's minimum degree of K^T + K,
+except on the disc2d lattice where E^T E has a zero entry (the symmetric
+variants of rank >= 4): there a node's unknowns share no neighbour, so that
+ordering takes them one by one and fills more, and K is factored in the
+grid's minimum-degree order of its nodes, each node's unknowns together
+(``HitchinSystem.order``).
 
 Every 2-D step is solved by conjugate gradients on K, preconditioned by the
 last factorisation its solve keeps (Krylov-based iterative refinement:
@@ -116,15 +121,19 @@ def _pow2(v: np.ndarray) -> float:
     return np.ldexp(1.0, np.frexp(_norm(v))[1])
 
 
-def _factor(K, dtype=np.float64):
-    """Sparse direct factorisation of a free-node Newton matrix in ``dtype``.
+def _factor(K, dtype=np.float64, order=None):
+    """Sparse direct factorisation of a free-node Newton matrix in ``dtype``:
+    of K in SuperLU's minimum-degree order, or, given an ``order`` q of its
+    unknowns, of K[q][:, q] in the order it stands.
 
     A cast that overflows ``dtype`` raises ``FloatingPointError``.
     """
+    if order is not None:
+        K = K[order][:, order]  # before the cast: SuperLU then holds the only copy
     with np.errstate(over="raise"):
         K = K.astype(dtype, copy=False)
-    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def _band_solve(K, b: np.ndarray, bw: int, positions: np.ndarray) -> np.ndarray:
@@ -151,12 +160,14 @@ _MIN_STEP = 1e-8
 
 class _NewtonLU:
     """The last kept factorisation of a solve's Newton matrices, made in
-    ``dtype``, with counts of the factorisations made and the refinement
+    ``dtype`` and in the ``order`` of their unknowns it is applied through,
+    with counts of the factorisations made and the refinement
     (conjugate-gradient) iterations run."""
 
     def __init__(self):
         self.lu = None
         self.dtype = None
+        self.order = None
         self.factorizations = 0
         self.refinement_sweeps = 0
 
@@ -164,9 +175,11 @@ class _NewtonLU:
         return {"factorizations": self.factorizations,
                 "refinement_sweeps": self.refinement_sweeps}
 
-    def solve(self, K, b: np.ndarray, band=None, forcing: float = 0.0) -> np.ndarray:
+    def solve(self, K, b: np.ndarray, band=None, forcing: float = 0.0,
+              order=None) -> np.ndarray:
         """K x = b: by ``_band_solve``, keeping nothing, where K has a
-        ``band`` (``HitchinSystem.band``), else refined to ``forcing``."""
+        ``band`` (``HitchinSystem.band``), else refined to ``forcing``,
+        factoring K in its ``order`` (``HitchinSystem.order``) if it has one."""
         if band is not None:
             self.lu = None
             self.factorizations += 1
@@ -177,7 +190,7 @@ class _NewtonLU:
                 return x
         self.lu = None  # released before the new factorisation is made
         try:
-            self._keep(K, np.float32)
+            self._keep(K, np.float32, order)
         except (FloatingPointError, RuntimeError):
             pass
         else:
@@ -185,17 +198,25 @@ class _NewtonLU:
             if x is not None:
                 return x
             self.lu = None
-        self._keep(K, np.float64)
-        return self.lu.solve(b)
+        self._keep(K, np.float64, order)
+        return self._solve(b)
 
-    def _keep(self, K, dtype) -> None:
-        self.lu, self.dtype = _factor(K, dtype), dtype
+    def _keep(self, K, dtype, order=None) -> None:
+        self.lu, self.dtype, self.order = _factor(K, dtype, order), dtype, order
         self.factorizations += 1
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """LU^-1 b, through the order the factorisation was made in."""
+        if self.order is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
 
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """LU^-1 b in double precision, b scaled to max-norm ~1 for the cast."""
         scale = _pow2(b)
-        return self.lu.solve((b / scale).astype(self.dtype, copy=False)) * scale
+        return self._solve((b / scale).astype(self.dtype, copy=False)) * scale
 
     def _refine(self, K, b: np.ndarray, forcing: float = 0.0) -> np.ndarray | None:
         """x with |b - K x| within ``forcing`` or the backward error of a
@@ -231,14 +252,16 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
     """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
     whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
     (lap_FB step_B) E^T E, solved through ``lu`` to the ``forcing``
-    tolerance.  That boundary term is skipped when step_B is zero, as it is
-    from a system's own seed, which holds the boundary values."""
+    tolerance, K factored in the system's ``order`` where it has one.  That
+    boundary term is skipped when step_B is zero, as it is from a system's
+    own seed, which holds the boundary values."""
     step, free = -r, system.free
     rhs = step[free] @ system.gram
     if np.any(step[~free]):
         rhs -= (system.grid.lap @ np.where(free[:, None], 0.0, step))[free] @ system.gram
     K = system.jacobian_matrix(u)
-    step[free] = lu.solve(K, rhs.ravel(), system.band, forcing).reshape(-1, system.m)
+    step[free] = lu.solve(K, rhs.ravel(), system.band, forcing,
+                          system.order).reshape(-1, system.m)
     return step
 
 

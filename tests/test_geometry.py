@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from hitchinlab.geometry import (
     Grid,
@@ -266,6 +267,28 @@ def test_block_laplacian_is_the_scipy_pipeline_byte_for_byte(spec):
     for got, want in ((g.lap.data, lap.data), (g.lap.indices, lap.indices),
                       (g.lap.indptr, lap.indptr)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [GridSpec("disc2d", 8, 0.8), GridSpec("disc2d", 33, 0.8),
+                                  GridSpec("disc2d", 256, 0.8), GridSpec("torus", 16),
+                                  GridSpec("torus", 128), GridSpec("radial_disc", 64, 0.8)],
+                         ids=_spec_id)
+def test_node_order_is_superlus_own_order_of_the_interior_laplacian(spec, monkeypatch):
+    # the symbolic pass gives the order SuperLU's symmetric mode would factor
+    # lap_II in, is made once per grid, and is no factorisation: splu is
+    # never called for it
+    g = build_grid(spec)
+    lap_ii = g.lap[g.interior_mask][:, g.interior_mask].tocsc()
+    lu = spla.splu(lap_ii, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+
+    def splu(*args, **kwargs):
+        raise AssertionError("the node order made a factorisation")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    order = g.node_order()
+    assert np.array_equal(order, np.argsort(lu.perm_c))
+    assert g.node_order() is order and not order.flags.writeable
 
 
 @_LOOP_GRIDS

@@ -233,8 +233,8 @@ def test_every_accepted_2d_step_meets_its_forcing_tolerance(monkeypatch):
     # 4 eps, accepts some of them
     steps, solve_step = [], solver._NewtonLU.solve
 
-    def recorded(self, K, b, band=None, forcing=0.0):
-        x = solve_step(self, K, b, band, forcing)
+    def recorded(self, K, b, band=None, forcing=0.0, order=None):
+        x = solve_step(self, K, b, band, forcing, order)
         steps.append((K, b, x, forcing))
         return x
 
@@ -295,13 +295,14 @@ def test_forced_solves_converge_wherever_strict_ones_do(case, t, tol):
 def _fresh_factor_every_step(monkeypatch):
     """Make every Newton step factor its own matrix, as before the reuse."""
     monkeypatch.setattr(solver._NewtonLU, "solve",
-                        lambda self, K, b, band=None, forcing=0.0: solver._factor(K).solve(b))
+                        lambda self, K, b, band=None, forcing=0.0, order=None:
+                        solver._factor(K).solve(b))
 
 
 def _fresh_band_solve_every_step(monkeypatch):
     """Make every Newton step a banded LU solve of K, its band storage built
     from K's own pattern at each step."""
-    def fresh(self, K, b, band=None, forcing=0.0):
+    def fresh(self, K, b, band=None, forcing=0.0, order=None):
         c = K.tocoo()
         bw = int(np.abs(c.row - c.col).max())
         ab = np.zeros((3 * bw + 1, K.shape[0]), order="F")
@@ -384,13 +385,13 @@ def _record_factorisations(monkeypatch, fail_single=lambda count: False):
             super().__init__()
             holders.append(self)
 
-    def stub(K, dtype=np.float64):
+    def stub(K, dtype=np.float64, order=None):
         assert all(h.lu is None for h in holders)
         if dtype is np.float32 and fail_single(dtypes.count(np.float32)):
             dtypes.append(dtype)
             raise RuntimeError("single-precision factorisation failed")
         dtypes.append(dtype)
-        return factor(K, dtype)
+        return factor(K, dtype, order)
 
     monkeypatch.setattr(solver, "_NewtonLU", Recorded)
     monkeypatch.setattr(solver, "_factor", stub)
@@ -434,22 +435,54 @@ def _torus_cyclic(scale, resolution=64):
     return make_system(make_spec("general_cyclic", 3, (one, one, one)), torus, "periodic", fields)
 
 
+def _direct(K, b, order=None):
+    """K x = b by a float64 factorisation, of K[order][:, order] where an
+    ``order`` is given, its solution put back in K's order."""
+    if order is None:
+        return solver._factor(K).solve(b)
+    x = np.empty_like(b)
+    x[order] = solver._factor(K, order=order).solve(b[order])
+    return x
+
+
+def _falls_back_to_a_direct_double_solve(monkeypatch, K, b, order):
+    """With a forcing tolerance of 0, refinement through the float32
+    factorisation of a nearly singular K cannot reach 4 eps, so K is factored
+    again in float64 and solved directly, the float32 factorisation released
+    first; both are made in ``order``, and the solution is in K's own."""
+    ref = _direct(K, b, order)
+    holders, dtypes = _record_factorisations(monkeypatch)
+    lu = solver._NewtonLU()
+    x = lu.solve(K, b, forcing=0.0, order=order)
+    assert dtypes == [np.float32, np.float64]
+    assert holders == [lu] and lu.factorizations == 2 and lu.dtype is np.float64
+    assert lu.order is order
+    assert x.tobytes() == ref.tobytes()
+    assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
+
+
 def test_single_precision_that_cannot_refine_falls_back_to_a_direct_double_solve(monkeypatch):
     # with fields of size 1e-6 the torus K is nearly the singular periodic
-    # Laplacian: with a forcing tolerance of 0, refinement through its
-    # float32 factorisation cannot reach 4 eps, so K is factored again in
-    # float64 and solved directly, the float32 factorisation released first
+    # Laplacian
     sys = _torus_cyclic(1e-6)
     u = sys.initial_state().u
     K, b = sys.jacobian_matrix(u), (-sys.residual_array(u) @ sys.gram).ravel()  # all nodes free
-    ref = solver._factor(K).solve(b)
+    assert sys.order is None
+    _falls_back_to_a_direct_double_solve(monkeypatch, K, b, None)
 
-    holders, dtypes = _record_factorisations(monkeypatch)
-    lu = solver._NewtonLU()
-    x = lu.solve(K, b, forcing=0.0)
-    assert dtypes == [np.float32, np.float64]
-    assert holders == [lu] and lu.factorizations == 2 and lu.dtype is np.float64
-    assert x.tobytes() == ref.tobytes()
+
+def test_single_precision_that_cannot_refine_falls_back_in_the_node_order(monkeypatch):
+    # disc2d hitchin-4, its K shifted to 1e-7 of its eigenvalue nearest zero,
+    # in the node order a Newton step uses
+    sys = make_system(make_spec("hitchin_component", 4, (quadratic,)),
+                      build_grid(GridSpec("disc2d", 17, 0.8)))
+    u = sys.initial_state().u
+    K = sys.jacobian_matrix(u)
+    shift = (1.0 - 1e-7) * np.abs(np.linalg.eigvalsh(K.toarray())).min()
+    b = (-sys.residual_array(u)[sys.free] @ sys.gram).ravel()
+    assert sys.order is not None
+    _falls_back_to_a_direct_double_solve(
+        monkeypatch, (K + shift * sp.identity(K.shape[0])).tocsc(), b, sys.order)
 
 
 @pytest.mark.parametrize("failure", ["raises", "overflows"])
@@ -460,12 +493,12 @@ def test_failed_single_precision_factorisation_falls_back(monkeypatch, failure):
     sys = make_system(make_spec("hitchin_component", 4, (quadratic,)), disc)
     factor = solver._factor
 
-    def stub(K, dtype=np.float64):
+    def stub(K, dtype=np.float64, order=None):
         if dtype is np.float32:
             if failure == "raises":
                 raise RuntimeError("Factor is exactly singular")
             K = K * 2.0**200  # beyond the float32 range: the cast raises
-        return factor(K, dtype)
+        return factor(K, dtype, order)
 
     monkeypatch.setattr(solver, "_factor", stub)
     with warnings.catch_warnings():
@@ -508,9 +541,9 @@ def test_slowly_contracting_refinement_refactors_after_few_sweeps(monkeypatch):
     lu.solve(K0, b)
     before, seen, factor = lu.refinement_sweeps, [], solver._factor
 
-    def stub(K, dtype=np.float64):
+    def stub(K, dtype=np.float64, order=None):
         seen.append(lu.refinement_sweeps - before)
-        return factor(K, dtype)
+        return factor(K, dtype, order)
 
     monkeypatch.setattr(solver, "_factor", stub)
     K = (K0 + sp.diags(K0.diagonal() * rng.uniform(size=K0.shape[0]))).tocsc()
@@ -542,14 +575,19 @@ def test_stale_unsymmetric_factorisation_still_preconditions_to_4_eps():
         assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("case", ["indefinite matrix", "positive definite factorisation"])
-def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case):
+@pytest.mark.parametrize("case, n", [
+    pytest.param(case, n, id=case + (", node order" if n == 4 else ""))
+    for n in (3, 4) for case in ("indefinite matrix", "positive definite factorisation")])
+def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case, n):
     # CG needs -K and minus the kept factorisation positive definite.
     # Shifting K0 past its eigenvalue nearest zero gives K a direction of
     # positive curvature, p^T K p > 0; a kept factorisation of -K0 gives
-    # r^T z > 0.  Either way refinement gives up before its first iteration
+    # r^T z > 0.  Either way refinement gives up before its first iteration.
+    # Rank 4 factors K in the node order a Newton step uses
     disc = build_grid(GridSpec("disc2d", 33, 0.8))
-    sys = make_system(make_spec("hitchin_component", 3, (quadratic,)), disc)
+    sys = make_system(make_spec("hitchin_component", n, (quadratic,)), disc)
+    order = sys.order
+    assert (order is None) == (n == 3)
     K0 = sys.jacobian_matrix(sys.initial_state().u)
     if case == "indefinite matrix":
         shift = 3.0 * np.abs(np.linalg.eigvalsh(K0.toarray())).min()
@@ -558,20 +596,78 @@ def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case):
         K, kept = K0, -K0
     b = np.random.default_rng(3).normal(size=K0.shape[0])
     lu = solver._NewtonLU()
-    lu._keep(kept, np.float32)
+    lu._keep(kept, np.float32, order)
     assert lu._refine(K, b) is None and lu.refinement_sweeps == 0
-    x = lu.solve(K, b)
+    x = lu.solve(K, b, order=order)
+    assert lu.order is order
     if case == "indefinite matrix":
         # a fresh single-precision factorisation is indefinite too: K is
         # factored in double precision and solved directly
-        assert lu.dtype is np.float64 and x.tobytes() == solver._factor(K).solve(b).tobytes()
+        assert lu.dtype is np.float64 and x.tobytes() == _direct(K, b, order).tobytes()
     else:
         assert lu.dtype is np.float32 and lu.factorizations == 2
         assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
 
 
+_ORDER_GRIDS = {"disc2d33": GridSpec("disc2d", 33, 0.8), "torus16": GridSpec("torus", 16)}
+
+
+@pytest.mark.parametrize("grid", sorted(_ORDER_GRIDS))
+@pytest.mark.parametrize("variant, n", [("general_cyclic", 3), ("hitchin_component", 3),
+                                        ("hitchin_component", 4), ("hitchin_component", 6),
+                                        ("slnr_even", 4), ("slnr_odd", 5), ("sp4_gothen", 4)])
+def test_node_order_is_used_exactly_where_the_gram_matrix_has_a_zero(grid, variant, n):
+    # E^T E = 2 I (the symmetric variants with m >= 2) has zeros, and only
+    # there, on the disc2d lattice, is K factored in the grid's node order,
+    # each node's m unknowns together.  Elsewhere the step is the bytes of
+    # a solve through SuperLU's own order of K
+    g = build_grid(_ORDER_GRIDS[grid])
+    datum = quadratic if g.kind == "disc2d" else HolomorphicDatum.constant(0.5)
+    size = {"general_cyclic": n, "hitchin_component": 1, "sp4_gothen": 2}.get(variant, n // 2 + 1)
+    sys = make_system(make_spec(variant, n, (one,) * (size - 1) + (datum,)), g,
+                      "periodic" if g.kind == "torus" else "fuchsian")
+    rng = np.random.default_rng(n)
+    u = sys.initial_state().u
+    u[sys.free] += 0.1 * rng.normal(size=(sys.free.sum(), sys.m))
+    r = sys.residual_array(u)
+    K, b = sys.jacobian_matrix(u), (-r[sys.free] @ sys.gram).ravel()  # the boundary step is 0
+    lu = solver._NewtonLU()
+    x = solver._newton_step(sys, u, r, lu)[sys.free].ravel()
+    used = sys.order is not None
+    assert (not np.all(sys.gram)) == (sys.m > 1 and variant != "general_cyclic")
+    assert used == (g.kind == "disc2d" and not np.all(sys.gram))
+    assert lu.order is sys.order and lu.factorizations == 1
+    assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
+    if not used:
+        assert x.tobytes() == solver._NewtonLU().solve(K, b).tobytes()
+        return
+    unknowns = sys.order.reshape(-1, sys.m)
+    nodes = unknowns[:, 0] // sys.m
+    assert np.array_equal(unknowns, nodes[:, None] * sys.m + np.arange(sys.m))
+    assert np.array_equal(np.sort(nodes), np.arange(sys.free.sum()))
+
+
+@pytest.mark.parametrize("grid", [GridSpec("disc2d", 65, 0.8), GridSpec("torus", 32)],
+                         ids=["disc2d65", "torus32"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_the_node_order_fills_less_on_the_disc_and_more_on_the_torus(grid, n):
+    # with E^T E = 2 I, K's factor in the node order has less fill than in
+    # SuperLU's own order of K on the disc2d lattice (here from 65 on; at
+    # 17 and 33 it has 3-8 % more, and those factor in milliseconds) and
+    # more on the periodic torus lattice, which therefore keeps its own
+    g = build_grid(grid)
+    datum = quadratic if g.kind == "disc2d" else HolomorphicDatum.constant(0.5)
+    sys = make_system(make_spec("hitchin_component", n, (datum,)), g,
+                      "periodic" if g.kind == "torus" else "fuchsian")
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    node = (g.node_order()[:, None] * sys.m + np.arange(sys.m)).ravel()
+    fill = solver._factor(K, np.float32, node).nnz / solver._factor(K, np.float32).nnz
+    assert (sys.order is not None) == (fill < 1) == (g.kind == "disc2d")
+
+
 @functools.cache
 def _newton_matrix(variant):
+    """K at the seed, and the order a Newton step factors it in."""
     if variant == "torus-cyclic3":
         sys = _torus_cyclic(1.0, 16)
     else:
@@ -579,7 +675,8 @@ def _newton_matrix(variant):
                          "disc2d-cyclic3": ("general_cyclic", 3, (one, one, quadratic))}[variant]
         sys = make_system(make_spec(name, n, data, t=2.0),
                           build_grid(GridSpec("disc2d", 17, 0.8)))
-    return sys.jacobian_matrix(sys.initial_state().u)
+    assert (sys.order is None) == (variant != "disc2d-hitchin4")
+    return sys.jacobian_matrix(sys.initial_state().u), sys.order
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -592,14 +689,15 @@ def test_refinement_through_a_perturbed_factorisation_meets_4_eps_or_refactors(
     # and b has max-norm from 1e-300 to 1e300: refinement either meets the
     # 4 eps backward error or K is factored afresh.  A factorisation of K
     # itself refines at every scale, because b is scaled to max-norm ~1
-    # before conjugate gradients form r^T z
-    K = _newton_matrix(variant)
+    # before conjugate gradients form r^T z.  disc2d hitchin-4 is factored
+    # in the node order a Newton step uses
+    K, order = _newton_matrix(variant)
     rng = np.random.default_rng(seed)
     stale = (K + sp.diags(spread * K.diagonal() * rng.uniform(size=K.shape[0]))).tocsc()
     b = 10.0**exponent * rng.normal(size=K.shape[0])
     lu = solver._NewtonLU()
-    lu._keep(stale, np.float32)
-    x = lu.solve(K, b)
+    lu._keep(stale, np.float32, order)
+    x = lu.solve(K, b, order=order)
     assert lu.factorizations == 1 or spread > 0
     if lu.dtype is np.float32:  # refined, through the kept factorisation or a fresh one
         assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps

@@ -581,7 +581,7 @@ def _backward_error(K, x, b) -> float:
 class _RecordingLU(_NewtonLU):
     """Keeps the right-hand side of the last solve and returns a zero step."""
 
-    def solve(self, K, b, band=None, forcing=0.0):
+    def solve(self, K, b, band=None, forcing=0.0, order=None):
         self.rhs = b.copy()
         return np.zeros_like(b)
 
