@@ -213,7 +213,6 @@ class Grid:
         vals = np.concatenate([np.broadcast_to(weights, nbr.shape)[p, k], diag[interior]])
         self.lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
         self._block_laplacians: dict = {}
-        self._node_order = None
 
     # -- queries -----------------------------------------------------------
 
@@ -250,41 +249,11 @@ class Grid:
             return self.interior_mask.copy()
         return self.interior_mask & (np.abs(self.z()) <= VERDICT_FRACTION * self.spec.radius)
 
-    def _interior_laplacian(self) -> sparse.csc_matrix:
-        """lap_II, lap on the interior nodes, from lap's CSR arrays: the
-        boundary rows are empty, so drop the entries in boundary columns and
-        renumber the others."""
-        lap, inner = self.lap, self.interior_mask
-        number = np.where(inner, np.cumsum(inner, dtype=lap.indices.dtype) - 1, -1)
-        cols = number.take(lap.indices)
-        keep = cols >= 0
-        starts = lap.indptr[np.append(np.flatnonzero(inner), len(inner))]
-        drop = np.searchsorted(starts, np.flatnonzero(~keep), "right")
-        starts -= np.cumsum(np.bincount(drop, minlength=len(starts)), dtype=starts.dtype)
-        n = len(starts) - 1
-        return sparse.csr_matrix((lap.data[keep], cols[keep], starts), shape=(n, n)).tocsc()
-
-    def node_order(self) -> np.ndarray:
-        """The interior nodes in SuperLU's minimum-degree order of lap_II's
-        graph: q = argsort(perm_c), so that lap_II[q][:, q] is the matrix
-        SuperLU's symmetric mode factors.
-
-        Computed once per grid, and read-only, by SuperLU's incomplete
-        factorisation at an infinite drop tolerance: it orders the columns
-        as ``splu`` would, at a fraction of the cost of a factorisation.
-        """
-        if self._node_order is None:
-            ilu = spla.spilu(self._interior_laplacian(), drop_tol=np.inf, fill_factor=1.0,
-                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-            self._node_order = np.argsort(ilu.perm_c)
-            self._node_order.flags.writeable = False
-        return self._node_order
-
     def block_laplacian(self, gram: np.ndarray):
-        """The Laplacian on m unknowns per interior node, coupled by ``gram``.
+        """The Laplacian on m unknowns per interior node, coupled by ``gram``,
+        and how a Newton matrix on its pattern is solved.
 
-        For an m x m matrix ``gram`` returns ``(A, blocks, band)``:
+        For an m x m matrix ``gram`` returns ``(A, blocks, band, order)``:
 
         * ``A`` (CSC) is lap_II (x) gram over the interior nodes (every node
           of the torus), node-major: unknown k of the f-th interior node is
@@ -292,13 +261,27 @@ class Grid:
           node, for callers that couple a node's own unknowns.
         * ``blocks[f, l, k]`` is the position in ``A.data`` of A[(f, k), (f, l)].
         * ``band`` is ``(bw, positions)`` where each interior node couples
-          only to its neighbours in node order, so that ``A`` is block
+          only to the nodes numbered next to it, so that ``A`` is block
           tridiagonal with half-bandwidth bw < 2m (the radial grid), and
           None on the 2-D lattices.  ``positions[p]`` is where ``A.data[p]``
           goes in LAPACK's general band storage of ``A`` with bw sub- and
           superdiagonals plus bw rows for the fill of pivoting: a
           (3 bw + 1) x n array in column-major order, A[i, j] at row
           2 bw + i - j of column j.
+        * ``order`` is the order q of A's unknowns that a matrix on A's
+          pattern is factored in, as K[q][:, q], or None for SuperLU's own
+          minimum-degree order of it.  It is set on the disc2d lattice where
+          ``gram`` has a zero entry (the symmetric variants of rank >= 4):
+          the interior nodes in SuperLU's minimum-degree order of lap_II,
+          each node's m unknowns together.  SuperLU merges a node's unknowns
+          only when they share their neighbours, and with gram = 2 I they do
+          not: its own order of K fills 15 % more than the node order on
+          disc2d 256 (n = 4).  Elsewhere SuperLU's own order does as well:
+          with m = 1 it is the node order, with a full gram it fills within
+          3 % of the node order, and on the periodic torus lattice the node
+          order fills 7-27 % more.  The node order is read from SuperLU's
+          incomplete factorisation at an infinite drop tolerance, which
+          orders the columns as ``splu`` would without factoring.
 
         Built once per ``gram`` and shared by every caller: the arrays are
         read-only, so copy ``A`` before writing to it.
@@ -307,8 +290,17 @@ class Grid:
         if key in self._block_laplacians:
             return self._block_laplacians[key]
         m = gram.shape[0]
-        lap_ii = self._interior_laplacian()
-        n = lap_ii.shape[0]
+        # lap_II from lap's CSR arrays: the boundary rows are empty, so drop
+        # the entries in boundary columns and renumber the others
+        lap, inner = self.lap, self.interior_mask
+        number = np.where(inner, np.cumsum(inner, dtype=lap.indices.dtype) - 1, -1)
+        cols = number.take(lap.indices)
+        keep = cols >= 0
+        starts = lap.indptr[np.append(np.flatnonzero(inner), len(inner))]
+        drop = np.searchsorted(starts, np.flatnonzero(~keep), "right")
+        starts -= np.cumsum(np.bincount(drop, minlength=len(starts)), dtype=starts.dtype)
+        n = len(starts) - 1
+        lap_ii = sparse.csr_matrix((lap.data[keep], cols[keep], starts), shape=(n, n)).tocsc()
         # CSC arrays of lap_II read as CSR are lap_II^T; with the blocks
         # lap[i, j] gram^T they describe A^T in CSR, i.e. A in CSC.  NaN
         # marks each node's own block, so dropping the stored zeros of gram
@@ -321,16 +313,25 @@ class Grid:
         own = np.flatnonzero(np.isnan(A.data)).reshape(n, m, m)
         A.data[own] = lap_ii.diagonal()[:, None, None] * gram.T
         A = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-        band = None
+        band = order = None
         if np.all(np.abs(lap_ii.indices - col) <= 1):
             i, j = A.indices, np.repeat(np.arange(n * m), np.diff(A.indptr))
             bw = int(np.abs(i - j).max())
             band = bw, (2 * bw + i - j) + (3 * bw + 1) * j
             band[1].flags.writeable = False
+        # the m x m blocks (8 MB on disc2d 256, m = 2) go before the ordering
+        # pass: held through it, they raise the peak RSS of repeated disc2d
+        # 256 n = 4 solves by about 1 %
+        del blocks
+        if self.kind == "disc2d" and not np.all(gram):
+            ilu = spla.spilu(lap_ii, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            order = (np.argsort(ilu.perm_c)[:, None] * m + np.arange(m)).ravel()
+            order.flags.writeable = False
         for arr in (A.data, A.indices, A.indptr, own):
             arr.flags.writeable = False
-        self._block_laplacians[key] = A, own, band
-        return A, own, band
+        self._block_laplacians[key] = A, own, band, order
+        return A, own, band, order
 
     def __repr__(self):
         return f"Grid({self.spec.kind}, n_nodes={self.n_nodes}, spacing={self.spacing:.3g})"

@@ -7,12 +7,8 @@ the system's Newton matrix K, the Hessian of a convex energy (see
 and such a matrix times a positive diagonal on the radial grid.  On the 2-D
 grids SuperLU factors K in its symmetric mode (one ordering applied to rows
 and columns alike) with diagonal pivots, which such a matrix admits without
-row interchanges.  The ordering is SuperLU's minimum degree of K^T + K,
-except on the disc2d lattice where E^T E has a zero entry (the symmetric
-variants of rank >= 4): there a node's unknowns share no neighbour, so that
-ordering takes them one by one and fills more, and K is factored in the
-grid's minimum-degree order of its nodes, each node's unknowns together
-(``HitchinSystem.order``).
+row interchanges, in the order of its unknowns that ``Grid.block_laplacian``
+gives with K's pattern, or else in SuperLU's minimum degree of K^T + K.
 
 Every 2-D step is solved by conjugate gradients on K, preconditioned by the
 last factorisation its solve keeps (Krylov-based iterative refinement:
@@ -46,14 +42,12 @@ the cast to single precision overflows, or SuperLU fails on it, it is
 released and K is factored in double precision and solved directly; that
 factorisation is then the one kept.  At most one factorisation is alive.
 
-The path follows the structure of K, computed once per grid pattern: on
-the radial grid K is block tridiagonal, with half-bandwidth bw < 2m, and
-every step there solves K as it stands, afresh and in double precision, by
-LAPACK's banded LU with partial pivoting (gbsv; Golub & Van Loan, Matrix
-Computations, 4.3), which is backward stable on it; nothing is kept.  The
-grid computes once per pattern where each entry of K goes in band storage.
-One solve owns its factorisation; ``continuation_solve`` hands one on from
-each member to the next.
+Where K's pattern has a band (the radial grid, where K is block
+tridiagonal), every step solves K as it stands, afresh and in double
+precision, by LAPACK's banded LU with partial pivoting (gbsv; Golub & Van
+Loan, Matrix Computations, 4.3), which is backward stable on it; nothing is
+kept.  One solve owns its factorisation; ``continuation_solve`` hands one
+on from each member to the next.
 
 Failure to converge is reported, not raised: blow-ups, singular Jacobians
 and stalled line searches all produce a ``SolveReport`` with
@@ -178,8 +172,8 @@ class _NewtonLU:
     def solve(self, K, b: np.ndarray, band=None, forcing: float = 0.0,
               order=None) -> np.ndarray:
         """K x = b: by ``_band_solve``, keeping nothing, where K has a
-        ``band`` (``HitchinSystem.band``), else refined to ``forcing``,
-        factoring K in its ``order`` (``HitchinSystem.order``) if it has one."""
+        ``band``, else refined to ``forcing``, factoring K in its ``order``
+        if it has one (both from ``Grid.block_laplacian``)."""
         if band is not None:
             self.lu = None
             self.factorizations += 1
@@ -252,16 +246,16 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
     """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
     whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
     (lap_FB step_B) E^T E, solved through ``lu`` to the ``forcing``
-    tolerance, K factored in the system's ``order`` where it has one.  That
-    boundary term is skipped when step_B is zero, as it is from a system's
-    own seed, which holds the boundary values."""
+    tolerance by the band or in the order of K's pattern.  That boundary
+    term is skipped when step_B is zero, as it is from a system's own seed,
+    which holds the boundary values."""
     step, free = -r, system.free
     rhs = step[free] @ system.gram
     if np.any(step[~free]):
         rhs -= (system.grid.lap @ np.where(free[:, None], 0.0, step))[free] @ system.gram
     K = system.jacobian_matrix(u)
-    step[free] = lu.solve(K, rhs.ravel(), system.band, forcing,
-                          system.order).reshape(-1, system.m)
+    *_, band, order = system.grid.block_laplacian(system.gram)
+    step[free] = lu.solve(K, rhs.ravel(), band, forcing, order).reshape(-1, system.m)
     return step
 
 

@@ -35,7 +35,6 @@ The scale parameter ``t`` always multiplies the final arrow (gamma_n or nu).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -197,10 +196,6 @@ class LogMetricState:
         if self.u.ndim != 2 or self.u.shape[0] != self.grid.n_nodes:
             raise ValueError("state array must have shape (n_nodes, n_unknowns)")
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.u.shape[1]
-
     def copy(self) -> "LogMetricState":
         return LogMetricState(self.grid, self.u.copy())
 
@@ -321,37 +316,12 @@ class HitchinSystem:
         hess = self._arrows(u)[self.free] @ self._dd
         if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
-        lap_k, blocks, _ = self.grid.block_laplacian(self.gram)
+        lap_k, blocks, *_ = self.grid.block_laplacian(self.gram)
         k, l = self._pairs
         upper, lower = blocks[:, l, k], blocks[:, k, l]
         K = lap_k.copy()
         K.data[upper] = K.data[lower] = lap_k.data[upper] - hess
         return K
-
-    @property
-    def band(self) -> tuple[int, np.ndarray] | None:
-        """K's half-bandwidth and band-storage positions where K is block
-        tridiagonal (the radial grid), else None; see ``Grid.block_laplacian``."""
-        return self.grid.block_laplacian(self.gram)[2]
-
-    @functools.cached_property
-    def order(self) -> np.ndarray | None:
-        """The order of K's unknowns that K is factored in, where it has one:
-        on a disc2d lattice where E^T E has a zero entry (the symmetric
-        variants of rank >= 4), the grid's ``node_order`` with each node's m
-        unknowns kept together.
-
-        SuperLU's minimum-degree ordering merges a node's unknowns only when
-        they share their neighbours in K's graph.  With E^T E = 2 I they do
-        not, and its own order of K fills 15 % more than the node order on
-        disc2d 256 (n = 4).  Elsewhere None, and K keeps SuperLU's own order:
-        with one unknown per node that is the node order, with a full E^T E
-        its fill is within 3 % of the node order's, the radial K is banded,
-        and on the periodic torus lattice the node order fills 7-27 % more.
-        """
-        if self.grid.kind != "disc2d" or np.all(self.gram):
-            return None
-        return (self.grid.node_order()[:, None] * self.m + np.arange(self.m)).ravel()
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""

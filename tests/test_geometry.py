@@ -252,7 +252,7 @@ def test_block_laplacian_is_the_scipy_pipeline_byte_for_byte(spec):
     g = build_grid(spec)
     lap = g.lap.copy()
     for gram in _BLOCK_GRAMS:
-        A, blocks, band = g.block_laplacian(gram)
+        A, blocks, band, _ = g.block_laplacian(gram)
         A0, blocks0, band0 = _scipy_block_laplacian(lap, g.interior_mask, gram)
         assert A.format == "csc" and A.shape == A0.shape
         assert (band is None) == (band0 is None) == (spec.kind != "radial_disc")
@@ -274,9 +274,11 @@ def test_block_laplacian_is_the_scipy_pipeline_byte_for_byte(spec):
                                   GridSpec("torus", 128), GridSpec("radial_disc", 64, 0.8)],
                          ids=_spec_id)
 def test_node_order_is_superlus_own_order_of_the_interior_laplacian(spec, monkeypatch):
-    # the symbolic pass gives the order SuperLU's symmetric mode would factor
-    # lap_II in, is made once per grid, and is no factorisation: splu is
-    # never called for it
+    # on the disc2d lattice a Gram matrix with a zero entry gets the order
+    # SuperLU's symmetric mode would factor lap_II in, each node's unknowns
+    # together, made once per Gram matrix, read-only, and by no
+    # factorisation: splu is never called for it.  Every other pattern has
+    # no order
     g = build_grid(spec)
     lap_ii = g.lap[g.interior_mask][:, g.interior_mask].tocsc()
     lu = spla.splu(lap_ii, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -286,9 +288,15 @@ def test_node_order_is_superlus_own_order_of_the_interior_laplacian(spec, monkey
         raise AssertionError("the node order made a factorisation")
 
     monkeypatch.setattr(spla, "splu", splu)
-    order = g.node_order()
-    assert np.array_equal(order, np.argsort(lu.perm_c))
-    assert g.node_order() is order and not order.flags.writeable
+    for gram in _BLOCK_GRAMS:
+        order = g.block_laplacian(gram)[3]
+        m = gram.shape[0]
+        if spec.kind != "disc2d" or np.all(gram):
+            assert order is None
+            continue
+        node = np.argsort(lu.perm_c)
+        assert np.array_equal(order, (node[:, None] * m + np.arange(m)).ravel())
+        assert g.block_laplacian(gram.copy())[3] is order and not order.flags.writeable
 
 
 @_LOOP_GRIDS

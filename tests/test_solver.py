@@ -27,6 +27,11 @@ def radial(n=64, radius=0.8):
     return build_grid(GridSpec("radial_disc", n, radius))
 
 
+def _order(sys):
+    """The order a Newton step factors the system's K in, from K's pattern."""
+    return sys.grid.block_laplacian(sys.gram)[3]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_residual=0.0)
@@ -467,7 +472,7 @@ def test_single_precision_that_cannot_refine_falls_back_to_a_direct_double_solve
     sys = _torus_cyclic(1e-6)
     u = sys.initial_state().u
     K, b = sys.jacobian_matrix(u), (-sys.residual_array(u) @ sys.gram).ravel()  # all nodes free
-    assert sys.order is None
+    assert _order(sys) is None
     _falls_back_to_a_direct_double_solve(monkeypatch, K, b, None)
 
 
@@ -480,9 +485,9 @@ def test_single_precision_that_cannot_refine_falls_back_in_the_node_order(monkey
     K = sys.jacobian_matrix(u)
     shift = (1.0 - 1e-7) * np.abs(np.linalg.eigvalsh(K.toarray())).min()
     b = (-sys.residual_array(u)[sys.free] @ sys.gram).ravel()
-    assert sys.order is not None
+    assert _order(sys) is not None
     _falls_back_to_a_direct_double_solve(
-        monkeypatch, (K + shift * sp.identity(K.shape[0])).tocsc(), b, sys.order)
+        monkeypatch, (K + shift * sp.identity(K.shape[0])).tocsc(), b, _order(sys))
 
 
 @pytest.mark.parametrize("failure", ["raises", "overflows"])
@@ -586,7 +591,7 @@ def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case, n):
     # Rank 4 factors K in the node order a Newton step uses
     disc = build_grid(GridSpec("disc2d", 33, 0.8))
     sys = make_system(make_spec("hitchin_component", n, (quadratic,)), disc)
-    order = sys.order
+    order = _order(sys)
     assert (order is None) == (n == 3)
     K0 = sys.jacobian_matrix(sys.initial_state().u)
     if case == "indefinite matrix":
@@ -609,20 +614,24 @@ def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case, n):
         assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
 
 
-_ORDER_GRIDS = {"disc2d33": GridSpec("disc2d", 33, 0.8), "torus16": GridSpec("torus", 16)}
+_ORDER_GRIDS = {"disc2d33": GridSpec("disc2d", 33, 0.8), "radial64": GridSpec("radial_disc", 64, 0.8),
+                "torus16": GridSpec("torus", 16)}
 
 
 @pytest.mark.parametrize("grid", sorted(_ORDER_GRIDS))
 @pytest.mark.parametrize("variant, n", [("general_cyclic", 3), ("hitchin_component", 3),
                                         ("hitchin_component", 4), ("hitchin_component", 6),
                                         ("slnr_even", 4), ("slnr_odd", 5), ("sp4_gothen", 4)])
-def test_node_order_is_used_exactly_where_the_gram_matrix_has_a_zero(grid, variant, n):
-    # E^T E = 2 I (the symmetric variants with m >= 2) has zeros, and only
-    # there, on the disc2d lattice, is K factored in the grid's node order,
-    # each node's m unknowns together.  Elsewhere the step is the bytes of
-    # a solve through SuperLU's own order of K
+def test_node_order_is_used_exactly_where_the_gram_matrix_has_a_zero(grid, variant, n,
+                                                                      monkeypatch):
+    # K's pattern carries how K is solved: a band exactly on the radial grid,
+    # where K is block tridiagonal, and a factor order exactly on the disc2d
+    # lattice where E^T E has a zero (the symmetric variants with m >= 2),
+    # each node's m unknowns together; never both.  The step is the bytes
+    # of a banded solve or of a solve factored in that order
     g = build_grid(_ORDER_GRIDS[grid])
-    datum = quadratic if g.kind == "disc2d" else HolomorphicDatum.constant(0.5)
+    datum = {"disc2d": quadratic, "radial_disc": HolomorphicDatum.monomial(1.0, 2),
+             "torus": HolomorphicDatum.constant(0.5)}[g.kind]
     size = {"general_cyclic": n, "hitchin_component": 1, "sp4_gothen": 2}.get(variant, n // 2 + 1)
     sys = make_system(make_spec(variant, n, (one,) * (size - 1) + (datum,)), g,
                       "periodic" if g.kind == "torus" else "fuchsian")
@@ -631,20 +640,67 @@ def test_node_order_is_used_exactly_where_the_gram_matrix_has_a_zero(grid, varia
     u[sys.free] += 0.1 * rng.normal(size=(sys.free.sum(), sys.m))
     r = sys.residual_array(u)
     K, b = sys.jacobian_matrix(u), (-r[sys.free] @ sys.gram).ravel()  # the boundary step is 0
+    _, _, band, order = g.block_laplacian(sys.gram)
+    rows, cols = K.nonzero()
+    assert (band is not None) == (np.abs(rows - cols).max() < 2 * sys.m) == (g.kind == "radial_disc")
+    assert (not np.all(sys.gram)) == (sys.m > 1 and variant != "general_cyclic")
+    assert (order is not None) == (g.kind == "disc2d" and not np.all(sys.gram))
+    orders, factor = [], solver._factor
+
+    def recorded(K, dtype=np.float64, order=None):
+        orders.append(order)
+        return factor(K, dtype, order)
+
+    monkeypatch.setattr(solver, "_factor", recorded)
     lu = solver._NewtonLU()
     x = solver._newton_step(sys, u, r, lu)[sys.free].ravel()
-    used = sys.order is not None
-    assert (not np.all(sys.gram)) == (sys.m > 1 and variant != "general_cyclic")
-    assert used == (g.kind == "disc2d" and not np.all(sys.gram))
-    assert lu.order is sys.order and lu.factorizations == 1
+    assert lu.factorizations == 1
     assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
-    if not used:
-        assert x.tobytes() == solver._NewtonLU().solve(K, b).tobytes()
+    if band is not None:
+        assert lu.lu is None and orders == []
+        assert x.tobytes() == solver._band_solve(K, b, *band).tobytes()
         return
-    unknowns = sys.order.reshape(-1, sys.m)
+    assert lu.order is order and len(orders) == 1 and orders[0] is order
+    assert x.tobytes() == solver._NewtonLU().solve(K, b, order=order).tobytes()
+    if order is None:
+        return
+    unknowns = order.reshape(-1, sys.m)
     nodes = unknowns[:, 0] // sys.m
     assert np.array_equal(unknowns, nodes[:, None] * sys.m + np.arange(sys.m))
     assert np.array_equal(np.sort(nodes), np.arange(sys.free.sum()))
+
+
+def test_the_order_is_made_once_per_grid_and_gram_matrix(monkeypatch):
+    # hitchin_component n = 4 and sp4_gothen share E^T E = 2 I, so on one
+    # disc2d grid they share one read-only order; a continuation builds a
+    # system per member, and the order is still made once
+    calls, spilu = [], spla.spilu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spilu", counted)
+    disc = build_grid(GridSpec("disc2d", 17, 0.8))
+    hitchin = make_spec("hitchin_component", 4, (quadratic,))
+    a = _order(make_system(hitchin, disc))
+    b = _order(make_system(make_spec("sp4_gothen", 4, (one, quadratic)), disc))
+    assert a is b and not a.flags.writeable and len(calls) == 1
+
+    calls.clear()
+    disc = build_grid(GridSpec("disc2d", 17, 0.8))
+    runs = continuation_solve(lambda t: make_system(replace(hitchin, t=complex(t)), disc),
+                              [0.0, 1.0, 2.0, 4.0, 8.0])
+    assert len(runs) == 5 and all(rep.converged for _, rep in runs)
+    assert len(calls) == 1
+
+
+def _node_order(lap_ii):
+    """Oracle: lap_II's nodes in SuperLU's minimum-degree order, from its
+    incomplete factorisation at an infinite drop tolerance."""
+    ilu = spla.spilu(lap_ii, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return np.argsort(ilu.perm_c)
 
 
 @pytest.mark.parametrize("grid", [GridSpec("disc2d", 65, 0.8), GridSpec("torus", 32)],
@@ -660,9 +716,11 @@ def test_the_node_order_fills_less_on_the_disc_and_more_on_the_torus(grid, n):
     sys = make_system(make_spec("hitchin_component", n, (datum,)), g,
                       "periodic" if g.kind == "torus" else "fuchsian")
     K = sys.jacobian_matrix(sys.initial_state().u)
-    node = (g.node_order()[:, None] * sys.m + np.arange(sys.m)).ravel()
+    free = sys.free
+    node = _node_order(g.lap[free][:, free].tocsc())
+    node = (node[:, None] * sys.m + np.arange(sys.m)).ravel()
     fill = solver._factor(K, np.float32, node).nnz / solver._factor(K, np.float32).nnz
-    assert (sys.order is not None) == (fill < 1) == (g.kind == "disc2d")
+    assert (_order(sys) is not None) == (fill < 1) == (g.kind == "disc2d")
 
 
 @functools.cache
@@ -675,8 +733,8 @@ def _newton_matrix(variant):
                          "disc2d-cyclic3": ("general_cyclic", 3, (one, one, quadratic))}[variant]
         sys = make_system(make_spec(name, n, data, t=2.0),
                           build_grid(GridSpec("disc2d", 17, 0.8)))
-    assert (sys.order is None) == (variant != "disc2d-hitchin4")
-    return sys.jacobian_matrix(sys.initial_state().u), sys.order
+    assert (_order(sys) is None) == (variant != "disc2d-hitchin4")
+    return sys.jacobian_matrix(sys.initial_state().u), _order(sys)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -634,7 +634,7 @@ def test_fresh_2d_step_factored_in_single_precision_is_the_double_solve(kind, da
     r = sys.residual_array(u)
     lu = _NewtonLU()
     step = _newton_step(sys, u, r, lu)
-    assert sys.band is None
+    assert g.block_laplacian(sys.gram)[2] is None
     assert lu.factorizations == 1 and lu.dtype is np.float32
     K, b = _free_system(sys, u, r)
     x, ref = step[sys.free].ravel(), _factor(K).solve(b)
@@ -662,20 +662,10 @@ def test_radial_step_is_a_banded_solve_to_the_backward_error_of_a_direct_one(dat
     r = sys.residual_array(u)
     lu = _NewtonLU()
     step = _newton_step(sys, u, r, lu)
-    assert sys.band[0] == bw
+    assert g.block_laplacian(sys.gram)[2][0] == bw
     assert lu.factorizations == 1 and lu.lu is None
     K, b = _free_system(sys, u, r)
     assert _backward_error(K, step[sys.free].ravel(), b) <= _BACKWARD_ERROR
-
-
-@pytest.mark.parametrize("kind", sorted(_STEP_GRIDS))
-def test_only_the_radial_newton_matrix_is_block_tridiagonal(kind):
-    sys = make_system(make_spec("general_cyclic", 3, (one, one, one)), build_grid(_STEP_GRIDS[kind]),
-                      boundary="periodic" if kind == "torus" else "fuchsian")
-    K = sys.jacobian_matrix(sys.initial_state().u)
-    rows, cols = K.nonzero()
-    banded = np.abs(rows - cols).max() < 2 * sys.m
-    assert (sys.band is not None) == banded == (kind == "radial_disc")
 
 
 def test_blowup_raised_on_huge_states():
