@@ -668,6 +668,17 @@ def test_radial_step_is_a_banded_solve_to_the_backward_error_of_a_direct_one(dat
     assert _backward_error(K, step[sys.free].ravel(), b) <= _BACKWARD_ERROR
 
 
+@pytest.mark.parametrize("kind", sorted(_STEP_GRIDS))
+def test_only_the_radial_newton_matrix_is_block_tridiagonal(kind):
+    g = build_grid(_STEP_GRIDS[kind])
+    sys = make_system(make_spec("general_cyclic", 3, (one, one, one)), g,
+                      boundary="periodic" if kind == "torus" else "fuchsian")
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    rows, cols = K.nonzero()
+    banded = np.abs(rows - cols).max() < 2 * sys.m
+    assert (g.block_laplacian(sys.gram)[2] is not None) == banded == (kind == "radial_disc")
+
+
 def test_blowup_raised_on_huge_states():
     g = radial(16)
     spec = make_spec("hitchin_component", 3, (one,))
