@@ -193,7 +193,7 @@ SYM_GROUPS = ("sl_real", "sl_complex", "sp_real")
 # below the memory the other verify suites already take (one block of all
 # 10000 default samples raises peak RSS by about 48 MB, 2000 by about 11 MB)
 SYM_BLOCK = 256
-SYM_TOL = 1e-10             # slack on the pinching [-1/n, 0] of sampled planes
+SYM_TOL = 1e-10             # slack on the lower pinching bound -1/n of sampled planes
 SYM_EXTREMAL_TOL = 1e-12    # largest deviation of the distinguished planes from -1/n
 
 
@@ -411,6 +411,20 @@ def _same_system(spec_a: CyclicSpec, spec_b: CyclicSpec, grid: Grid) -> bool:
                                    arrow_coefficients(spec_b, grid)))
 
 
+def _flag_equality_case(out: dict, spec: CyclicSpec, grid: Grid, holds: str,
+                        deviation) -> None:
+    """Mark ``out`` as the equality case when ``spec`` assembles the rank-n
+    uniformising system (``hitchin_component`` with q = 0, which t = 0 or an
+    underflowing |q|^2 also give): a ``degenerate`` note, ``equality_deviation``
+    from ``deviation()``, and a false strict ``passed``."""
+    if _same_system(spec, CyclicSpec(spec.n, "hitchin_component", (HolomorphicDatum.zero(),)),
+                    grid):
+        out["degenerate"] = (f"the system is the rank-{spec.n} uniformising system; {holds} "
+                             "with equality and the strict verdict is false by construction")
+        out["equality_deviation"] = float(deviation())
+        out["passed"] = False
+
+
 def scale_family(spec: CyclicSpec, grid: Grid, t_values,
                  config: SolverConfig | None = None, boundary="fuchsian"):
     """The scale family t -> spec at t, solved by warm-started continuation.
@@ -492,8 +506,8 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     """Interior ratio bounds for a Hitchin-section state.
 
     Strictly between the uniformising reference values and 1 on the
-    verdict region; the k = 1 lower bound is checked away from the exact
-    zeros of q_n, where the ratio equals its reference value zero.
+    verdict region; the k = 1 entry has no lower margin, as nu_1 > 0 is a
+    ratio of positive arrow terms.
     """
     if spec.variant != "hitchin_component":
         raise ValueError("ratio invariants are defined for hitchin_component states")
@@ -502,22 +516,16 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     ratios = nu_ratios(spec, rep.state)
-    qzeros = zero_set(spec.cyclic_data()[-1].scaled(spec.t), grid)
-    zmask = np.zeros(grid.n_nodes, dtype=bool)
-    zmask[qzeros] = True
-    out = {"n": spec.n, "passed": True, "bounds": [],
-           "solver": rep.to_json_dict()}
-    for k in range(ratios.values.shape[0]):
-        vals = ratios.values[k]
-        ref = float(ratios.reference[k])
-        sel_lower = region & ~zmask if k == 0 else region
-        lower = float((vals[sel_lower] - ref).min()) if sel_lower.any() else np.inf
-        upper = float((1.0 - vals[region]).min())
-        entry = {"k": k + 1, "reference": ref,
-                 "min_lower_margin": lower, "min_upper_margin": upper}
+    vals, refs = ratios.values[:, region], [float(r) for r in ratios.reference]
+    out = {"n": spec.n, "bounds": [], "solver": rep.to_json_dict()}
+    for k, ref in enumerate(refs):
+        entry = {"k": k + 1, "reference": ref, "min_upper_margin": float((1.0 - vals[k]).min())}
+        if k:
+            entry["min_lower_margin"] = float((vals[k] - ref).min())
         out["bounds"].append(entry)
-        if not (lower > 0 and upper > 0):
-            out["passed"] = False
+    out["passed"] = all(v > 0 for e in out["bounds"] for key, v in e.items() if "margin" in key)
+    _flag_equality_case(out, spec, grid, "the lower bounds nu_k >= reference_k hold",
+                        lambda: np.abs(vals - np.array(refs)[:, None]).max())
     return out
 
 
@@ -525,7 +533,10 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
                             config: SolverConfig | None = None) -> dict:
     """Pinched curvature of a Hitchin-section image surface.
 
-    -1/(n (n-1)^2) - CURVATURE_SLACK <= K < 0 on the defined verdict region.
+    K >= -1/(n (n-1)^2) - CURVATURE_SLACK on the defined verdict region.
+    Reported but not checked, as identities of the closed form: K <= 0
+    (``k_max``), and for n >= 4 K <= -6/(n^2(n^2-1)) at the zeros of q
+    (``qzero_k_max``), the most any arrows with a_n = 0 give.
     """
     if spec.variant != "hitchin_component":
         raise ValueError("the curvature bounds are proved for hitchin_component states")
@@ -536,19 +547,17 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     curv = extrinsic_curvature(spec, rep.state)
     kmin, kmax = curv.interior_range(region)
     bound = -1.0 / (spec.n * (spec.n - 1) ** 2)
+    fuchs = Fraction(-6, spec.n**2 * (spec.n**2 - 1))
     out = {"n": spec.n, "k_min": kmin, "k_max": kmax, "lower_bound": bound,
-           "passed": bool(kmin >= bound - CURVATURE_SLACK and kmax < 0.0),
+           "passed": bool(kmin >= bound - CURVATURE_SLACK),
            "solver": rep.to_json_dict()}
     if spec.n >= 4:
-        # at zeros of the differential the curvature dips to (or below) the
-        # uniformising constant -6/(n^2(n^2-1))
         qz = [p for p in zero_set(spec.cyclic_data()[-1].scaled(spec.t), grid) if region[p]]
         if qz:
-            fuchs = -6.0 / (spec.n**2 * (spec.n**2 - 1))
-            worst = float(max(curv.k_sigma[p] for p in qz))
-            out["qzero_k_max"] = worst
-            out["qzero_bound"] = fuchs
-            out["passed"] = bool(out["passed"] and worst <= fuchs + CURVATURE_SLACK)
+            out["qzero_k_max"] = float(max(curv.k_sigma[p] for p in qz))
+            out["qzero_bound"] = float(fuchs)
+    _flag_equality_case(out, spec, grid, f"K = {fuchs} holds", lambda: np.abs(
+        curv.k_sigma[region & curv.defined_mask] - float(fuchs)).max())
     return out
 
 
@@ -594,11 +603,11 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
                       config: SolverConfig | None = None) -> dict:
     """Rank-4 coefficient-ratio and curvature bounds.
 
-    Both ratios stay below 4/3 on the verdict region and K lies in
-    [-1/8 - CURVATURE_SLACK, 0).  When the corner coefficient vanishes
-    identically the sharper upper bound K < -1/40 holds, with K pinned at
-    -1/8 at each zero of mu in the verdict region; all of this off the
-    uniformising locus.
+    Both ratios stay below 4/3 on the verdict region and K >= -1/8 -
+    CURVATURE_SLACK, off the uniformising locus.  Identities of the closed
+    form are reported but not checked: K <= 0 (``k_max``), and when the
+    corner coefficient vanishes identically (``mu_fuchsian``, so f1 = 0)
+    K <= -1/40, with equality only at f2 = 4/3, and K = -1/8 at a zero of mu.
 
     On that locus (the assembled system is the rank-4 uniformising one of
     ``hitchin_component`` with q = 0, e.g. mu = 1 and nu = 0) f1 = 0,
@@ -622,35 +631,20 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     out = {"mu_fuchsian": bool(mu_fuchsian),
            "f1_max": f1max, "f2_max": f2max, "k_min": kmin, "k_max": kmax,
            "solver": rep.to_json_dict()}
-    ok = f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0 and kmin >= -0.125 - CURVATURE_SLACK
-    if mu_fuchsian:
-        ok = ok and kmax < -1.0 / 40.0
-        mu_zeros = [p for p in zero_set(spec.cyclic_data()[1], grid) if region[p]]  # mu = gamma_2
-        sharp = []
-        for p in mu_zeros:
-            sharp.append({"node": int(p), "k_sigma": float(curv.k_sigma[p]),
-                          "deviation": float(abs(curv.k_sigma[p] + 0.125))})
-            ok = ok and abs(curv.k_sigma[p] + 0.125) <= 2.0 * grid.spacing
-        out["mu_zero_sharpness"] = sharp
-    else:
-        ok = ok and kmax < 0.0
-    if _same_system(spec, CyclicSpec(4, "hitchin_component", (HolomorphicDatum.zero(),)),
-                    grid):
-        out["degenerate"] = ("the system is the rank-4 uniformising system; "
-                             "f1 = 0, f2 = 4/3 and K = -1/40 hold with equality "
-                             "and the strict verdict is false by construction")
-        out["equality_deviation"] = float(max(
-            np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
-            np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))
-    out["passed"] = bool(ok)
+    out["passed"] = bool(f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0
+                         and kmin >= -0.125 - CURVATURE_SLACK)
+    _flag_equality_case(out, spec, grid, "f1 = 0, f2 = 4/3 and K = -1/40 hold", lambda: max(
+        np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
+        np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))
     return out
 
 
 def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) -> dict:
     """Sampled pinching of the ambient sectional curvature.
 
-    Random tangent planes per group and rank stay in [-1/n - SYM_TOL,
-    SYM_TOL]; the distinguished planes hit -1/n within ``SYM_EXTREMAL_TOL``.
+    Random tangent planes per group and rank stay above -1/n - SYM_TOL
+    (K <= 0, a negated norm over a positive one, is not checked); the
+    distinguished planes hit -1/n within ``SYM_EXTREMAL_TOL``.
     Needs ``samples >= 1`` and a nonempty list of ranks >= 2 (a rank-1
     tangent vector is zero).  A degenerate sampled plane refuses the whole
     suite with a ValueError naming the group, the rank and the 0-based
@@ -685,7 +679,6 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
 
     out = {"samples": samples, "seed": seed, "groups": [], "passed": True}
     for group, n, kmin, kmax in imap_in_order(sampled_range, pairs):
-        in_range = kmin >= -1.0 / n - SYM_TOL and kmax <= SYM_TOL
         if group == "sp_real":
             planes = [extremal_plane(group, n, i) for i in range(n // 2)]
         else:
@@ -693,7 +686,7 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
                       for i in range(n) for j in range(i + 1, n)]
         Y, Z = map(np.stack, zip(*planes))
         ext_dev = float(np.abs(symmetric_space_curvature(Y, Z) + 1.0 / n).max())
-        ok = bool(in_range and ext_dev <= SYM_EXTREMAL_TOL)
+        ok = bool(kmin >= -1.0 / n - SYM_TOL and ext_dev <= SYM_EXTREMAL_TOL)
         out["groups"].append({"group": group, "n": n, "k_min": kmin,
                               "k_max": kmax, "extremal_deviation": ext_dev,
                               "passed": ok})
@@ -703,7 +696,9 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
 
 def verify_max_principle(count: int = 200, seed: int = 0,
                          grids: list[Grid] | None = None) -> dict:
-    """Randomized positivity suite plus negative controls."""
+    """Randomized positivity suite plus negative controls, each of which
+    ``check_conditions`` must flag (``solve_linear_cooperative`` refuses
+    exactly the flagged systems)."""
     from .geometry import GridSpec, build_grid
 
     if grids is None:
@@ -713,23 +708,14 @@ def verify_max_principle(count: int = 200, seed: int = 0,
 
     rng = np.random.default_rng(seed + 1)
     controls = []
-    ctrl_ok = True
     for violate, flag in (("cooperative", "cooperative_ok"),
                           ("column", "column_dominance_ok"),
                           ("coupled", "fully_coupled")):
         sysv = maxprin.random_cooperative_system(grids[0], 3, rng, violate=violate)
-        reportv = maxprin.check_conditions(sysv)
-        d = reportv.to_json_dict()
-        caught = not d[flag]
-        refused = False
-        try:
-            maxprin.solve_linear_cooperative(sysv, certify=True)
-        except maxprin.CertificationError:
-            refused = True
-        controls.append({"violated": violate, "flagged": caught, "refused": refused})
-        ctrl_ok = ctrl_ok and caught and refused
+        caught = not maxprin.check_conditions(sysv).to_json_dict()[flag]
+        controls.append({"violated": violate, "flagged": caught})
 
     return {"suite": {k: v for k, v in suite.items() if k != "cases"},
             "worst_relative_min": suite["worst_relative_min"],
             "negative_controls": controls,
-            "passed": bool(suite["passed"] and ctrl_ok)}
+            "passed": bool(suite["passed"] and all(c["flagged"] for c in controls))}

@@ -48,13 +48,15 @@ class UsageError(ValueError):
 
 
 def _int_from(value, key: str) -> int:
-    """An integer config field; a bool, a non-number or a number with a
-    fractional part is refused."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise UsageError(f"{key!r} must be an integer, got {value!r}")
+    """An integer config field, written as 5 or 5.0; a bool, a non-number or
+    a number with a fractional part is refused, and so is one beyond 2**53
+    in magnitude, where a double names no single integer."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise UsageError(f"{key!r} must be an integer, got {value!r}")
+    if abs(value) > 2**53:
+        raise UsageError(f"{key!r} must be an integer of magnitude at most 2**53, got {value!r}")
+    return int(value)
 
 
 def _float_from(value, key: str) -> float:
@@ -129,7 +131,7 @@ def parse_spec(obj) -> CyclicSpec:
     if not isinstance(obj, dict):
         raise UsageError("config needs a 'spec' object")
     try:
-        data = tuple(parse_datum(d) for d in obj["data"])
+        data = tuple(parse_datum(d) for d in _list_from(obj["data"], "data"))
         degrees = obj.get("degrees")
         return make_spec(obj["variant"], _int_from(obj["n"], "n"), data,
                          t=_complex_from(obj.get("t", 1.0), "t"),
@@ -432,10 +434,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.theorem, args.out, seed, args.resolution)
         return cmd_sweep(cfg, args.out, args.resolution)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:     # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BlowupError as exc:

@@ -16,8 +16,8 @@ f <= 0 rests on three structure conditions:
 ``check_conditions`` verifies all three with witnesses, ``fully_coupled``
 decides (c) by a breadth-first search of the coupling digraph from each
 unknown (``scipy.sparse.csgraph``), and
-``solve_linear_cooperative`` solves the assembled sparse system (refusing
-to certify positivity when a condition fails).
+``solve_linear_cooperative`` solves the assembled sparse system, refusing
+it when a condition fails, since positivity is then not certified.
 
 ``assemble_matrix`` builds the unknown-major operator in one shot from
 index arrays: L's CSR entries repeated on every diagonal block, the node
@@ -26,15 +26,13 @@ pole nodes.  ``solve_linear_cooperative`` makes one SuperLU factorisation
 with the columns ordered by minimum degree on A^T + A in symmetric mode:
 the stencil pattern is symmetric away from the identity rows and the
 upwinded drift, and on a 2-D grid this ordering fills about half as much
-as the default COLAMD.  The default pivot threshold keeps partial
-pivoting, so systems solved with ``certify=False`` are factored stably
-too.
+as the default COLAMD.
 
 ``difference_system`` assembles the cooperative system satisfied by the
 log-ratios of two solved cyclic states that share holomorphic data and
 differ only in the last-arrow scale.  Its coefficients use the exact
 integral-mean closed form (e^v - 1)/v, and the column sums vanish
-identically, so conditions (a)-(c) certify the scale-monotonicity
+identically, so conditions (a)-(c) prove the scale-monotonicity
 comparison by the same mechanism as the continuum argument.
 
 ``randomized_positivity_suite`` draws its systems from one stream on the
@@ -282,15 +280,14 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     return A, rhs
 
 
-def solve_linear_cooperative(system: CooperativeSystem, certify: bool = True):
+def solve_linear_cooperative(system: CooperativeSystem):
     """Solve the assembled system; returns (u, ConditionReport).
 
-    With ``certify=True`` a failing structure condition raises
-    ``CertificationError`` (the solve is refused as a positivity
-    certificate); pass ``certify=False`` to solve regardless.
+    A failing structure condition raises ``CertificationError``: positivity
+    is then not certified.
     """
     report = check_conditions(system)
-    if certify and not report.passed:
+    if not report.passed:
         raise CertificationError(
             "structure conditions fail; positivity is not certified "
             f"({report.to_json_dict()})"
@@ -504,7 +501,7 @@ def randomized_positivity_suite(count: int, seed: int, grids: list[Grid]) -> dic
         k, sys_, with_drift, with_poles = draw
         # the module attribute is looked up per call, so a wrapper installed
         # on it sees every solve, whichever thread makes it
-        u, _ = solve_linear_cooperative(sys_, certify=True)
+        u, _ = solve_linear_cooperative(sys_)
         free = sys_.scan_mask()
         umin = float(u[:, free].min())
         scale = float(np.abs(u[:, free]).max())

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hitchinlab import analysis
 from hitchinlab.analysis import (
+    CURVATURE_SLACK,
     MARGIN_COEFF_PAIRED,
     SYM_GROUPS,
     compare_states,
@@ -24,11 +25,12 @@ from hitchinlab.analysis import (
     verify_fiber_comparison,
     verify_max_principle,
     verify_monotonicity,
+    verify_nu_bounds,
     verify_sp4_bounds,
     verify_sym_space,
 )
-from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid, hyperbolic_metric
-from hitchinlab.solver import SolverConfig, solve
+from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid, hyperbolic_metric, zero_set
+from hitchinlab.solver import SolveReport, SolverConfig, solve
 from hitchinlab.system import LogMetricState, fuchsian_log_metrics, make_spec, make_system
 
 one = HolomorphicDatum.constant(1.0)
@@ -166,6 +168,134 @@ def test_sp4_bounds_flag_the_uniformising_system():
     out = verify_sp4_bounds(mu_z, g)
     assert "degenerate" not in out and "equality_deviation" not in out
     assert out["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("data,t", [((zero,), 1.0), ((HolomorphicDatum.constant(1e-320),), 1.0),
+                                    ((HolomorphicDatum.monomial(1.0, 1),), 0.0)],
+                         ids=["zero", "underflow", "t0"])
+@pytest.mark.parametrize("runner", [verify_nu_bounds, verify_curvature_bounds],
+                         ids=["nu", "curvature"])
+def test_vanishing_differential_is_flagged_as_the_equality_case(runner, data, t, n):
+    # on radial 64 the n = 3 nu-bounds verdict once passed on an infinite k = 1
+    # margin, n = 4 failed on a k = 2 margin of -1.8e-15, and curvature passed
+    # only through CURVATURE_SLACK (n = 3: k_min - bound = -1.4e-17; n = 4, 5:
+    # qzero_k_max 5e-18 above its bound)
+    out = runner(make_spec("hitchin_component", n, data, t=t), radial(64))
+    assert out["solver"]["converged"] and not out["passed"]
+    assert "uniformising system" in out["degenerate"]
+    assert 0.0 <= out["equality_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("runner", [verify_nu_bounds, verify_curvature_bounds],
+                         ids=["nu", "curvature"])
+def test_nonvanishing_differential_is_no_equality_case(runner):
+    out = runner(make_spec("hitchin_component", 4, (HolomorphicDatum.monomial(1.0, 1),)),
+                 radial(64))
+    assert out["passed"]
+    assert "degenerate" not in out and "equality_deviation" not in out
+
+
+# -- every conjunct of a verdict can fail ----------------------------------
+#
+# A verdict is run on the uniformising state plus N(0, sigma^2) noise, put in
+# place of the solve.  Its ``passed`` must be the conjunction of the
+# inequalities listed below, each of which some noisy state fails; the
+# identities that once sat in ``passed`` must hold on every state.
+
+Z = HolomorphicDatum.monomial(1.0, 1)
+GUARD_GRIDS = (radial(64), build_grid(GridSpec("disc2d", 17, 0.8)))
+GUARD_SIGMAS = (0.1, 0.5, 2.0)
+GUARD_CASES = (
+    [(runner, make_spec("hitchin_component", n, (q,)))
+     for runner in (verify_nu_bounds, verify_curvature_bounds) for n in (3, 4, 5)
+     for q in (Z, HolomorphicDatum.monomial(1.0, 2), HolomorphicDatum.constant(0.3))]
+    + [(verify_sp4_bounds, make_spec("sp4_gothen", 4, (mu, nu)))
+       for mu in (one, Z) for nu in (zero, Z, one)])
+
+
+def _listed_inequalities(runner, v) -> dict:
+    """The inequalities ``passed`` conjoins, read from the verdict's numbers."""
+    if runner is verify_nu_bounds:
+        return {"upper": all(e["min_upper_margin"] > 0 for e in v["bounds"]),
+                "lower, k >= 2": all(e["min_lower_margin"] > 0 for e in v["bounds"][1:])}
+    if runner is verify_curvature_bounds:
+        return {"lower": v["k_min"] >= v["lower_bound"] - CURVATURE_SLACK}
+    return {"f1": v["f1_max"] < 4.0 / 3.0, "f2": v["f2_max"] < 4.0 / 3.0,
+            "lower": v["k_min"] >= -0.125 - CURVATURE_SLACK}
+
+
+def _noisy_verdict(runner, spec, grid, sigma, seed):
+    """(verdict, state) with the solve replaced by a noisy uniformising state."""
+    rng = np.random.default_rng(seed)
+    states = []
+
+    def noisy_solve(system, config=None):
+        u0 = system.initial_state().u
+        states.append(LogMetricState(grid, u0 + sigma * rng.standard_normal(u0.shape)))
+        return SolveReport(states[-1], converged=True, iterations=0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "solve", noisy_solve)
+        return runner(spec, grid), states[0]
+
+
+def _check_passed_is_the_listed_conjunction(runner, v):
+    listed = _listed_inequalities(runner, v)
+    assert v["passed"] == (all(listed.values()) and "degenerate" not in v), (listed, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(GUARD_CASES), st.sampled_from(GUARD_GRIDS),
+       st.sampled_from(GUARD_SIGMAS), st.integers(0, 2**32 - 1))
+def test_passed_is_the_conjunction_of_the_listed_inequalities(case, grid, sigma, seed):
+    runner, spec = case
+    v, _ = _noisy_verdict(runner, spec, grid, sigma, seed)
+    _check_passed_is_the_listed_conjunction(runner, v)
+
+
+@pytest.fixture(scope="module")
+def noisy_verdicts():
+    return [(runner, spec, grid, *_noisy_verdict(runner, spec, grid, sigma, seed))
+            for seed, (runner, spec) in enumerate(GUARD_CASES)
+            for grid in GUARD_GRIDS for sigma in GUARD_SIGMAS]
+
+
+def test_every_listed_inequality_fails_on_some_noisy_state(noisy_verdicts):
+    failed = {}
+    for runner, _, _, v, _ in noisy_verdicts:
+        _check_passed_is_the_listed_conjunction(runner, v)
+        for name, holds in _listed_inequalities(runner, v).items():
+            failed.setdefault((runner.__name__, name), False)
+            failed[runner.__name__, name] |= not holds
+    assert len(failed) == 6 and all(failed.values()), failed
+
+
+def test_the_removed_identities_hold_on_every_noisy_state(noisy_verdicts):
+    mu_zero_nodes = 0
+    for runner, spec, grid, v, state in noisy_verdicts:
+        region = grid.verdict_region()
+        if runner is verify_nu_bounds:
+            # nu_1 = a_n / a_1 >= 0, and > 0 off the zeros of q
+            nu1 = nu_ratios(spec, state).values[0]
+            off_zeros = np.ones(grid.n_nodes, bool)
+            off_zeros[zero_set(spec.cyclic_data()[-1], grid)] = False
+            assert (nu1 >= 0).all() and (nu1[off_zeros] > 0).all()
+            assert "min_lower_margin" not in v["bounds"][0]
+        elif runner is verify_curvature_bounds:
+            assert v["k_max"] < 0      # a negated sum of squares
+            # with a_n = 0 the uniformising arrows k(n-k)/2 maximise K
+            assert v.get("qzero_k_max", -np.inf) <= v.get("qzero_bound", 0.0) + 1e-15
+        elif not v["mu_fuchsian"]:
+            assert v["k_max"] < 0
+        else:
+            # nu = 0 makes f1 = 0, so K <= -1/40, with equality only at
+            # f2 = 4/3, and K = -1/8 exactly at a zero of mu, where f2 = 0 too
+            assert v["k_max"] <= -1.0 / 40.0 + 1e-15
+            mu_zeros = [p for p in zero_set(spec.cyclic_data()[1], grid) if region[p]]
+            assert (sp4_curvature(spec, state).k_sigma[mu_zeros] == -0.125).all()
+            mu_zero_nodes += len(mu_zeros)
+    assert mu_zero_nodes > 0
 
 
 # -- ambient symmetric-space curvature --------------------------------------
@@ -479,4 +609,4 @@ def test_verify_max_principle_quick():
     out = verify_max_principle(count=10, seed=3, grids=grids)
     assert out["passed"]
     for ctrl in out["negative_controls"]:
-        assert ctrl["flagged"] and ctrl["refused"]
+        assert ctrl["flagged"]

@@ -801,13 +801,55 @@ def test_one_datum_spelled_two_ways_solves_to_the_same_bytes(tmp_path, capsys):
 
 
 def test_monomial_of_huge_degree_verifies(tmp_path):
-    # c z^l is stored as one coefficient whatever l is
+    # c z^l is stored as one coefficient whatever l is.  At l = 1e12, |q|^2
+    # underflows to 0 at every node of the chart, so the system is the
+    # uniformising one: the equality case, whose strict verdict is false
     datum = {"kind": "monomial", "coefficient": 1.0, "degree": 1e12}
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=64),
                                            "spec": dict(HITCHIN3, data=[datum])})
     out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)]) == 0
-    assert read_json(out / "verdict.json")["passed"] is True
+    assert main(["verify", "--config", cfg, "--theorem", "nu-bounds", "--out", str(out)]) == 2
+    verdict = read_json(out / "verdict.json")
+    assert verdict["passed"] is False and "degenerate" in verdict
+    assert verdict["equality_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("theorem", ["nu-bounds", "curvature"])
+@pytest.mark.parametrize("datum", [{"kind": "zero"}, {"kind": "constant", "coefficient": 0.0},
+                                   {"kind": "constant", "coefficient": 1e-320}],
+                         ids=["zero", "coefficient-0", "coefficient-1e-320"])
+def test_vanishing_differential_is_the_equality_case(tmp_path, capsys, theorem, datum):
+    # the n = 3 nu-bounds verdict once passed with an infinite k = 1 margin
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=64),
+                                           "spec": dict(HITCHIN3, data=[datum])})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--theorem", theorem, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == f"verify[{theorem}]: fail\n"
+    text = (out / "verdict.json").read_text()
+    verdict = json.loads(text)
+    assert verdict["passed"] is False and "degenerate" in verdict
+    assert verdict["equality_deviation"] <= 1e-9
+    assert "inf" not in text.lower()
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(HITCHIN3, data=5), "'data' must be a list, got 5"),
+    (dict(HITCHIN3, data=None), "'data' must be a list, got None"),
+    (dict(HITCHIN3, n=1e308), "'n' must be an integer of magnitude at most 2**53, got 1e+308"),
+    (dict(HITCHIN3, n=2**53 + 2), "'n' must be an integer of magnitude at most 2**53"),
+    (dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degree": 1e308}]),
+     "'degree' must be an integer of magnitude at most 2**53, got 1e+308"),
+], ids=["data-5", "data-null", "n-1e308", "n-2**53+2", "degree-1e308"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_spec_that_once_raised_is_usage_error(tmp_path, capsys, spec, message, command):
+    # these died in a TypeError or an OverflowError with a traceback
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=16), "spec": spec})
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--theorem", "nu-bounds"] if command == "verify" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad spec: ") and message in err and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_torus_solve_path(tmp_path):

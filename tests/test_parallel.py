@@ -202,13 +202,13 @@ def test_certification_error_propagates_as_in_the_serial_loop(monkeypatch, worke
         drawn.append(real_draw(*args, **kwargs))
         return drawn[-1]
 
-    def solve(sys_, certify=True):
+    def solve(sys_):
         case = next(k for k, s in enumerate(drawn) if s is sys_)
         if case == 7:       # fails after case 9 has failed, where there is a pool
             time.sleep(0.05)
         if case in (7, 9):
             raise maxprin.CertificationError(f"injected at case {case}")
-        return real_solve(sys_, certify)
+        return real_solve(sys_)
 
     monkeypatch.setattr(maxprin, "random_cooperative_system", draw)
     monkeypatch.setattr(maxprin, "solve_linear_cooperative", solve)
@@ -236,10 +236,10 @@ def test_drawn_systems_wait_for_at_most_one_window(monkeypatch, workers):
             peak = max(peak, drawn - solved)
         return sys_
 
-    def solve(sys_, certify=True):
+    def solve(sys_):
         nonlocal solved
         time.sleep(0.001)
-        result = real_solve(sys_, certify)
+        result = real_solve(sys_)
         with lock:
             solved += 1
         return result
