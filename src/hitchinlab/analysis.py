@@ -41,6 +41,7 @@ from .geometry import Grid, HolomorphicDatum, zero_set
 from .solver import SolverConfig, continuation_solve, solve
 from .system import (
     CyclicSpec,
+    HitchinSystem,
     LogMetricState,
     arrow_coefficients,
     arrows,
@@ -411,14 +412,15 @@ def _same_system(spec_a: CyclicSpec, spec_b: CyclicSpec, grid: Grid) -> bool:
                                    arrow_coefficients(spec_b, grid)))
 
 
-def _flag_equality_case(out: dict, spec: CyclicSpec, grid: Grid, holds: str,
-                        deviation) -> None:
-    """Mark ``out`` as the equality case when ``spec`` assembles the rank-n
+def _flag_equality_case(out: dict, system: HitchinSystem, holds: str, deviation) -> None:
+    """Mark ``out`` as the equality case when ``system`` is the rank-n
     uniformising system (``hitchin_component`` with q = 0, which t = 0 or an
     underflowing |q|^2 also give): a ``degenerate`` note, ``equality_deviation``
-    from ``deviation()``, and a false strict ``passed``."""
-    if _same_system(spec, CyclicSpec(spec.n, "hitchin_component", (HolomorphicDatum.zero(),)),
-                    grid):
+    from ``deviation()``, and a false strict ``passed``.  That system's corner
+    coefficient vanishes, so any other is ruled out without assembling it."""
+    spec = system.spec
+    if not system.coeff_sq[:, -1].any() and _same_system(
+            spec, CyclicSpec(spec.n, "hitchin_component", (HolomorphicDatum.zero(),)), system.grid):
         out["degenerate"] = (f"the system is the rank-{spec.n} uniformising system; {holds} "
                              "with equality and the strict verdict is false by construction")
         out["equality_deviation"] = float(deviation())
@@ -512,7 +514,8 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     if spec.variant != "hitchin_component":
         raise ValueError("ratio invariants are defined for hitchin_component states")
     region = grid.verdict_region()
-    rep = solve(make_system(spec, grid), config=config)
+    system = make_system(spec, grid)
+    rep = solve(system, config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     ratios = nu_ratios(spec, rep.state)
@@ -524,7 +527,7 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
             entry["min_lower_margin"] = float((vals[k] - ref).min())
         out["bounds"].append(entry)
     out["passed"] = all(v > 0 for e in out["bounds"] for key, v in e.items() if "margin" in key)
-    _flag_equality_case(out, spec, grid, "the lower bounds nu_k >= reference_k hold",
+    _flag_equality_case(out, system, "the lower bounds nu_k >= reference_k hold",
                         lambda: np.abs(vals - np.array(refs)[:, None]).max())
     return out
 
@@ -541,7 +544,8 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     if spec.variant != "hitchin_component":
         raise ValueError("the curvature bounds are proved for hitchin_component states")
     region = grid.verdict_region()
-    rep = solve(make_system(spec, grid), config=config)
+    system = make_system(spec, grid)
+    rep = solve(system, config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     curv = extrinsic_curvature(spec, rep.state)
@@ -556,7 +560,7 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
         if qz:
             out["qzero_k_max"] = float(max(curv.k_sigma[p] for p in qz))
             out["qzero_bound"] = float(fuchs)
-    _flag_equality_case(out, spec, grid, f"K = {fuchs} holds", lambda: np.abs(
+    _flag_equality_case(out, system, f"K = {fuchs} holds", lambda: np.abs(
         curv.k_sigma[region & curv.defined_mask] - float(fuchs)).max())
     return out
 
@@ -619,7 +623,8 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     if spec.variant != "sp4_gothen":
         raise ValueError("sp4 bounds apply to sp4_gothen specs")
     region = grid.verdict_region()
-    rep = solve(make_system(spec, grid), config=config)
+    system = make_system(spec, grid)
+    rep = solve(system, config=config)
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     curv = sp4_curvature(spec, rep.state)
@@ -633,7 +638,7 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
            "solver": rep.to_json_dict()}
     out["passed"] = bool(f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0
                          and kmin >= -0.125 - CURVATURE_SLACK)
-    _flag_equality_case(out, spec, grid, "f1 = 0, f2 = 4/3 and K = -1/40 hold", lambda: max(
+    _flag_equality_case(out, system, "f1 = 0, f2 = 4/3 and K = -1/40 hold", lambda: max(
         np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
         np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))
     return out
