@@ -24,9 +24,13 @@ field, and call a margin resolved when it exceeds
 
 Both states are solved on the same grid, so the shared discretisation bias
 cancels up to a term proportional to the difference field itself.  The
-curvature windows of ``verify_curvature_bounds`` and ``verify_sp4_bounds``
-are checked with the fixed slack ``CURVATURE_SLACK`` at every spacing, and
-the ratio bounds of ``verify_nu_bounds`` with no threshold at all.
+curvature bound of ``verify_curvature_bounds`` is checked with the fixed
+slack ``CURVATURE_SLACK`` at every spacing, and the ratio bounds of
+``verify_nu_bounds`` and ``verify_sp4_bounds`` with no threshold at all.
+
+A vanishing corner arrow is read from its assembled coefficient |t gamma_n|^2
+(``scale_sq`` where only the scale matters), never from t or the datum, so
+an underflowing |t|^2 or |q|^2 is decided as t = 0 is.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import imap_in_order
-from .geometry import Grid, HolomorphicDatum, zero_set
+from .geometry import Grid, HolomorphicDatum
 from .solver import SolverConfig, continuation_solve, solve
 from .system import (
     CyclicSpec,
@@ -345,7 +349,7 @@ def compare_states(
     """Strict domination check: does the b-state dominate the a-state?
 
     ``quantity`` selects pullback metric density, consecutive metric
-    ratios (corner included only when both scales are nonzero), or the
+    ratios (corner included only when both |t|^2 are nonzero), or the
     weighted harmonic-metric components (b must then be the
     Hitchin-section partner and the inequality runs the other way:
     a-components dominate the weighted b-components).
@@ -362,7 +366,7 @@ def compare_states(
     if quantity == "ratio_fields":
         ra = metric_ratio_fields(spec_a, state_a)
         rb = metric_ratio_fields(spec_b, state_b)
-        k_max = spec_a.n if (abs(spec_a.t) > 0 and abs(spec_b.t) > 0) else spec_a.n - 1
+        k_max = spec_a.n if (spec_a.scale_sq > 0 and spec_b.scale_sq > 0) else spec_a.n - 1
         los = [ra[:, k] for k in range(k_max)]
         his = [rb[:, k] for k in range(k_max)]
         note = "corner ratio included" if k_max == spec_a.n else "corner ratio skipped (zero scale)"
@@ -433,15 +437,18 @@ def scale_family(spec: CyclicSpec, grid: Grid, t_values,
 
     Returns one (spec at t, solve report, pullback metric) per member in
     ascending t; solving stops at the first member that fails, which comes
-    last and carries the metric None.  A family through t = 0 whose declared
-    degrees make that member unstable is refused before any solve.
+    last and carries the metric None.  A family with a member whose assembled
+    corner vanishes at every node (t = 0, an underflowing |t|^2 or a zero
+    corner datum), when the declared degrees make that member unstable, is
+    refused before any solve.
     """
     t_values = [float(t) for t in t_values]
-    if (spec.degrees is not None and 0.0 in t_values
-            and not stability_check(spec.degrees)):
-        raise ValueError(f"refused — the t=0 member is unstable for degrees {spec.degrees}: every "
-                         "partial sum of the degrees from the top of the grading must be negative")
     scaled = {t: replace(spec, t=complex(t)) for t in t_values}
+    if spec.degrees is not None and not stability_check(spec.degrees) and any(
+            not arrow_coefficients(s, grid)[:, -1].any() for s in scaled.values()):
+        raise ValueError(f"refused — a member whose corner arrow vanishes is unstable for degrees "
+                         f"{spec.degrees}: every partial sum of the degrees from the top of the "
+                         "grading must be negative")
     runs = continuation_solve(lambda t: make_system(scaled[t], grid, boundary=boundary),
                               t_values, config)
     return [(scaled[t], rep, pullback_metric(scaled[t], rep.state) if rep.converged else None)
@@ -538,8 +545,9 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
 
     K >= -1/(n (n-1)^2) - CURVATURE_SLACK on the defined verdict region.
     Reported but not checked, as identities of the closed form: K <= 0
-    (``k_max``), and for n >= 4 K <= -6/(n^2(n^2-1)) at the zeros of q
-    (``qzero_k_max``), the most any arrows with a_n = 0 give.
+    (``k_max``), and for n >= 4 K <= -6/(n^2(n^2-1)) where the assembled
+    corner |t q|^2 vanishes (``qzero_k_max``), the most any arrows with
+    a_n = 0 give.
     """
     if spec.variant != "hitchin_component":
         raise ValueError("the curvature bounds are proved for hitchin_component states")
@@ -555,11 +563,10 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     out = {"n": spec.n, "k_min": kmin, "k_max": kmax, "lower_bound": bound,
            "passed": bool(kmin >= bound - CURVATURE_SLACK),
            "solver": rep.to_json_dict()}
-    if spec.n >= 4:
-        qz = [p for p in zero_set(spec.cyclic_data()[-1].scaled(spec.t), grid) if region[p]]
-        if qz:
-            out["qzero_k_max"] = float(max(curv.k_sigma[p] for p in qz))
-            out["qzero_bound"] = float(fuchs)
+    qzero = region & (system.coeff_sq[:, -1] == 0)
+    if spec.n >= 4 and qzero.any():
+        out["qzero_k_max"] = float(curv.k_sigma[qzero].max())
+        out["qzero_bound"] = float(fuchs)
     _flag_equality_case(out, system, f"K = {fuchs} holds", lambda: np.abs(
         curv.k_sigma[region & curv.defined_mask] - float(fuchs)).max())
     return out
@@ -607,10 +614,11 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
                       config: SolverConfig | None = None) -> dict:
     """Rank-4 coefficient-ratio and curvature bounds.
 
-    Both ratios stay below 4/3 on the verdict region and K >= -1/8 -
-    CURVATURE_SLACK, off the uniformising locus.  Identities of the closed
-    form are reported but not checked: K <= 0 (``k_max``), and when the
-    corner coefficient vanishes identically (``mu_fuchsian``, so f1 = 0)
+    ``passed`` asks both ratios to stay below 4/3 on the verdict region, off
+    the uniformising locus.  Identities of the closed form are reported but
+    not checked: K <= 0 (``k_max``); K >= -1/8 (``k_min``) wherever f1, f2
+    <= 4/3, since (f1 - f2)^2 <= 8 (f1 + f2) there; and when the assembled
+    corner coefficient vanishes at every node (``mu_fuchsian``, so f1 = 0)
     K <= -1/40, with equality only at f2 = 4/3, and K = -1/8 at a zero of mu.
 
     On that locus (the assembled system is the rank-4 uniformising one of
@@ -628,16 +636,10 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     if not rep.converged:
         return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
     curv = sp4_curvature(spec, rep.state)
-    f1max = float(curv.f1[region].max())
-    f2max = float(curv.f2[region].max())
-    kmin = float(curv.k_sigma[region].min())
-    kmax = float(curv.k_sigma[region].max())
-    mu_fuchsian = spec.cyclic_data()[-1].is_zero() or spec.t == 0
-    out = {"mu_fuchsian": bool(mu_fuchsian),
-           "f1_max": f1max, "f2_max": f2max, "k_min": kmin, "k_max": kmax,
-           "solver": rep.to_json_dict()}
-    out["passed"] = bool(f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0
-                         and kmin >= -0.125 - CURVATURE_SLACK)
+    f1max, f2max = float(curv.f1[region].max()), float(curv.f2[region].max())
+    out = {"mu_fuchsian": not system.coeff_sq[:, -1].any(), "f1_max": f1max, "f2_max": f2max,
+           "k_min": float(curv.k_sigma[region].min()), "k_max": float(curv.k_sigma[region].max()),
+           "passed": f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0, "solver": rep.to_json_dict()}
     _flag_equality_case(out, system, "f1 = 0, f2 = 4/3 and K = -1/40 hold", lambda: max(
         np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
         np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))

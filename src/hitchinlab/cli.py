@@ -219,7 +219,7 @@ def _json_ready(obj):
     return obj
 
 
-_VOLATILE_KEYS = ("wall_time", "wall_time_s")
+_VOLATILE_KEYS = ("wall_time_s",)
 
 
 def _strip_volatile(obj):
@@ -434,8 +434,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.theorem, args.out, seed, args.resolution)
         return cmd_sweep(cfg, args.out, args.resolution)
-    except ValueError as exc:     # UsageError included
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:     # UsageError included
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BlowupError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

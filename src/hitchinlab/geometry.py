@@ -489,8 +489,3 @@ def eval_norm_squared(datum: HolomorphicDatum, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(nsq)):
         raise ValueError("scalar field contains non-finite values")
     return nsq
-
-
-def zero_set(datum: HolomorphicDatum, grid: Grid) -> np.ndarray:
-    """Node indices where |datum|^2 is exactly zero (every node for the zero datum)."""
-    return np.flatnonzero(eval_norm_squared(datum, grid) == 0.0)

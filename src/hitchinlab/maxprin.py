@@ -335,10 +335,10 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
 
         (1/g0) Lap v_k + c_{k-1} v_{k-1} - 2 c_k v_k + c_{k+1} v_{k+1} = f_k,
 
-    where c_k = g0^{-1} |gamma_k|^2 u_k^b Phi(v_k) >= 0.  With t_b > 0 the
-    right side vanishes and the column sums are exactly zero; with t_b = 0
-    the corner column drops out and the corner term of the a-side moves to
-    the (nonpositive, not identically zero) right-hand side.
+    where c_k = g0^{-1} |gamma_k|^2 u_k^b Phi(v_k) >= 0.  With |t_b|^2 > 0 the
+    right side vanishes and the column sums are exactly zero; with |t_b|^2 = 0
+    (t_b = 0 or an underflow) the corner column drops out and the a-side
+    corner term moves to the (nonpositive) right-hand side.
     """
     grid = state_a.grid
     if state_b.grid is not grid and state_b.grid.spec != grid.spec:
@@ -358,7 +358,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
 
     lr_a = log_ratios(spec_a, state_a.u)           # log consecutive ratios
     lr_b = log_ratios(spec_b, state_b.u)
-    mode = "cyclic" if tb > 0 else "vanishing_corner"
+    mode = "cyclic" if spec_b.scale_sq > 0 else "vanishing_corner"
 
     if mode == "cyclic":
         lr_a[:, n - 1] += 2.0 * np.log(ta)
@@ -373,7 +373,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     c_k = G.T * u_b * _phi(v_pad) / g0
     # a-side corner arrow term |t_a gamma_n|^2 h_n^{-1} h_1 (source in the
     # vanishing-corner mode); lr_a already contains the t_a^2 in cyclic mode
-    corner_scale = 1.0 if mode == "cyclic" else ta**2
+    corner_scale = 1.0 if mode == "cyclic" else spec_a.scale_sq
     corner_a = corner_scale * G[:, n - 1] * np.exp(lr_a[:, n - 1]) / g0
 
     C = np.zeros((n_v, n_v, N))

@@ -852,6 +852,22 @@ def test_spec_that_once_raised_is_usage_error(tmp_path, capsys, spec, message, c
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_unallocatable_rank_is_one_error_line(tmp_path, capsys, command):
+    # 2**53 passes the integer check, but unfolding that many arrows fails
+    # inside CyclicSpec at once, before anything is allocated; it once ended
+    # in a MemoryError traceback
+    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=16),
+                                           "spec": dict(HITCHIN3, n=9007199254740992),
+                                           "t_list": [0.5, 1.0]})
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--theorem", "nu-bounds"] if command == "verify" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def test_torus_solve_path(tmp_path):
     spec = {"variant": "general_cyclic", "n": 3, "t": 0.5,
             "data": [{"kind": "constant", "coefficient": 1.0},

@@ -5,7 +5,9 @@ Every public module-level function or class and every public method in
 name, as an attribute, or as an identifier string, since
 ``perfbench/tracing.py`` wraps functions by their name strings.  Every public
 dataclass field and every public attribute set in an ``__init__`` must be
-read there: as an attribute, or as an identifier string.  The sources are
+read there: as an attribute, or as an identifier string.  So must every
+public module-level constant: as a name, as an attribute, or as an
+identifier string, its own assignment not counted.  The sources are
 parsed, so a docstring that mentions a name is no reference.  The checks go
 by name alone, so a field whose name some other object's attribute shares
 passes.
@@ -81,6 +83,17 @@ def _reads(tree):
             yield node.attr
 
 
+def _public_constants(tree):
+    """Names that public module-level assignments bind."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not sub.id.startswith("_"):
+                    yield sub.id
+
+
 def _references(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -103,3 +116,13 @@ def test_every_public_field_is_read_outside_the_tests():
               for qualified, name in _public_fields(_parse(path))]
     assert fields
     assert not [qualified for qualified, name in fields if name not in read]
+
+
+def test_every_public_constant_is_read_outside_the_tests():
+    read = {node.id for path in CALLERS for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {name for path in CALLERS for name in _reads(_parse(path))}
+    constants = [(f"{path.stem}.{name}", name) for path in LIBRARY
+                 for name in _public_constants(_parse(path))]
+    assert constants
+    assert not [qualified for qualified, name in constants if name not in read]
