@@ -431,9 +431,9 @@ def _flag_equality_case(out: dict, system: HitchinSystem, holds: str, deviation)
         out["passed"] = False
 
 
-def scale_family(spec: CyclicSpec, grid: Grid, t_values,
-                 config: SolverConfig | None = None, boundary="fuchsian"):
-    """The scale family t -> spec at t, solved by warm-started continuation.
+def scale_family(spec: CyclicSpec, grid: Grid, t_values, config: SolverConfig | None = None):
+    """The scale family t -> spec at t on the grid's own boundary, solved by
+    warm-started continuation.
 
     Returns one (spec at t, solve report, pullback metric) per member in
     ascending t; solving stops at the first member that fails, which comes
@@ -449,8 +449,7 @@ def scale_family(spec: CyclicSpec, grid: Grid, t_values,
         raise ValueError(f"refused — a member whose corner arrow vanishes is unstable for degrees "
                          f"{spec.degrees}: every partial sum of the degrees from the top of the "
                          "grading must be negative")
-    runs = continuation_solve(lambda t: make_system(scaled[t], grid, boundary=boundary),
-                              t_values, config)
+    runs = continuation_solve(lambda t: make_system(scaled[t], grid), t_values, config)
     return [(scaled[t], rep, pullback_metric(scaled[t], rep.state) if rep.converged else None)
             for t, rep in runs]
 
@@ -653,13 +652,14 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
     (K <= 0, a negated norm over a positive one, is not checked); the
     distinguished planes hit -1/n within ``SYM_EXTREMAL_TOL``.
     Needs ``samples >= 1`` and a nonempty list of ranks >= 2 (a rank-1
-    tangent vector is zero).  A degenerate sampled plane refuses the whole
-    suite with a ValueError naming the group, the rank and the 0-based
-    sample index within that group and rank.  Each (group, rank) pair draws
-    from its own stream, so the pairs are sampled concurrently on the
-    process's CPUs; the report lists them in group-major order, and a
-    refusal names the first failing pair in that order, as a serial loop
-    would.
+    tangent vector is zero).  A degenerate sampled plane is skipped and
+    counted in its group's ``degenerate_samples``; ``k_min`` and ``k_max``
+    range over the others.  A (group, rank) pair with no nondegenerate
+    plane refuses the whole suite with a ValueError naming the group and
+    the rank, since it would check nothing.  Each pair draws from its own
+    stream, so the pairs are sampled concurrently on the process's CPUs;
+    the report lists them in group-major order, and a refusal names the
+    first failing pair in that order, as a serial loop would.
     """
     if samples < 1:
         raise ValueError(f"sym-space samples must be >= 1, got {samples}")
@@ -673,19 +673,20 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
     def sampled_range(pair):
         group, n = pair
         rng = np.random.default_rng([seed, SYM_GROUPS.index(group), n])
-        kmin, kmax = np.inf, -np.inf
+        kmin, kmax, skipped = np.inf, -np.inf, 0
         for start in range(0, samples, SYM_BLOCK):
             Y, Z = random_tangent_planes(group, n, rng, min(SYM_BLOCK, samples - start))
             k, degenerate = _sectional_curvatures(Y, Z)
-            if degenerate.any():
-                raise ValueError(
-                    f"{group} n={n} sample {start + int(np.argmax(degenerate))}: "
-                    "tangent vectors do not span a nondegenerate plane")
-            kmin, kmax = min(kmin, float(k.min())), max(kmax, float(k.max()))
-        return group, n, kmin, kmax
+            k = k[~degenerate]
+            skipped += int(np.count_nonzero(degenerate))
+            kmin, kmax = float(k.min(initial=kmin)), float(k.max(initial=kmax))
+        if skipped == samples:
+            raise ValueError(f"{group} n={n}: no sampled pair of tangent vectors spans a "
+                             "nondegenerate plane")
+        return group, n, kmin, kmax, skipped
 
     out = {"samples": samples, "seed": seed, "groups": [], "passed": True}
-    for group, n, kmin, kmax in imap_in_order(sampled_range, pairs):
+    for group, n, kmin, kmax, skipped in imap_in_order(sampled_range, pairs):
         if group == "sp_real":
             planes = [extremal_plane(group, n, i) for i in range(n // 2)]
         else:
@@ -695,8 +696,8 @@ def verify_sym_space(samples: int = 10000, seed: int = 0, ns=(2, 3, 4, 5, 6)) ->
         ext_dev = float(np.abs(symmetric_space_curvature(Y, Z) + 1.0 / n).max())
         ok = bool(kmin >= -1.0 / n - SYM_TOL and ext_dev <= SYM_EXTREMAL_TOL)
         out["groups"].append({"group": group, "n": n, "k_min": kmin,
-                              "k_max": kmax, "extremal_deviation": ext_dev,
-                              "passed": ok})
+                              "k_max": kmax, "degenerate_samples": skipped,
+                              "extremal_deviation": ext_dev, "passed": ok})
         out["passed"] = out["passed"] and ok
     return out
 

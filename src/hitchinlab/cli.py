@@ -4,7 +4,9 @@ Three subcommands cover the workflows: ``solve`` runs one system to
 convergence and dumps the state, ``verify`` runs a named theorem check and
 writes a verdict with every margin (``SOLVE_RUNNERS`` maps each solve-based
 theorem to its ``analysis`` runner), ``sweep`` tabulates the members of
-``analysis.scale_family``.
+``analysis.scale_family``.  Every system is solved on its grid's own
+boundary, and a config that still carries a retired key (``_RETIRED_KEYS``)
+is refused before any command runs.
 
 Exit codes partition outcomes: 0 pass, 1 usage error or refusal,
 2 numerical failure (non-convergence or a false verdict), 3 I/O failure.
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, maxprin
+from . import analysis
 from .geometry import VERDICT_FRACTION, Grid, GridSpec, HolomorphicDatum, build_grid
 from .solver import SolverConfig, solve
 from .system import BlowupError, CyclicSpec, make_spec, make_system
@@ -172,15 +174,23 @@ def parse_solver(obj) -> SolverConfig:
         raise UsageError(f"bad solver config: {exc}") from exc
 
 
-def _refuse_retired_key(cfg: dict) -> None:
-    """Refuse a config that still sets the retired graph-distance margin of the
-    verdict region: ignoring it would assert the verdict on a set the config
-    did not ask for."""
-    key, f = "margin_cells", Fraction(VERDICT_FRACTION)
-    if key in cfg:
-        raise UsageError(f"{key!r} is retired: verdicts are asserted on the fixed region "
-                         f"|z| <= {f.numerator}R/{f.denominator} of a disc chart of radius R "
-                         "(every node of a torus); remove the key")
+# config keys that once chose behaviour the library no longer has, each with
+# why it is gone: ignoring one would run what the config did not ask for
+_RETIRED_KEYS = {
+    "margin_cells": "verdicts are asserted on the fixed region |z| <= {}R/{} of a disc chart "
+                    "of radius R (every node of a torus)".format(
+                        *Fraction(VERDICT_FRACTION).as_integer_ratio()),
+    "boundary": "the boundary is the grid's own: the uniformising Dirichlet data on a disc, "
+                "periodic on the torus",
+    "violate": "every max-principle verdict runs all three negative controls and reports "
+               "each as 'flagged'",
+}
+
+
+def _refuse_retired_keys(cfg: dict) -> None:
+    for key, why in _RETIRED_KEYS.items():
+        if key in cfg:
+            raise UsageError(f"{key!r} is retired: {why}; remove the key")
 
 
 def load_config(path: str) -> dict:
@@ -266,16 +276,6 @@ def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
                  np.column_stack([z.real, z.imag, u]))
 
 
-def parse_boundary(cfg: dict, grid: Grid):
-    """The ``boundary`` key, by default the grid's own; each entry of a list
-    is a number or a per-node list of numbers."""
-    boundary = cfg.get("boundary", "periodic" if grid.kind == "torus" else "fuchsian")
-    if not isinstance(boundary, list):
-        return boundary
-    return [[_float_from(x, "boundary") for x in p] if isinstance(p, list)
-            else _float_from(p, "boundary") for p in boundary]
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -283,7 +283,7 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
     grid = parse_grid(cfg.get("grid"), resolution)
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
-    system = make_system(spec, grid, boundary=parse_boundary(cfg, grid))
+    system = make_system(spec, grid)
     report = solve(system, config=sc)
     write_json(os.path.join(out_dir, "report.json"),
                report.to_json_dict(), volatile_ok=True)
@@ -297,7 +297,6 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
 
 
 def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
-    _refuse_retired_key(cfg)
     sc = parse_solver(cfg.get("solver"))
     if theorem in SOLVE_RUNNERS:
         grid = parse_grid(cfg.get("grid"), resolution)
@@ -308,17 +307,6 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
         spec = parse_spec(cfg.get("spec"))
         return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc)
     if theorem == "max-principle":
-        violate = cfg.get("violate")
-        if violate is not None:
-            grid = parse_grid(cfg.get("grid", {"kind": "torus", "resolution": [16, 16]}),
-                              resolution)
-            rng = np.random.default_rng(seed)
-            sysv = maxprin.random_cooperative_system(grid, _int_from(cfg.get("n", 3), "n"),
-                                                     rng, violate=violate)
-            cond = maxprin.check_conditions(sysv)
-            return {"passed": not cond.passed,
-                    "note": "conditions fail, positivity not asserted",
-                    "conditions": cond.to_json_dict()}
         return analysis.verify_max_principle(_int_from(cfg.get("count", 200), "count"), seed)
     if theorem == "sym-space-curvature":
         ns = tuple(_int_from(n, "ranks")
@@ -344,15 +332,13 @@ def cmd_verify(cfg: dict, theorem: str, out_dir: str, seed: int, resolution=None
 
 
 def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
-    _refuse_retired_key(cfg)
     grid = parse_grid(cfg.get("grid"), resolution)
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
     t_list = parse_t_list(cfg, "sweep")
 
     region = grid.verdict_region()
-    family = analysis.scale_family(spec, grid, t_list, sc,
-                                   boundary=parse_boundary(cfg, grid))
+    family = analysis.scale_family(spec, grid, t_list, sc)
     rows, summaries = [], []
     for spec_t, rep, metric in family:
         t = spec_t.t.real
@@ -421,6 +407,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        _refuse_retired_keys(cfg)
         seed = args.seed if args.seed is not None else _int_from(cfg.get("seed", 0), "seed")
         if seed < 0:
             raise UsageError(f"'seed' must be a nonnegative integer, got {seed}")

@@ -35,8 +35,9 @@ precision underflows or overflows (Langou et al., SC'06; Carson & Higham,
 SIAM J. Sci. Comput. 40, 2018).  K changes little from one Newton step to
 the next, or from one member of a continuation to the next, so the
 factorisation is kept until refinement through it falls short: after
-``_MAX_SWEEPS`` iterations, at a breakdown (r^T z or p^T K p not negative),
-or at a non-finite residual.  Then it is released and K factored afresh.
+``_MAX_SWEEPS`` iterations, at a breakdown (r^T z or p^T K p not negative,
+or overflowed: a kept factorisation can be far from a new K), or at a
+non-finite residual.  Then it is released and K factored afresh.
 When even a fresh single-precision factorisation cannot refine that far, or
 the cast to single precision overflows, or SuperLU fails on it, it is
 released and K is factored in double precision and solved directly; that
@@ -232,10 +233,12 @@ class _NewtonLU:
             if its == _MAX_SWEEPS:
                 return None
             z = self._apply(r)
-            rz, rz_old = r @ z, rz
-            p = z if p is None else z + (rz / rz_old) * p
-            pKp = p @ (K @ p)
-            if not (rz < 0 and pKp < 0):  # -K or minus its factorisation is not definite
+            with np.errstate(over="ignore", invalid="ignore"):  # a breakdown, caught below
+                rz, rz_old = r @ z, rz
+                p = z if p is None else z + (rz / rz_old) * p
+                pKp = p @ (K @ p)
+            # -K or minus its factorisation is not definite, or a product overflowed
+            if not (-np.inf < rz < 0 and -np.inf < pKp < 0):
                 return None
             x = x + (rz / pKp) * p
             self.refinement_sweeps += 1

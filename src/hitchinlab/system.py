@@ -244,7 +244,11 @@ def arrows(G: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
 
 
 class HitchinSystem:
-    """A spec bound to a grid with boundary data and coefficient fields.
+    """A spec bound to a grid with its coefficient fields.
+
+    The boundary is the grid's own.  On a disc, ``boundary_values`` is the
+    uniformising state (``fuchsian_log_metrics``): the Dirichlet data and the
+    Newton seed.  The torus is periodic and has none.
 
     The nonlinear residual for the independent unknowns u (an (N, m) array)
     is R(u) = Lap u + F(u), where F holds the first m columns of
@@ -264,21 +268,14 @@ class HitchinSystem:
     constant in u_F.
     """
 
-    def __init__(
-        self,
-        spec: CyclicSpec,
-        grid: Grid,
-        boundary_values: np.ndarray | None,
-        coeff_sq: np.ndarray,
-        fuchsian: np.ndarray | None = None,
-    ):
+    def __init__(self, spec: CyclicSpec, grid: Grid, coeff_sq: np.ndarray):
         self.spec = spec
         self.grid = grid
         self.m = spec.n_unknowns
         self.coeff_sq = coeff_sq  # (N, n) squared arrow coefficients, t^2 in last column
         self.free = grid.interior_mask  # every node of the torus
-        self.boundary_values = boundary_values  # (N, m) on a disc, None on the torus
-        self._fuchsian = fuchsian  # uniformising log-metrics, computed on first need
+        self.boundary_values = (None if grid.kind == "torus"
+                                else fuchsian_log_metrics(spec.n, self.m, grid))
         E = spec.embedding
         self.gram = E.T @ E
         # arrow i has log-derivative d[i] = d(w_{i+1} - w_i)/du; the Hessian
@@ -325,13 +322,8 @@ class HitchinSystem:
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
-        if self.grid.kind == "torus":
-            return LogMetricState(self.grid, np.zeros((self.grid.n_nodes, self.m)))
-        if self._fuchsian is None:
-            self._fuchsian = fuchsian_log_metrics(self.spec.n, self.m, self.grid)
-        u = self._fuchsian.copy()
-        b = self.grid.boundary_mask
-        u[b, :] = self.boundary_values[b, :]
+        u = (np.zeros((self.grid.n_nodes, self.m)) if self.boundary_values is None
+             else self.boundary_values.copy())
         return LogMetricState(self.grid, u)
 
 
@@ -350,22 +342,23 @@ def arrow_coefficients(spec: CyclicSpec, grid: Grid, fields=None) -> np.ndarray:
 def make_system(
     spec: CyclicSpec,
     grid: Grid,
-    boundary: str | Sequence = "fuchsian",
+    boundary: str | None = None,
     coefficient_fields: Sequence[np.ndarray] | None = None,
 ) -> HitchinSystem:
     """Bind a spec to a grid.
 
-    ``boundary`` is ``"fuchsian"`` (disc kinds; Dirichlet data from the
-    uniformising state), ``"periodic"`` (the torus, its only boundary), or,
-    on a disc, an explicit per-unknown array/constant list for custom
-    Dirichlet data.
+    The boundary is the grid's own: Dirichlet data from the uniformising
+    state on the disc kinds, periodic on the torus.  ``boundary`` may name
+    it, as ``"fuchsian"`` or ``"periodic"``; any other value is refused.
 
     ``coefficient_fields`` overrides the squared arrow magnitudes with raw
     nonnegative per-node fields (one per cyclic arrow, scale t still applied
     to the last).  This is how non-constant smooth coefficients are injected
     on the torus, where only constants are globally holomorphic.
     """
-    m = spec.n_unknowns
+    own = "periodic" if grid.kind == "torus" else "fuchsian"
+    if boundary is not None and not (isinstance(boundary, str) and boundary == own):
+        raise ValueError(f"{grid.kind} grids take only their own boundary={own!r}")
     fields = coefficient_fields
     if fields is not None:
         fields = [np.asarray(f, dtype=float) for f in fields]
@@ -378,36 +371,7 @@ def make_system(
     if fields is not None and spec.is_symmetric and not np.array_equal(G[:, :-1], G[:, -2::-1]):
         raise ValueError("a symmetric variant needs palindromic coefficient fields "
                          "(field k equal to field n-k for k < n)")
-
-    if grid.kind == "torus":
-        if not (isinstance(boundary, str) and boundary == "periodic"):
-            raise ValueError("torus grids take boundary='periodic'")
-        return HitchinSystem(spec, grid, None, G)
-
-    fuchsian = None
-    if isinstance(boundary, str):
-        if boundary != "fuchsian":
-            raise ValueError("disc grids take boundary='fuchsian' or explicit values")
-        bv = fuchsian = fuchsian_log_metrics(spec.n, m, grid)
-    else:
-        try:
-            parts = list(boundary)
-        except TypeError:
-            raise ValueError("disc grids take boundary='fuchsian' or explicit values") from None
-        if len(parts) != m:
-            raise ValueError(f"need {m} boundary entries, got {len(parts)}")
-        cols = []
-        for p in parts:
-            arr = np.asarray(p, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(grid.n_nodes, float(arr))
-            if arr.shape != (grid.n_nodes,):
-                raise ValueError("boundary entries must be scalars or per-node arrays")
-            cols.append(arr)
-        bv = np.column_stack(cols)
-        if not np.all(np.isfinite(bv)):
-            raise ValueError("explicit boundary values must be finite")
-    return HitchinSystem(spec, grid, bv, G, fuchsian)
+    return HitchinSystem(spec, grid, G)
 
 
 # -- stability -------------------------------------------------------------

@@ -429,16 +429,39 @@ def test_verify_sym_space_rejects_vacuous_suites(kwargs):
 
 
 # seed 7's plane has |sin theta| = 1.0e-6, at the 1e-12 threshold on sin^2 theta,
-# so a change of arithmetic in the kernel could move or drop that refusal
+# so a change of arithmetic in the kernel could move or drop that skip
 @pytest.mark.parametrize("seed,index", [(4, 4378), (7, 7451)])
-def test_verify_sym_space_refusal_names_the_plane(seed, index):
-    with pytest.raises(ValueError, match=rf"^sp_real n=2 sample {index}: tangent vectors"):
-        verify_sym_space(10000, seed=seed, ns=(2,))
-    # the named sample is the first degenerate plane of the stream
-    Y, Z = random_tangent_planes("sp_real", 2, np.random.default_rng([seed, 2, 2]), index + 1)
+def test_verify_sym_space_skips_the_degenerate_plane(seed, index):
+    # one degenerate draw is skipped and counted; the pair passes on the rest
+    out = verify_sym_space(10000, seed=seed, ns=(2,))
+    assert out["passed"]
+    counts = {(e["group"], e["n"]): e["degenerate_samples"] for e in out["groups"]}
+    assert counts == {("sl_real", 2): 0, ("sl_complex", 2): 0, ("sp_real", 2): 1}
+    sp = next(e for e in out["groups"] if e["group"] == "sp_real")
+    # every sp_real n = 2 plane is the whole tangent space
+    assert abs(sp["k_min"] + 0.5) < 1e-12 and abs(sp["k_max"] + 0.5) < 1e-12
+    # the skipped sample is the one degenerate plane of the stream
+    Y, Z = random_tangent_planes("sp_real", 2, np.random.default_rng([seed, 2, 2]), 10000)
     symmetric_space_curvature(Y[:index], Z[:index])
+    symmetric_space_curvature(Y[index + 1:], Z[index + 1:])
     with pytest.raises(ValueError, match="nondegenerate"):
         symmetric_space_curvature(Y[index], Z[index])
+
+
+def test_verify_sym_space_refuses_a_pair_with_no_nondegenerate_plane(monkeypatch):
+    # a pair whose every draw is degenerate would pass vacuously
+    real = analysis.random_tangent_planes
+
+    def planes(group, n, rng, count):
+        Y, Z = real(group, n, rng, count)
+        return (Y, 3.0 * Y) if (group, n) == ("sl_complex", 3) else (Y, Z)
+
+    monkeypatch.setattr(analysis, "random_tangent_planes", planes)
+    with pytest.raises(ValueError, match=r"^sl_complex n=3: no sampled pair of tangent "
+                                         "vectors spans a nondegenerate plane$"):
+        verify_sym_space(1, seed=0, ns=(2, 3))
+    out = verify_sym_space(300, seed=0, ns=(2,))
+    assert out["passed"] and all(e["degenerate_samples"] == 0 for e in out["groups"])
 
 
 def _reference_draw(group, n, rng):

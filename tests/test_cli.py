@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hitchinlab.cli import _write_table, main, write_state_csv
+from hitchinlab.cli import _RETIRED_KEYS, _write_table, main, write_state_csv
 from hitchinlab.geometry import GridSpec, build_grid
 from hitchinlab.solver import SolverConfig
 
@@ -228,14 +229,11 @@ _DEGREE_17 = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degr
     ("samples", "sym-space-curvature", {"samples": "5", "ranks": [2]}),
     ("ranks", "sym-space-curvature", {"samples": 5, "ranks": ["2"]}),
     ("count", "max-principle", {"count": "3"}),
-    ("n", "max-principle", {"violate": "column", "n": "3"}),
     ("n", "nu-bounds", {"grid": RADIAL, "spec": dict(HITCHIN3, n="3")}),
     ("max_newton_iters", "curvature",
      {"grid": RADIAL, "spec": HITCHIN3, "solver": {"max_newton_iters": "5"}}),
     ("seed", "sym-space-curvature", {"samples": 5, "ranks": [2], "seed": "0"}),
     ("resolution", "nu-bounds", {"grid": dict(RADIAL, resolution="64"), "spec": HITCHIN3}),
-    ("resolution", "max-principle",
-     {"violate": "column", "grid": {"kind": "torus", "resolution": ["16", 16]}}),
     ("degree", "nu-bounds", {"grid": RADIAL, "spec": dict(HITCHIN3, data=[
         {"kind": "monomial", "coefficient": 1.0, "degree": "1"}])}),
 ])
@@ -277,41 +275,6 @@ def test_sym_space_ranks_that_are_no_list_are_usage_error(tmp_path, capsys, rank
     assert not (out / "verdict.json").exists()
 
 
-@pytest.mark.parametrize("grid,boundary,message", [
-    (dict(RADIAL, resolution=16), 5, "disc grids take boundary='fuchsian' or explicit values"),
-    ({"kind": "torus", "resolution": 16}, [0.5, 0.5], "torus grids take boundary='periodic'"),
-], ids=["disc-number", "torus-list"])
-def test_boundary_of_the_wrong_shape_is_usage_error(tmp_path, capsys, grid, boundary, message):
-    # a number on a disc once died in a TypeError traceback, and a list on a
-    # torus was ignored: the periodic solve ran and exited 0
-    cfg = write_cfg(tmp_path, "cfg.json", {"grid": grid, "spec": HITCHIN3, "boundary": boundary})
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("boundary,message", [
-    (["0.5"], "'boundary' must be a number, got '0.5'"),
-    ([True], "'boundary' must be a number, got True"),
-    ([None], "'boundary' must be a number, got None"),
-    ([[0.1, "x"]], "'boundary' must be a number, got 'x'"),
-    ([float("nan")], "explicit boundary values must be finite"),
-], ids=["string", "bool", "null", "per-node-string", "nan"])
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_boundary_entry_that_is_no_finite_number_is_usage_error(tmp_path, capsys, command,
-                                                                boundary, message):
-    # "0.5" and true once solved and exited 0, null and NaN became NaN
-    # Dirichlet values that failed numerically, and "x" inside a per-node
-    # list surfaced numpy's conversion error without naming the key
-    cfg = write_cfg(tmp_path, "cfg.json", {"grid": dict(RADIAL, resolution=16), "spec": HITCHIN3,
-                                           "boundary": boundary, "t_list": [0.0, 1.0]})
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not any(out.iterdir())
-
-
 def test_integral_float_fields_are_accepted(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {"samples": 5e1, "ranks": [2.0, 3], "seed": 7.0})
     out = tmp_path / "out"
@@ -322,51 +285,32 @@ def test_integral_float_fields_are_accepted(tmp_path):
     assert verdict["seed"] == 7 and verdict["samples"] == 50
 
 
-@pytest.mark.parametrize("argv", [["verify", "--theorem", "nu-bounds"], ["sweep"]],
-                         ids=["verify", "sweep"])
-@pytest.mark.parametrize("margin", [5, 1000, -3])
-def test_retired_margin_cells_key_is_usage_error(tmp_path, capsys, monkeypatch, margin, argv):
-    # the key once chose the verdict region by graph distance from the rim;
-    # the region is fixed now, so an old config is refused, not reinterpreted,
+@pytest.mark.parametrize("argv", [["solve"], ["verify", "--theorem", "nu-bounds"],
+                                  ["verify", "--theorem", "max-principle"], ["sweep"]],
+                         ids=["solve", "verify", "verify-max-principle", "sweep"])
+@pytest.mark.parametrize("value", [5, "column", None])
+@pytest.mark.parametrize("key", sorted(_RETIRED_KEYS))
+def test_retired_key_is_usage_error(tmp_path, capsys, monkeypatch, key, value, argv):
+    # each key once chose what the library no longer does (the verdict
+    # region's distance from the rim, explicit Dirichlet data, a one-control
+    # max-principle demo); an old config is refused, not reinterpreted,
     # before any grid is built
     calls = []
     monkeypatch.setattr("hitchinlab.cli.parse_grid", lambda *args: calls.append(args))
     cfg = write_cfg(tmp_path, "cfg.json", {"grid": RADIAL, "spec": HITCHIN3,
-                                           "t_list": [0.0, 1.0], "margin_cells": margin})
+                                           "t_list": [0.0, 1.0], key: value})
     out = tmp_path / "out"
     assert main(argv + ["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: 'margin_cells' is retired: verdicts are asserted on the fixed region "
-        "|z| <= 7R/8 of a disc chart of radius R (every node of a torus); remove the key\n")
+        f"error: {key!r} is retired: {_RETIRED_KEYS[key]}; remove the key\n")
     assert calls == []
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
-def test_verify_max_principle_violation_demo(tmp_path):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "violate": "column", "n": 3,
-        "grid": {"kind": "radial_disc", "resolution": 24, "radius": 0.8}})
-    out = tmp_path / "out"
-    rc = main(["verify", "--config", cfg, "--theorem", "max-principle",
-               "--out", str(out)])
-    assert rc == 0
-    verdict = read_json(out / "verdict.json")
-    assert verdict["passed"] is True
-    assert "positivity not asserted" in verdict["note"]
-    assert verdict["conditions"]["column_dominance_ok"] is False
-
-
-@pytest.mark.parametrize("payload,name", [({"violate": "colum"}, "'colum'"),
-                                          ({"violate": "coupled", "n": 1}, "'coupled'"),
-                                          ({"violate": "cooperative", "n": 1}, "'cooperative'")])
-def test_verify_max_principle_unrealisable_violation_is_refused(tmp_path, capsys, payload, name):
-    cfg = write_cfg(tmp_path, "cfg.json", payload)
-    out = tmp_path / "out"
-    rc = main(["verify", "--config", cfg, "--theorem", "max-principle", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "violation" in err and name in err
-    assert not (out / "verdict.json").exists()
+def test_retired_margin_cells_message_names_the_region():
+    assert _RETIRED_KEYS["margin_cells"] == (
+        "verdicts are asserted on the fixed region |z| <= 7R/8 of a disc chart of radius R "
+        "(every node of a torus)")
 
 
 @pytest.mark.parametrize("count", [0, -5])
@@ -866,6 +810,23 @@ def test_unallocatable_rank_is_one_error_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
     assert not any(out.iterdir())
+
+
+def test_continuation_to_an_overflowing_scale_fails_without_warnings(tmp_path, capsys):
+    # the member at t = 1e154 is refined first through the factorisation
+    # kept from t = 0.5; r^T z overflowed there, and numpy's RuntimeWarnings
+    # reached stderr beside the CLI's own line
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": {"kind": "disc2d", "resolution": 17, "radius": 0.8},
+        "spec": dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degree": 1}]),
+        "t_list": [0.5, 1e154]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "sweep: a member failed to converge\n"
+    assert [m["converged"] for m in read_json(out / "sweep.json")["members"]] == [True, False]
 
 
 def test_torus_solve_path(tmp_path):

@@ -11,10 +11,17 @@ identifier string, its own assignment not counted.  The sources are
 parsed, so a docstring that mentions a name is no reference.  The checks go
 by name alone, so a field whose name some other object's attribute shares
 passes.
+
+The CLI's config surface is checked the same way: every top-level config
+key that ``cli.py`` reads is documented in the README's CLI section, and no
+key of ``cli._RETIRED_KEYS`` is read anywhere in ``src/``.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from hitchinlab.cli import _RETIRED_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "hitchinlab").glob("*.py"))
@@ -126,3 +133,42 @@ def test_every_public_constant_is_read_outside_the_tests():
                  for name in _public_constants(_parse(path))]
     assert constants
     assert not [qualified for qualified, name in constants if name not in read]
+
+
+def _mapping_reads(tree):
+    """(mapping node, key) of each constant string key read from a mapping:
+    ``m.get("k", ...)``, ``m["k"]`` and ``"k" in m``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and node.args):
+            mapping, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript):
+            mapping, key = node.value, node.slice
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            mapping, key = node.comparators[0], node.left
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield mapping, key.value
+
+
+def _config_keys():
+    """The top-level keys that ``cli.py`` reads from a loaded config, ``cfg``."""
+    tree = _parse(ROOT / "src" / "hitchinlab" / "cli.py")
+    return {key for mapping, key in _mapping_reads(tree)
+            if isinstance(mapping, ast.Name) and mapping.id == "cfg"}
+
+
+def test_every_config_key_the_cli_reads_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    cli_section = readme[readme.index("## CLI"):readme.index("## Library use")]
+    keys = _config_keys()
+    assert {"grid", "spec", "solver", "seed"} <= keys
+    assert not [key for key in sorted(keys)
+                if not re.search(rf'`{key}[`.]|"{key}":', cli_section)]
+
+
+def test_no_retired_config_key_is_read():
+    assert _RETIRED_KEYS
+    read = {key for path in LIBRARY for _, key in _mapping_reads(_parse(path))}
+    assert not read & set(_RETIRED_KEYS)

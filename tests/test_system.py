@@ -310,8 +310,9 @@ def test_symmetric_system_is_general_system_on_embedding(case):
     u = sym.initial_state().u + 0.3 * rng.normal(size=(N, m))
 
     gen_spec = make_spec("general_cyclic", n, spec.cyclic_data(), t=spec.t)
-    bv = (sym.boundary_values @ E.T)[:, :n - 1]
-    gen = make_system(gen_spec, g, boundary=list(bv.T))
+    gen = make_system(gen_spec, g)
+    # the uniformising state is antisymmetric, so both read the same Dirichlet data
+    assert np.array_equal(gen.boundary_values, (sym.boundary_values @ E.T)[:, :n - 1])
     w = (u @ E.T)[:, :n - 1]
 
     r_s = sym.residual_array(u)
@@ -375,7 +376,7 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
     lr = _expand_and_roll(spec, u)
     _assert_same_up_to_cancellation(spec, log_ratios(spec, u), lr, S)
 
-    sys_ = system_module.HitchinSystem(spec, g, None, G)
+    sys_ = system_module.HitchinSystem(spec, g, G)
     a = G * np.exp(lr)
     scale = a * (1 + S)
     _assert_same_up_to_cancellation(spec, sys_._arrows(u), a, scale)
@@ -696,40 +697,49 @@ def test_blowup_raised_on_huge_states():
 
 
 def test_boundary_argument_validation():
+    # a grid takes only its own boundary, named or omitted
     g = radial(16)
     t = build_grid(GridSpec("torus", (8, 8)))
     spec = make_spec("hitchin_component", 4, (one,))
-    with pytest.raises(ValueError):
-        make_system(spec, g, boundary="periodic")
-    with pytest.raises(ValueError):
-        make_system(make_spec("general_cyclic", 3, (one, one, one)), t, boundary="fuchsian")
-    with pytest.raises(ValueError):
-        make_system(spec, g, boundary=[0.0])  # needs 2 entries
-    with pytest.raises(ValueError):
-        make_system(spec, g, boundary=[0.0, np.zeros(3)])
-    with pytest.raises(ValueError, match="disc grids take"):
-        make_system(spec, g, boundary=5)  # no list
-    for bad in ([np.nan, 0.0], [0.0, np.full(g.n_nodes, np.inf)]):
-        with pytest.raises(ValueError, match="boundary values must be finite"):
-            make_system(spec, g, boundary=bad)
-    for bad in ([0.5, 0.5], 0.0, None):  # the torus takes only "periodic"
-        with pytest.raises(ValueError, match="torus grids take"):
-            make_system(make_spec("general_cyclic", 3, (one, one, one)), t, boundary=bad)
+    cyclic = make_spec("general_cyclic", 3, (one, one, one))
+    for bad in ("periodic", 5, [0.0, 0.0], np.zeros((g.n_nodes, 2))):
+        with pytest.raises(ValueError, match="^radial_disc grids take only their own "
+                                             "boundary='fuchsian'$"):
+            make_system(spec, g, bad)
+    for bad in ("fuchsian", [0.5, 0.5], 0.0):
+        with pytest.raises(ValueError, match="^torus grids take only their own "
+                                             "boundary='periodic'$"):
+            make_system(cyclic, t, bad)
 
 
-def test_explicit_boundary_values_pin_the_solution():
-    g = radial(48)
-    spec = make_spec("general_cyclic", 2, (HolomorphicDatum.constant(0.5), one), t=0.0)
-    sys = make_system(spec, g, boundary=[np.full(g.n_nodes, -1.25)])
-    rep = solve(sys, config=SolverConfig(tol_residual=1e-11))
-    assert rep.converged
-    assert abs(rep.state.u[-1, 0] + 1.25) < 1e-12
+@pytest.mark.parametrize("kind", sorted(_STEP_GRIDS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_omitted_boundary_is_the_grids_own(kind, data):
+    # every variant on every grid kind builds the same system with the
+    # boundary omitted as with it named, and its seed satisfies the
+    # Dirichlet rows exactly: the seed is the Dirichlet data
+    spec, _ = data.draw(_step_case(kind))
+    g = build_grid(_STEP_GRIDS[kind])
+    default = make_system(spec, g)
+    named = make_system(spec, g, "periodic" if kind == "torus" else "fuchsian")
+    assert default.coeff_sq.tobytes() == named.coeff_sq.tobytes()
+    seed = default.initial_state().u
+    assert seed.tobytes() == named.initial_state().u.tobytes()
+    if kind == "torus":
+        assert default.boundary_values is None and named.boundary_values is None
+        assert not seed.any()
+    else:
+        assert default.boundary_values.tobytes() == named.boundary_values.tobytes()
+        assert seed.tobytes() == default.boundary_values.tobytes()
+    b = g.boundary_mask
+    assert b.any() == (kind != "torus")
+    assert not default.residual_array(seed)[b].any()
 
 
-@pytest.mark.parametrize("boundary", ["fuchsian", "explicit"])
-def test_seed_is_the_fuchsian_state_computed_once(monkeypatch, boundary):
-    # the seed is the uniformising state with the Dirichlet rows set to the
-    # boundary data; make_system's Fuchsian boundary array serves it too
+def test_seed_is_the_fuchsian_state_computed_once(monkeypatch):
+    # the seed is the uniformising state, the one array that also serves as
+    # the Dirichlet data
     g = build_grid(GridSpec("disc2d", 17, 0.8))
     spec = make_spec("hitchin_component", 4, (HolomorphicDatum.monomial(0.5, 1),))
     original = system_module.fuchsian_log_metrics
@@ -741,19 +751,12 @@ def test_seed_is_the_fuchsian_state_computed_once(monkeypatch, boundary):
         return original(*args)
 
     monkeypatch.setattr(system_module, "fuchsian_log_metrics", counted)
-    bv = "fuchsian" if boundary == "fuchsian" else [np.full(g.n_nodes, -1.0), 0.5]
-    sys = make_system(spec, g, boundary=bv)
+    sys = make_system(spec, g)
     seed = sys.initial_state()
     assert solve(sys).converged
     assert sys.initial_state().u.tobytes() == seed.u.tobytes()
     assert len(calls) == 1
-
-    expected = fuchsian.copy()
-    b = g.boundary_mask
-    expected[b] = sys.boundary_values[b]
-    assert seed.u.tobytes() == expected.tobytes()
-    if boundary == "fuchsian":
-        assert seed.u.tobytes() == fuchsian.tobytes()
+    assert seed.u.tobytes() == fuchsian.tobytes() == sys.boundary_values.tobytes()
 
 
 def test_coefficient_field_overrides_are_validated():
