@@ -30,7 +30,13 @@ slack ``CURVATURE_SLACK`` at every spacing, and the ratio bounds of
 
 A vanishing corner arrow is read from its assembled coefficient |t gamma_n|^2
 (``scale_sq`` where only the scale matters), never from t or the datum, so
-an underflowing |t|^2 or |q|^2 is decided as t = 0 is.
+an underflowing |t|^2 or |q|^2 is decided as t = 0 is.  Equality cases are
+read from the assembled coefficients as well: the fiber comparison of a
+bundle whose system is its partner's, and a single-state bound on the
+rank-n uniformising system.  Either carries a ``degenerate`` note and
+``equality_deviation``, and its strict ``passed`` is false.  A solve that
+fails makes every solve-based verdict the one inconclusive
+``{"passed": False, "error": "solve failed", "reports": [...]}``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import imap_in_order
-from .geometry import Grid, HolomorphicDatum
+from .geometry import Grid
 from .solver import SolverConfig, continuation_solve, solve
 from .system import (
     CyclicSpec,
@@ -355,7 +361,7 @@ def compare_states(
     a-components dominate the weighted b-components).
     """
     grid = state_a.grid
-    if state_b.grid.n_nodes != grid.n_nodes or state_b.grid.spacing != grid.spacing:
+    if state_b.grid.spec != grid.spec:
         raise ValueError("states must be solved on the same grid")
     region = grid.verdict_region()
     if quantity == "pullback_metric":
@@ -405,28 +411,41 @@ def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_
 # -- theorem runners -------------------------------------------------------
 
 
-def _same_system(spec_a: CyclicSpec, spec_b: CyclicSpec, grid: Grid) -> bool:
-    """Whether the two specs assemble one and the same system on ``grid``.
+def _solve_spec(spec: CyclicSpec, grid: Grid, config: SolverConfig | None,
+                variant: str | None = None, refusal: str = ""):
+    """Assemble ``spec`` on ``grid`` and solve it: (system, solve report).
+    A spec of another variant than ``variant``, when one is named, is
+    refused with ``refusal`` before any solve."""
+    if variant is not None and spec.variant != variant:
+        raise ValueError(refusal)
+    system = make_system(spec, grid)
+    return system, solve(system, config=config)
 
-    Equal embeddings give equal unknowns and equal Fuchsian boundary data,
-    so the systems coincide exactly when the squared arrow coefficients do.
-    """
-    return bool(np.array_equal(spec_a.embedding, spec_b.embedding)
-                and np.array_equal(arrow_coefficients(spec_a, grid),
-                                   arrow_coefficients(spec_b, grid)))
+
+def _inconclusive(reports) -> dict:
+    """The verdict of a solve-based runner whose solve failed."""
+    return {"passed": False, "error": "solve failed",
+            "reports": [rep.to_json_dict() for rep in reports]}
 
 
-def _flag_equality_case(out: dict, system: HitchinSystem, holds: str, deviation) -> None:
-    """Mark ``out`` as the equality case when ``system`` is the rank-n
-    uniformising system (``hitchin_component`` with q = 0, which t = 0 or an
-    underflowing |q|^2 also give): a ``degenerate`` note, ``equality_deviation``
-    from ``deviation()``, and a false strict ``passed``.  That system's corner
-    coefficient vanishes, so any other is ruled out without assembling it."""
-    spec = system.spec
-    if not system.coeff_sq[:, -1].any() and _same_system(
-            spec, CyclicSpec(spec.n, "hitchin_component", (HolomorphicDatum.zero(),)), system.grid):
-        out["degenerate"] = (f"the system is the rank-{spec.n} uniformising system; {holds} "
-                             "with equality and the strict verdict is false by construction")
+def _uniformising_note(system: HitchinSystem, holds: str) -> str | None:
+    """The ``degenerate`` note when ``system`` is the rank-n uniformising one
+    (``hitchin_component`` with q = 0, which t = 0 or an underflowing |q|^2
+    also give): a symmetric embedding, every arrow coefficient but the
+    corner exactly 1 and a zero corner.  None for any other system."""
+    G = system.coeff_sq
+    if system.spec.is_symmetric and not G[:, -1].any() and (G[:, :-1] == 1.0).all():
+        return (f"the system is the rank-{system.spec.n} uniformising system; {holds} "
+                "with equality and the strict verdict is false by construction")
+    return None
+
+
+def _flag_equality_case(out: dict, degenerate: str | None, deviation) -> None:
+    """Mark ``out`` as the equality case of its theorem when ``degenerate``
+    is a note: that note, ``equality_deviation`` from ``deviation()``, and a
+    false strict ``passed``."""
+    if degenerate is not None:
+        out["degenerate"] = degenerate
         out["equality_deviation"] = float(deviation())
         out["passed"] = False
 
@@ -473,15 +492,12 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     config = config or SolverConfig()
     region = grid.verdict_region()
     family = scale_family(spec, grid, t_values, config)
-    results = {"t_values": [s.t.real for s, _, _ in family],
-               "converged": [r.converged for _, r, _ in family],
-               "pairs": [], "passed": False}
-    if not all(results["converged"]):
-        results["error"] = "continuation failed; see solve reports"
-        results["reports"] = [r.to_json_dict() for _, r, _ in family]
-        return results
-
-    results["morse_energies"] = energies = [metric.morse_energy for _, _, metric in family]
+    echo = {"t_values": [s.t.real for s, _, _ in family],
+            "converged": [r.converged for _, r, _ in family]}
+    if not all(echo["converged"]):
+        return {**echo, **_inconclusive(r for _, r, _ in family)}
+    energies = [metric.morse_energy for _, _, metric in family]
+    results = {**echo, "pairs": [], "passed": False, "morse_energies": energies}
 
     ok = True
     for (sa, rep_a, _), (sb, rep_b, _) in zip(family[1:], family[:-1]):
@@ -496,12 +512,12 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
             "t_low": sb.t.real, "t_high": sa.t.real,
             "ratios": ratios,
             "pullback": metric,
-            "difference_conditions": cond.to_json_dict(),
+            "difference_conditions": cond,
             "difference_mode": ds.mode,
             "v_min_verdict_region": v_min,
             "difference_defect": ds.residual_inf,
         }
-        ok = ok and ratios["verdict"] and metric["verdict"] and cond.passed and v_min > 0
+        ok = ok and ratios["verdict"] and metric["verdict"] and cond["passed"] and v_min > 0
         results["pairs"].append(pair)
     energy_ok = all(b > a for a, b in zip(energies, energies[1:]))
     results["morse_energy_increasing"] = energy_ok
@@ -517,13 +533,11 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     verdict region; the k = 1 entry has no lower margin, as nu_1 > 0 is a
     ratio of positive arrow terms.
     """
-    if spec.variant != "hitchin_component":
-        raise ValueError("ratio invariants are defined for hitchin_component states")
-    region = grid.verdict_region()
-    system = make_system(spec, grid)
-    rep = solve(system, config=config)
+    system, rep = _solve_spec(spec, grid, config, "hitchin_component",
+                              "ratio invariants are defined for hitchin_component states")
     if not rep.converged:
-        return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
+        return _inconclusive([rep])
+    region = grid.verdict_region()
     ratios = nu_ratios(spec, rep.state)
     vals, refs = ratios.values[:, region], [float(r) for r in ratios.reference]
     out = {"n": spec.n, "bounds": [], "solver": rep.to_json_dict()}
@@ -533,7 +547,8 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
             entry["min_lower_margin"] = float((vals[k] - ref).min())
         out["bounds"].append(entry)
     out["passed"] = all(v > 0 for e in out["bounds"] for key, v in e.items() if "margin" in key)
-    _flag_equality_case(out, system, "the lower bounds nu_k >= reference_k hold",
+    holds = "the lower bounds nu_k >= reference_k hold"
+    _flag_equality_case(out, _uniformising_note(system, holds),
                         lambda: np.abs(vals - np.array(refs)[:, None]).max())
     return out
 
@@ -548,13 +563,11 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     corner |t q|^2 vanishes (``qzero_k_max``), the most any arrows with
     a_n = 0 give.
     """
-    if spec.variant != "hitchin_component":
-        raise ValueError("the curvature bounds are proved for hitchin_component states")
-    region = grid.verdict_region()
-    system = make_system(spec, grid)
-    rep = solve(system, config=config)
+    system, rep = _solve_spec(spec, grid, config, "hitchin_component",
+                              "the curvature bounds are proved for hitchin_component states")
     if not rep.converged:
-        return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
+        return _inconclusive([rep])
+    region = grid.verdict_region()
     curv = extrinsic_curvature(spec, rep.state)
     kmin, kmax = curv.interior_range(region)
     bound = -1.0 / (spec.n * (spec.n - 1) ** 2)
@@ -566,7 +579,7 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     if spec.n >= 4 and qzero.any():
         out["qzero_k_max"] = float(curv.k_sigma[qzero].max())
         out["qzero_bound"] = float(fuchs)
-    _flag_equality_case(out, system, f"K = {fuchs} holds", lambda: np.abs(
+    _flag_equality_case(out, _uniformising_note(system, f"K = {fuchs} holds"), lambda: np.abs(
         curv.k_sigma[region & curv.defined_mask] - float(fuchs)).max())
     return out
 
@@ -578,18 +591,20 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     Solves both sides with matching boundary data and checks the strict
     metric comparison (rank <= 4) together with the weighted component
     comparison of the harmonic metrics.  A bundle in the Hitchin section is
-    its own partner: when the two sides assemble the same system the
-    theorem gives equality, the verdict carries a ``degenerate`` note and
-    the strict ``passed`` is false.  That system is then solved once.
+    its own partner: when the two sides assemble the same system (both
+    embeddings are the symmetric one of rank n, so the squared arrow
+    coefficients decide) the theorem gives equality, the verdict carries a
+    ``degenerate`` note and ``equality_deviation``, the largest |margin|,
+    and the strict ``passed`` is false.  That system is then solved once.
     """
     config = config or SolverConfig()
     partner = CyclicSpec(spec.n, "hitchin_component", (spec.partner_differential(),))
-    same = _same_system(spec, partner, grid)
-    rep_a = solve(make_system(spec, grid), config=config)
-    rep_b = rep_a if same else solve(make_system(partner, grid), config=config)
+    partner_system = make_system(partner, grid)
+    system, rep_a = _solve_spec(spec, grid, config)
+    same = np.array_equal(system.coeff_sq, partner_system.coeff_sq)
+    rep_b = rep_a if same else solve(partner_system, config=config)
     if not (rep_a.converged and rep_b.converged):
-        return {"passed": False, "error": "solve failed",
-                "reports": [rep_a.to_json_dict(), rep_b.to_json_dict()]}
+        return _inconclusive([rep_a, rep_b])
     out = {"n": spec.n, "passed": True}
     if spec.n <= 4:
         metric = compare_states(spec, rep_a.state, partner, rep_b.state,
@@ -602,10 +617,10 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
                           "harmonic_components", config.tol_residual)
     out["components"] = comp
     out["passed"] = bool(out["passed"] and comp["verdict"])
-    if same:
-        out["degenerate"] = ("the two sides assemble identical systems; the "
-                             "comparison reduces to a self-comparison and the "
-                             "strict verdict is false by construction")
+    note = ("the two sides assemble identical systems; the comparison reduces to a "
+            "self-comparison and the strict verdict is false by construction")
+    _flag_equality_case(out, note if same else None, lambda: max(
+        abs(m) for v in (out["metric"], comp) if v for m in v["margins"]))
     return out
 
 
@@ -627,19 +642,18 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     |f2 - 4/3| and |K + 1/40| over the verdict region; the strict
     ``passed`` is false there.
     """
-    if spec.variant != "sp4_gothen":
-        raise ValueError("sp4 bounds apply to sp4_gothen specs")
-    region = grid.verdict_region()
-    system = make_system(spec, grid)
-    rep = solve(system, config=config)
+    system, rep = _solve_spec(spec, grid, config, "sp4_gothen",
+                              "sp4 bounds apply to sp4_gothen specs")
     if not rep.converged:
-        return {"passed": False, "error": "solve failed", "report": rep.to_json_dict()}
+        return _inconclusive([rep])
+    region = grid.verdict_region()
     curv = sp4_curvature(spec, rep.state)
     f1max, f2max = float(curv.f1[region].max()), float(curv.f2[region].max())
     out = {"mu_fuchsian": not system.coeff_sq[:, -1].any(), "f1_max": f1max, "f2_max": f2max,
            "k_min": float(curv.k_sigma[region].min()), "k_max": float(curv.k_sigma[region].max()),
            "passed": f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0, "solver": rep.to_json_dict()}
-    _flag_equality_case(out, system, "f1 = 0, f2 = 4/3 and K = -1/40 hold", lambda: max(
+    holds = "f1 = 0, f2 = 4/3 and K = -1/40 hold"
+    _flag_equality_case(out, _uniformising_note(system, holds), lambda: max(
         np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
         np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))
     return out
@@ -720,7 +734,7 @@ def verify_max_principle(count: int = 200, seed: int = 0,
                           ("column", "column_dominance_ok"),
                           ("coupled", "fully_coupled")):
         sysv = maxprin.random_cooperative_system(grids[0], 3, rng, violate=violate)
-        caught = not maxprin.check_conditions(sysv).to_json_dict()[flag]
+        caught = not maxprin.check_conditions(sysv)[flag]
         controls.append({"violated": violate, "flagged": caught})
 
     return {"suite": {k: v for k, v in suite.items() if k != "cases"},

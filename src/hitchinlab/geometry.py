@@ -26,6 +26,7 @@ constructor built them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -345,7 +346,8 @@ class HolomorphicDatum:
     datum stores no coefficient at valuation 0.  So equal polynomials are
     one datum however they were built, e.g. ``constant(1) == monomial(1, 0)
     == polynomial([1, 0])``, and c*z^l stores one coefficient at any l.
-    ``kind`` and ``degree`` are read from this support.
+    ``kind`` and ``degree`` are read from this support.  The valuation must
+    be a nonnegative integer: a pole or a fractional power is no datum.
 
     Coefficients are stored exactly and |datum|^2 is always evaluated from
     the closed form -- never by sampling and differentiating.
@@ -355,11 +357,14 @@ class HolomorphicDatum:
     coefficients: tuple[complex, ...] = ()
 
     def __post_init__(self):
+        v = self.valuation
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ValueError(f"the valuation must be a nonnegative integer, got {v!r}")
         c = [complex(x) for x in self.coefficients]
         while c and c[-1] == 0:
             c.pop()
         lead = next((k for k, x in enumerate(c) if x != 0), 0)
-        object.__setattr__(self, "valuation", self.valuation + lead if c else 0)
+        object.__setattr__(self, "valuation", int(v) + lead if c else 0)
         object.__setattr__(self, "coefficients", tuple(c[lead:]))
 
     # -- constructors ------------------------------------------------------
@@ -374,8 +379,6 @@ class HolomorphicDatum:
 
     @staticmethod
     def monomial(c: complex, degree: int) -> "HolomorphicDatum":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
         return HolomorphicDatum(degree, (c,))
 
     @staticmethod

@@ -13,9 +13,9 @@ f <= 0 rests on three structure conditions:
   (c) fully coupled:      no partition (alpha, beta) of the unknowns with
                           c_ij identically zero for i in alpha, j in beta.
 
-``check_conditions`` verifies all three with witnesses, ``fully_coupled``
-decides (c) by a breadth-first search of the coupling digraph from each
-unknown (``scipy.sparse.csgraph``), and
+``check_conditions`` verifies all three with witnesses and returns the
+dict a verdict writes, ``fully_coupled`` decides (c) from the boolean
+transitive closure of the coupling pattern, and
 ``solve_linear_cooperative`` solves the assembled sparse system, refusing
 it when a condition fails, since positivity is then not certified.
 
@@ -43,12 +43,11 @@ out in the serial order, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from ._parallel import imap_in_order
 from .geometry import Grid, hyperbolic_metric
@@ -70,10 +69,11 @@ class CooperativeSystem:
 
     c has shape (n, n, n_nodes); f has shape (n, n_nodes).  ``metric_weight``
     divides the Laplacian (conformal factor g in Delta_g = g^{-1} Delta);
-    ``drift`` holds one velocity component per grid axis.  ``excluded`` lists
-    per-unknown node sets treated as Dirichlet poles with the large positive
-    value ``POLE_VALUE`` (the discrete stand-in for points where the
-    comparison quantity diverges).
+    ``drift`` holds one velocity component per grid axis.  ``excluded`` is an
+    (n, n_nodes) boolean mask, None for no poles, of the nodes where each
+    unknown is a Dirichlet pole with the large positive value ``POLE_VALUE``
+    (the discrete stand-in for points where the comparison quantity
+    diverges).
     """
 
     grid: Grid
@@ -82,7 +82,7 @@ class CooperativeSystem:
     f: np.ndarray
     metric_weight: np.ndarray | None = None
     drift: np.ndarray | None = None
-    excluded: list[np.ndarray] = field(default_factory=list)
+    excluded: np.ndarray | None = None
 
     def __post_init__(self):
         N = self.grid.n_nodes
@@ -96,25 +96,16 @@ class CooperativeSystem:
             self.metric_weight = np.asarray(self.metric_weight, dtype=float)
             if self.metric_weight.shape != (N,) or np.any(self.metric_weight <= 0):
                 raise ValueError("metric_weight must be a positive node field")
-        if not self.excluded:
-            self.excluded = [np.array([], dtype=int) for _ in range(self.n)]
-        if len(self.excluded) != self.n:
-            raise ValueError("need one excluded-node set per unknown")
-        self.excluded = [np.asarray(e, dtype=int) for e in self.excluded]
-        for e in self.excluded:
-            if np.any((e < 0) | (e >= N)):
-                raise ValueError(f"excluded node indices must lie in [0, {N})")
-
-    def excluded_union_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.n_nodes, dtype=bool)
-        for e in self.excluded:
-            mask[e] = True
-        return mask
+        if self.excluded is None:
+            self.excluded = np.zeros((self.n, N), dtype=bool)
+        self.excluded = np.asarray(self.excluded, dtype=bool)
+        if self.excluded.shape != (self.n, N):
+            raise ValueError(f"excluded must be a boolean mask of shape ({self.n}, {N})")
 
     def scan_mask(self) -> np.ndarray:
         """Nodes where the structure conditions are checked: off poles and
         off the Dirichlet boundary."""
-        return ~(self.excluded_union_mask() | self.grid.boundary_mask)
+        return ~(self.excluded.any(axis=0) | self.grid.boundary_mask)
 
     def elliptic_operator(self) -> sparse.csr_matrix:
         """L = (1/g) Lap + upwinded drift, with zero rows at boundary nodes."""
@@ -156,32 +147,6 @@ def _upwind_drift(grid: Grid, velocity: np.ndarray) -> sparse.csr_matrix:
                              shape=(N, N)).tocsr()
 
 
-@dataclass
-class ConditionReport:
-    cooperative_ok: bool
-    column_ok: bool
-    coupled_ok: bool
-    worst_offdiag: tuple[int, int, int, float] | None  # (i, j, node, value)
-    worst_column: tuple[int, int, float] | None        # (j, node, value)
-    partition: tuple[tuple[int, ...], tuple[int, ...]] | None
-
-    @property
-    def passed(self) -> bool:
-        return self.cooperative_ok and self.column_ok and self.coupled_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cooperative_ok": self.cooperative_ok,
-            "column_dominance_ok": self.column_ok,
-            "fully_coupled": self.coupled_ok,
-            "worst_offdiag": list(self.worst_offdiag) if self.worst_offdiag else None,
-            "worst_column_sum": list(self.worst_column) if self.worst_column else None,
-            "partition": [list(p) for p in self.partition] if self.partition else None,
-            "tol": CONDITION_TOL,
-            "passed": self.passed,
-        }
-
-
 def coupling_pattern(system: CooperativeSystem) -> np.ndarray:
     """Boolean matrix: entry (i, j) iff c_ij is not identically zero."""
     scan = system.scan_mask()
@@ -196,6 +161,8 @@ def fully_coupled(pattern: np.ndarray):
     pattern[i, j] set form a set alpha that nothing couples out of; if it
     is a proper subset, (alpha, complement) is a decoupling partition and
     the system is not fully coupled.  Start unknowns are tried in order.
+    Reachability is the transitive closure of P | I: squaring it
+    ceil(log2 n) times covers every path of at most n - 1 edges.
 
     Returns (True, None) or (False, (alpha, beta)).
     """
@@ -203,23 +170,24 @@ def fully_coupled(pattern: np.ndarray):
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("pattern must be square")
-    # the edges in CSR form directly: np.nonzero lists them row by row
-    rows, cols = np.nonzero(P)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    graph = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
-    for s in range(n):
-        alpha = np.sort(breadth_first_order(graph, s, return_predecessors=False))
-        if alpha.size < n:
-            beta = np.setdiff1d(np.arange(n), alpha)
-            return False, (tuple(alpha.tolist()), tuple(beta.tolist()))
+    R = P | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        R |= R @ R
+    for reach in R:
+        if not reach.all():
+            return False, (tuple(np.flatnonzero(reach).tolist()),
+                           tuple(np.flatnonzero(~reach).tolist()))
     return True, None
 
 
-def check_conditions(system: CooperativeSystem) -> ConditionReport:
+def check_conditions(system: CooperativeSystem) -> dict:
     """Verify conditions (a), (b), (c) with worst-case witnesses.
 
     (a) and (b) allow ``CONDITION_TOL`` of round-off; (c) counts a coupling
-    that is nonzero at any scanned node.
+    that is nonzero at any scanned node.  Returns the verdict dict: the
+    three flags, the witnesses ``worst_offdiag`` [i, j, node, c_ij],
+    ``worst_column_sum`` [j, node, sum] and the decoupling ``partition``
+    (each None when there is none), ``tol`` and ``passed``.
     """
     scan = system.scan_mask()
     scan_idx = np.nonzero(scan)[0]
@@ -231,19 +199,22 @@ def check_conditions(system: CooperativeSystem) -> ConditionReport:
     if off.size:
         p, k = np.unravel_index(np.argmin(off), off.shape)
         i, j = np.argwhere(off_diag)[p]
-        worst_off = (int(i), int(j), int(scan_idx[k]), float(off[p, k]))
+        worst_off = [int(i), int(j), int(scan_idx[k]), float(off[p, k])]
     cooperative_ok = worst_off is None or worst_off[3] >= -CONDITION_TOL
 
     colsums = system.c.sum(axis=0)[:, scan]  # (n, n_scan)
     worst_col = None
     if colsums.size:
         j, k = np.unravel_index(np.argmax(colsums), colsums.shape)
-        worst_col = (int(j), int(scan_idx[k]), float(colsums[j, k]))
+        worst_col = [int(j), int(scan_idx[k]), float(colsums[j, k])]
     column_ok = worst_col is None or worst_col[2] <= CONDITION_TOL
 
     coupled_ok, partition = fully_coupled(coupling_pattern(system))
-    return ConditionReport(cooperative_ok, column_ok, coupled_ok,
-                           worst_off, worst_col, partition)
+    return {"cooperative_ok": cooperative_ok, "column_dominance_ok": column_ok,
+            "fully_coupled": coupled_ok, "worst_offdiag": worst_off,
+            "worst_column_sum": worst_col,
+            "partition": [list(p) for p in partition] if partition else None,
+            "tol": CONDITION_TOL, "passed": cooperative_ok and column_ok and coupled_ok}
 
 
 def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -254,9 +225,8 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     """
     N = system.grid.n_nodes
     n = system.n
-    pins = np.concatenate([i * N + e for i, e in enumerate(system.excluded)])
-    dirichlet = np.tile(system.grid.boundary_mask, n)
-    dirichlet[pins] = True
+    pins = system.excluded.ravel()      # unknown-major, like the rows: i*N + k
+    dirichlet = np.tile(system.grid.boundary_mask, n) | pins
     free = ~dirichlet
     # L's entries repeated on every diagonal block, offset by i*N
     L = system.elliptic_operator()
@@ -280,26 +250,23 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     return A, rhs
 
 
-def solve_linear_cooperative(system: CooperativeSystem):
-    """Solve the assembled system; returns (u, ConditionReport).
+def solve_linear_cooperative(system: CooperativeSystem) -> np.ndarray:
+    """Solve the assembled system; returns u, shape (n, n_nodes).
 
     A failing structure condition raises ``CertificationError``: positivity
     is then not certified.
     """
     report = check_conditions(system)
-    if not report.passed:
+    if not report["passed"]:
         raise CertificationError(
-            "structure conditions fail; positivity is not certified "
-            f"({report.to_json_dict()})"
-        )
+            f"structure conditions fail; positivity is not certified ({report})")
     A, rhs = assemble_matrix(system)
     try:
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise RuntimeError(f"singular cooperative operator: {exc}") from exc
-    u = lu.solve(rhs).reshape(system.n, system.grid.n_nodes)
-    return u, report
+    return lu.solve(rhs).reshape(system.n, system.grid.n_nodes)
 
 
 # -- difference system of a scale family -----------------------------------
@@ -341,7 +308,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     corner term moves to the (nonpositive) right-hand side.
     """
     grid = state_a.grid
-    if state_b.grid is not grid and state_b.grid.spec != grid.spec:
+    if state_b.grid.spec != grid.spec:
         raise ValueError("states live on different grids")
     if grid.kind == "torus":
         raise ValueError("the scale-family comparison needs the hyperbolic background")
@@ -462,12 +429,12 @@ def random_cooperative_system(grid: Grid, n: int, rng: np.random.Generator,
                                  for _ in spacings])
         if grid.kind == "radial_disc":
             drift = drift * grid.xy[:, :1]  # vanish at the axis
-    excluded = []
+    excluded = None
     if with_poles:
         interior_idx = np.nonzero(grid.interior_mask)[0]
-        for _ in range(n):
-            k = rng.integers(0, len(interior_idx), size=2)
-            excluded.append(np.unique(interior_idx[k]))
+        excluded = np.zeros((n, N), dtype=bool)
+        for pins in excluded:
+            pins[interior_idx[rng.integers(0, len(interior_idx), size=2)]] = True
     return CooperativeSystem(grid, n, c, f, None, drift, excluded)
 
 
@@ -501,7 +468,7 @@ def randomized_positivity_suite(count: int, seed: int, grids: list[Grid]) -> dic
         k, sys_, with_drift, with_poles = draw
         # the module attribute is looked up per call, so a wrapper installed
         # on it sees every solve, whichever thread makes it
-        u, _ = solve_linear_cooperative(sys_)
+        u = solve_linear_cooperative(sys_)
         free = sys_.scan_mask()
         umin = float(u[:, free].min())
         scale = float(np.abs(u[:, free]).max())

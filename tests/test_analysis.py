@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hitchinlab import analysis
+from hitchinlab import analysis, solver
 from hitchinlab.analysis import (
     CURVATURE_SLACK,
     MARGIN_COEFF_PAIRED,
@@ -622,6 +622,17 @@ def test_compare_states_grid_mismatch_rejected():
         compare_states(spec, st_a, spec, st_b)
     with pytest.raises(ValueError):
         compare_states(spec, st_a, spec, st_a, "determinant")
+    # equal node counts and equal spacings on grids of different kinds:
+    # the comparison once took them for one grid and returned a verdict
+    period = 0.8 * 16 / 255
+    torus = build_grid(GridSpec("torus", (16, 16), periods=(period, period)))
+    disc = radial(256)
+    assert (torus.n_nodes, torus.spacing) == (disc.n_nodes, disc.spacing)
+    st_t = LogMetricState(torus, np.zeros((torus.n_nodes, 1)))
+    st_r = LogMetricState(disc, fuchsian_log_metrics(3, 1, disc))
+    for a, b in ((st_t, st_r), (st_r, st_t)):
+        with pytest.raises(ValueError, match="same grid"):
+            compare_states(spec, a, spec, b)
 
 
 def test_fiber_comparison_distinct_data_passes():
@@ -667,8 +678,32 @@ def test_fiber_comparison_solves_a_self_partner_once(monkeypatch, spec, solves):
     out = verify_fiber_comparison(spec, g, config)
     assert len(calls) == solves
     assert ("degenerate" in out) == (solves == 1)
+    # the self-partner's margins are exactly zero, and so is its deviation
+    assert out.pop("equality_deviation", 0.0) == 0.0
     out.pop("degenerate", None)
     assert out == want
+
+
+def test_every_solve_based_runner_writes_one_inconclusive_shape(monkeypatch):
+    # the single-state runners once wrote "report", monotonicity its own error
+    def unconverged(system, initial=None, config=None, **kwargs):
+        return SolveReport(system.initial_state(), False, 0, message="not converged")
+
+    monkeypatch.setattr(analysis, "solve", unconverged)
+    monkeypatch.setattr(solver, "solve", unconverged)     # continuation's solves
+    g = radial(16)
+    z = HolomorphicDatum.monomial(1.0, 1)
+    hitchin = make_spec("hitchin_component", 3, (z,))
+    family = verify_monotonicity(hitchin, g, [0.5, 1.0])
+    assert (family.pop("t_values"), family.pop("converged")) == ([0.5], [False])
+    verdicts = [verify_nu_bounds(hitchin, g), verify_curvature_bounds(hitchin, g),
+                verify_sp4_bounds(make_spec("sp4_gothen", 4, (one, z)), g),
+                verify_fiber_comparison(make_spec("slnr_even", 4, (one, one, z)), g), family]
+    for out in verdicts:
+        assert out.keys() == {"passed", "error", "reports"}
+        assert out["passed"] is False and out["error"] == "solve failed"
+    assert [len(out["reports"]) for out in verdicts] == [1, 1, 1, 2, 1]
+    assert all(not r["converged"] for out in verdicts for r in out["reports"])
 
 
 @pytest.mark.parametrize("spec", [

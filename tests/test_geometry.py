@@ -374,6 +374,20 @@ def test_datum_constructors_and_algebra():
     assert zero.scaled(3.0).is_zero()
 
 
+@pytest.mark.parametrize("valuation", [-1, 0.5, 1.0, True, False, -2])
+@pytest.mark.parametrize("coefficients", [(1.0,), ()], ids=["one-term", "zero"])
+def test_a_pole_or_a_fractional_power_is_no_datum(valuation, coefficients):
+    # z^-1 was once accepted on disc2d 16, which has no node at 0, and its
+    # nu-bounds verdict solved; z^0.5 was accepted as well
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        HolomorphicDatum(valuation, coefficients)
+
+
+def test_an_integer_valuation_of_any_integer_type_is_stored_as_int():
+    d = HolomorphicDatum(np.int64(2), (1.0,))
+    assert type(d.valuation) is int and d == HolomorphicDatum.monomial(1.0, 2)
+
+
 def test_equal_polynomials_are_one_datum_whichever_constructor_built_them():
     D = HolomorphicDatum
     assert [f.name for f in dataclasses.fields(D)] == ["valuation", "coefficients"]

@@ -48,18 +48,22 @@ def test_system_shape_validation():
                           metric_weight=np.zeros(N))
     with pytest.raises(ValueError):
         CooperativeSystem(g, 2, np.zeros((2, 2, N)), np.zeros((2, N)),
-                          excluded=[np.array([0])])
+                          excluded=np.zeros((1, N), dtype=bool))
 
 
-def test_pole_indices_must_lie_on_the_grid():
+def test_pole_mask_must_cover_every_unknown_on_the_grid():
     g = radial(12)
     N = g.n_nodes
     c, f = np.zeros((2, 2, N)), np.zeros((2, N))
-    for bad in (-1, N):
-        with pytest.raises(ValueError, match=r"excluded node indices must lie in \[0, 12\)"):
-            CooperativeSystem(g, 2, c, f, excluded=[np.array([3]), np.array([bad])])
-    ok = CooperativeSystem(g, 2, c, f, excluded=[np.array([0, N - 1]), np.array([], dtype=int)])
-    assert ok.excluded_union_mask().sum() == 2
+    for shape in ((2, N + 1), (2, N - 1), (N,), (2 * N,)):
+        with pytest.raises(ValueError, match=r"excluded must be a boolean mask of shape \(2, 12\)"):
+            CooperativeSystem(g, 2, c, f, excluded=np.zeros(shape, dtype=bool))
+    mask = np.zeros((2, N), dtype=bool)
+    mask[0, 3], mask[1, 5] = True, True
+    # a pole of either unknown leaves the scan; no mask means no poles
+    scan = CooperativeSystem(g, 2, c, f, excluded=mask).scan_mask()
+    np.testing.assert_array_equal(np.nonzero(scan != ~g.boundary_mask)[0], [3, 5])
+    assert not CooperativeSystem(g, 2, c, f).excluded.any()
 
 
 def test_conditions_pass_on_random_draws():
@@ -67,9 +71,8 @@ def test_conditions_pass_on_random_draws():
     g = radial(24)
     for _ in range(5):
         sys_ = random_cooperative_system(g, 3, rng)
-        rep = check_conditions(sys_)
-        assert rep.passed
-        d = rep.to_json_dict()
+        d = check_conditions(sys_)
+        assert d["passed"]
         assert d["cooperative_ok"] and d["column_dominance_ok"] and d["fully_coupled"]
 
 
@@ -82,7 +85,7 @@ def test_each_negative_control_trips_its_own_flag(violate, flag):
     rng = np.random.default_rng(9)
     g = radial(24)
     sys_ = random_cooperative_system(g, 3, rng, violate=violate)
-    rep = check_conditions(sys_).to_json_dict()
+    rep = check_conditions(sys_)
     assert not rep[flag]
     others = {"cooperative_ok", "column_dominance_ok", "fully_coupled"} - {flag}
     for key in others:
@@ -96,7 +99,8 @@ def test_cooperative_control_is_flagged_on_every_draw():
     for seed in range(200):
         sys_ = random_cooperative_system(g, 3, np.random.default_rng(seed), violate="cooperative")
         rep = check_conditions(sys_)
-        assert not rep.cooperative_ok and rep.column_ok and rep.coupled_ok, seed
+        assert (not rep["cooperative_ok"] and rep["column_dominance_ok"]
+                and rep["fully_coupled"]), seed
 
 
 def test_decoupled_control_reports_a_real_partition():
@@ -104,7 +108,7 @@ def test_decoupled_control_reports_a_real_partition():
     g = radial(16)
     sys_ = random_cooperative_system(g, 4, rng, violate="coupled")
     rep = check_conditions(sys_)
-    ok, partition = rep.coupled_ok, rep.partition
+    ok, partition = rep["fully_coupled"], rep["partition"]
     assert not ok and partition is not None
     alpha, beta = partition
     P = coupling_pattern(sys_)
@@ -201,12 +205,13 @@ def test_worst_offdiag_witness_matches_the_pair_loop(n, levels, constant, poles,
     c = np.random.default_rng(seed).integers(-levels, levels + 1, size=(n, n, g.n_nodes))
     if constant:
         c[:] = c[..., :1]
-    sys_ = CooperativeSystem(g, n, c, np.zeros((n, g.n_nodes)),
-                             excluded=[np.array(poles, dtype=int)] * n)
+    excluded = np.zeros((n, g.n_nodes), dtype=bool)
+    excluded[:, poles] = True
+    sys_ = CooperativeSystem(g, n, c, np.zeros((n, g.n_nodes)), excluded=excluded)
     rep = check_conditions(sys_)
     want = _worst_offdiag_loop(sys_)
-    assert rep.worst_offdiag == want
-    assert rep.cooperative_ok == (want is None or want[3] >= 0.0)
+    assert rep["worst_offdiag"] == (None if want is None else list(want))
+    assert rep["cooperative_ok"] == (want is None or want[3] >= 0.0)
 
 
 def test_certified_solve_against_dense_oracle():
@@ -215,8 +220,8 @@ def test_certified_solve_against_dense_oracle():
     rng = np.random.default_rng(23)
     g = radial(12)
     sys_ = random_cooperative_system(g, 3, rng)
-    u, rep = solve_linear_cooperative(sys_)
-    assert rep.passed
+    u = solve_linear_cooperative(sys_)
+    assert check_conditions(sys_)["passed"]
     A, rhs = assemble_matrix(sys_)
     dense = np.linalg.solve(A.toarray(), rhs).reshape(3, g.n_nodes)
     assert np.abs(u - dense).max() < 1e-10 * max(1.0, np.abs(dense).max())
@@ -250,8 +255,8 @@ def _assert_matches_dense_oracle(sys_, u):
 def test_reordered_solve_matches_dense_oracle(grid, n, with_drift, with_poles):
     rng = np.random.default_rng(1000 * n + 10 * with_drift + with_poles)
     sys_ = random_cooperative_system(grid, n, rng, None, with_drift, with_poles)
-    u, rep = solve_linear_cooperative(sys_)
-    assert rep.passed
+    u = solve_linear_cooperative(sys_)
+    assert check_conditions(sys_)["passed"]
     dense = _assert_matches_dense_oracle(sys_, u)
     scan = sys_.scan_mask()
     # an M-matrix solve is also accurate entry by entry where u > 0
@@ -279,7 +284,7 @@ def test_unrealisable_violation_is_refused(violate, n):
 
 def test_column_violation_is_realised_by_one_unknown():
     sys_ = random_cooperative_system(radial(12), 1, np.random.default_rng(0), violate="column")
-    rep = check_conditions(sys_).to_json_dict()
+    rep = check_conditions(sys_)
     assert not rep["column_dominance_ok"]
     assert rep["cooperative_ok"] and rep["fully_coupled"]
 
@@ -288,8 +293,8 @@ def test_poles_are_pinned_and_positive_elsewhere():
     rng = np.random.default_rng(43)
     g = radial(32)
     sys_ = random_cooperative_system(g, 2, rng, with_poles=True)
-    assert any(len(e) for e in sys_.excluded)
-    u, _ = solve_linear_cooperative(sys_)
+    assert sys_.excluded.any()
+    u = solve_linear_cooperative(sys_)
     for i, e in enumerate(sys_.excluded):
         np.testing.assert_allclose(u[i, e], POLE_VALUE, rtol=1e-12)
     assert u[:, sys_.scan_mask()].min() > 0.0
@@ -302,8 +307,8 @@ def test_drift_keeps_offdiagonals_nonnegative():
         L = sys_.elliptic_operator().tocoo()
         off = L.data[(L.row != L.col)]
         assert off.min() >= 0.0
-        u, rep = solve_linear_cooperative(sys_)
-        assert rep.passed and u[:, sys_.scan_mask()].min() > 0.0
+        u = solve_linear_cooperative(sys_)
+        assert check_conditions(sys_)["passed"] and u[:, sys_.scan_mask()].min() > 0.0
 
 
 def test_randomized_suite_reports_positive_minima():
@@ -358,8 +363,7 @@ def test_difference_system_cyclic_identities():
     # the log-ratios sum to log of the scale ratio squared: 2 log(t_a / t_b)
     assert np.abs(ds.v.sum(axis=0) - 2 * np.log(2.0 / 1.0)).max() < 1e-12
     assert ds.residual_inf < 5e-9
-    rep = check_conditions(ds.system)
-    assert rep.passed
+    assert check_conditions(ds.system)["passed"]
     # the log-ratios are strictly positive away from the boundary
     inner = ds.system.grid.verdict_region()
     assert ds.v[:, inner].min() > 0.0
@@ -378,7 +382,7 @@ def test_difference_system_compares_one_bundle_spelled_by_two_variants():
     assert rep_a.converged and rep_b.converged
     ds = difference_system(spec_a, rep_a.state, spec_b, rep_b.state)
     assert ds.mode == "cyclic"
-    assert check_conditions(ds.system).passed
+    assert check_conditions(ds.system)["passed"]
 
 
 def test_difference_system_vanishing_corner_mode():

@@ -12,6 +12,11 @@ parsed, so a docstring that mentions a name is no reference.  The checks go
 by name alone, so a field whose name some other object's attribute shares
 passes.
 
+Private names are held to the same rule: every private module-level
+function, class and constant, and every private method, must be read in
+``src/`` or ``perfbench/``, so a refactor that orphans a helper fails here.
+Dunder methods are called by the language and are not checked.
+
 The CLI's config surface is checked the same way: every top-level config
 key that ``cli.py`` reads is documented in the README's CLI section, and no
 key of ``cli._RETIRED_KEYS`` is read anywhere in ``src/``.
@@ -101,6 +106,27 @@ def _public_constants(tree):
                     yield sub.id
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_names(tree):
+    """(qualified name, name) of private module-level functions, classes and
+    constants, and of private methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if _is_private(node.name):
+                yield node.name, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and _is_private(sub.id):
+                        yield sub.id, sub.id
+
+
 def _references(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -133,6 +159,16 @@ def test_every_public_constant_is_read_outside_the_tests():
                  for name in _public_constants(_parse(path))]
     assert constants
     assert not [qualified for qualified, name in constants if name not in read]
+
+
+def test_every_private_library_name_is_read_outside_the_tests():
+    read = {node.id for path in CALLERS for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {name for path in CALLERS for name in _reads(_parse(path))}
+    names = [(f"{path.stem}.{qualified}", name) for path in LIBRARY
+             for qualified, name in _private_names(_parse(path))]
+    assert names
+    assert not [qualified for qualified, name in names if name not in read]
 
 
 def _mapping_reads(tree):
