@@ -214,16 +214,8 @@ def _json_ready(obj):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
@@ -339,27 +331,26 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
 
     region = grid.verdict_region()
     family = analysis.scale_family(spec, grid, t_list, sc)
-    rows, summaries = [], []
+    members = []
     for spec_t, rep, metric in family:
-        t = spec_t.t.real
-        if metric is None:
-            summaries.append({"t": t, "converged": False, "solver": rep.to_json_dict()})
-            continue
-        curv = analysis.extrinsic_curvature(spec_t, rep.state)
-        kmin, kmax = curv.interior_range(region)
-        g = metric.density[region]
-        rows.append([t, metric.morse_energy, g.min(), g.max(), kmin, kmax])
-        summaries.append({"t": t, "converged": True,
-                          "morse_energy": metric.morse_energy,
-                          "g_min": float(g.min()), "g_max": float(g.max()),
-                          "k_min": kmin, "k_max": kmax,
-                          "solver": rep.to_json_dict()})
+        member = {"t": spec_t.t.real, "converged": metric is not None,
+                  "solver": rep.to_json_dict()}
+        if metric is not None:
+            curv = analysis.extrinsic_curvature(spec_t, rep.state)
+            kmin, kmax = curv.interior_range(region)
+            g = metric.density[region]
+            member.update(morse_energy=metric.morse_energy, g_min=float(g.min()),
+                          g_max=float(g.max()), k_min=kmin, k_max=kmax)
+        members.append(member)
+    converged = [m for m in members if m["converged"]]
     header = ["t", "morse_energy", "g_min", "g_max", "k_min", "k_max"]
     _write_table(os.path.join(out_dir, "sweep.csv"), header,
-                 np.array(rows, dtype=float).reshape(-1, len(header)))
+                 np.array([[m[k] for k in header] for m in converged],
+                          dtype=float).reshape(-1, len(header)))
 
-    all_converged = len(rows) == len(t_list)
-    monotone = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))   # morse_energy column
+    all_converged = len(converged) == len(t_list)
+    monotone = all(b["morse_energy"] > a["morse_energy"]
+                   for a, b in zip(converged, converged[1:]))
     # pairwise ratio margins are informational here; the thresholded strict
     # check is `verify --theorem monotonicity`
     ratio_margins = []
@@ -373,12 +364,12 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
                "all_converged": all_converged,
                "morse_energy_increasing": monotone,
                "ratio_margins": ratio_margins,
-               "members": summaries}
+               "members": members}
     write_json(os.path.join(out_dir, "sweep.json"), verdict)
     if not all_converged:
         print("sweep: a member failed to converge", file=sys.stderr)
         return 2
-    print(f"sweep: {len(rows)} members, monotone={monotone}")
+    print(f"sweep: {len(converged)} members, monotone={monotone}")
     return 0 if verdict["passed"] else 2
 
 

@@ -127,8 +127,6 @@ def _upwind_drift(grid: Grid, velocity: np.ndarray) -> sparse.csr_matrix:
     nbr, spacings = grid.directional_neighbors()
     N = grid.n_nodes
     dim = len(spacings)
-    if velocity.ndim == 1:
-        velocity = velocity[:, None]
     if velocity.shape != (N, dim):
         raise ValueError(f"drift must have shape ({N}, {dim})")
     rows, cols, vals = [], [], []

@@ -1,8 +1,9 @@
 """Damped Newton solver for the assembled log-metric systems.
 
 The outer iteration is plain Newton with backtracking on the residual
-max-norm.  A step is -r at the Dirichlet nodes; at the free nodes it solves
-the system's Newton matrix K, the Hessian of a convex energy (see
+max-norm.  Every iterate holds the system's Dirichlet data, so a step is 0
+at the Dirichlet nodes; at the free nodes it solves the system's Newton
+matrix K, the Hessian of a convex energy (see
 ``HitchinSystem``): symmetric negative definite on disc2d and torus grids,
 and such a matrix times a positive diagonal on the radial grid.  On the 2-D
 grids SuperLU factors K in its symmetric mode (one ordering applied to rows
@@ -246,16 +247,12 @@ class _NewtonLU:
 
 def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
                  lu: _NewtonLU, forcing: float = 0.0) -> np.ndarray:
-    """The Newton step at ``u`` with residual ``r``: -r at the boundary nodes,
-    whose rows are u - boundary_value, then K step_F = -(r E^T E)_F minus
-    (lap_FB step_B) E^T E, solved through ``lu`` to the ``forcing``
-    tolerance by the band or in the order of K's pattern.  That boundary
-    term is skipped when step_B is zero, as it is from a system's own seed,
-    which holds the boundary values."""
-    step, free = -r, system.free
-    rhs = step[free] @ system.gram
-    if np.any(step[~free]):
-        rhs -= (system.grid.lap @ np.where(free[:, None], 0.0, step))[free] @ system.gram
+    """The Newton step at ``u`` with residual ``r``: 0 at the boundary nodes,
+    whose values ``u`` holds, and K step_F = -(r E^T E)_F, solved through
+    ``lu`` to the ``forcing`` tolerance by the band or in the order of K's
+    pattern."""
+    step, free = np.zeros_like(r), system.free
+    rhs = -r[free] @ system.gram
     K = system.jacobian_matrix(u)
     *_, band, order = system.grid.block_laplacian(system.gram)
     step[free] = lu.solve(K, rhs.ravel(), band, forcing, order).reshape(-1, system.m)
@@ -271,13 +268,16 @@ def solve(
 ) -> SolveReport:
     """Run damped Newton from ``initial`` (default: the system's seed state).
 
-    ``_lu`` is the factorisation a continuation hands on; a plain solve
-    starts with none.
+    The seed's Dirichlet rows are set to ``system.boundary_values``, so every
+    iterate holds the Dirichlet data and no step moves it.  ``_lu`` is the
+    factorisation a continuation hands on; a plain solve starts with none.
     """
     config = config or SolverConfig()
     state = (initial.copy() if initial is not None else system.initial_state())
     if state.u.shape != (system.grid.n_nodes, system.m):
         raise ValueError("initial state does not match the system layout")
+    b = system.grid.boundary_mask
+    state.u[b] = system.boundary_values[b]
     lu = _lu if _lu is not None else _NewtonLU()
     counts0 = lu.counts()
     u = state.u

@@ -246,9 +246,10 @@ def arrows(G: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
 class HitchinSystem:
     """A spec bound to a grid with its coefficient fields.
 
-    The boundary is the grid's own.  On a disc, ``boundary_values`` is the
-    uniformising state (``fuchsian_log_metrics``): the Dirichlet data and the
-    Newton seed.  The torus is periodic and has none.
+    The boundary is the grid's own.  ``boundary_values`` is the Newton seed
+    and holds the Dirichlet data: on a disc the uniformising state
+    (``fuchsian_log_metrics``), on the periodic torus, which has no
+    Dirichlet nodes, zeros.
 
     The nonlinear residual for the independent unknowns u (an (N, m) array)
     is R(u) = Lap u + F(u), where F holds the first m columns of
@@ -274,7 +275,7 @@ class HitchinSystem:
         self.m = spec.n_unknowns
         self.coeff_sq = coeff_sq  # (N, n) squared arrow coefficients, t^2 in last column
         self.free = grid.interior_mask  # every node of the torus
-        self.boundary_values = (None if grid.kind == "torus"
+        self.boundary_values = (np.zeros((grid.n_nodes, self.m)) if grid.kind == "torus"
                                 else fuchsian_log_metrics(spec.n, self.m, grid))
         E = spec.embedding
         self.gram = E.T @ E
@@ -299,9 +300,8 @@ class HitchinSystem:
     def residual_array(self, u: np.ndarray) -> np.ndarray:
         """Residual as an (N, m) array; may contain non-finite values."""
         R = (self.grid.lap @ u) + self._coupling_residual(u)
-        if self.boundary_values is not None:
-            b = self.grid.boundary_mask
-            R[b, :] = u[b, :] - self.boundary_values[b, :]
+        b = self.grid.boundary_mask
+        R[b, :] = u[b, :] - self.boundary_values[b, :]
         return R
 
     def jacobian_matrix(self, u: np.ndarray) -> sparse.csc_matrix:
@@ -322,9 +322,7 @@ class HitchinSystem:
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
-        u = (np.zeros((self.grid.n_nodes, self.m)) if self.boundary_values is None
-             else self.boundary_values.copy())
-        return LogMetricState(self.grid, u)
+        return LogMetricState(self.grid, self.boundary_values.copy())
 
 
 def arrow_coefficients(spec: CyclicSpec, grid: Grid, fields=None) -> np.ndarray:

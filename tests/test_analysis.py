@@ -656,6 +656,24 @@ def test_fiber_comparison_identical_data_degenerates():
     assert all(m == 0.0 for m in out["components"]["margins"])
 
 
+@pytest.mark.parametrize("spec,passed", [
+    (make_spec("slnr_odd", 5, (one, one, HolomorphicDatum.monomial(1.0, 2))), True),
+    (make_spec("slnr_even", 6, (one, one, one, HolomorphicDatum.monomial(1.0, 2))), True),
+    (make_spec("slnr_odd", 5, (HolomorphicDatum.monomial(1.0, 5), one, one)), False),
+], ids=["n=5", "n=6", "self-partner"])
+def test_fiber_comparison_above_rank_four_compares_components_alone(spec, passed):
+    # the metric comparison is proved for rank <= 4 only; the self-partner
+    # assembles its partner's system and is flagged as the equality case
+    out = verify_fiber_comparison(spec, radial(128), SolverConfig(tol_residual=1e-10))
+    assert out["metric"] is None
+    assert out["passed"] == out["components"]["verdict"] == passed
+    assert ("degenerate" in out) != passed
+    if passed:
+        assert out["components"]["min_margin"] > 0.1
+    else:
+        assert out["equality_deviation"] == 0.0
+
+
 @pytest.mark.parametrize("spec,solves", [
     (make_spec("slnr_even", 4, (one, one, one), t=1.0), 1),
     (make_spec("slnr_even", 4, (one, one, HolomorphicDatum.monomial(1.0, 4)), t=1.0), 2),

@@ -311,6 +311,16 @@ def test_drift_keeps_offdiagonals_nonnegative():
         assert check_conditions(sys_)["passed"] and u[:, sys_.scan_mask()].min() > 0.0
 
 
+def test_drift_takes_one_column_per_grid_axis():
+    # a radial drift is (N, 1); a flat (N,) array is refused, not reshaped
+    g = radial(24)
+    sys_ = random_cooperative_system(g, 2, np.random.default_rng(47), with_drift=True)
+    assert sys_.drift.shape == (g.n_nodes, 1)
+    sys_.drift = sys_.drift[:, 0]
+    with pytest.raises(ValueError, match=rf"^drift must have shape \({g.n_nodes}, 1\)$"):
+        sys_.elliptic_operator()
+
+
 def test_randomized_suite_reports_positive_minima():
     grids = [radial(24), build_grid(GridSpec("torus", (8, 8)))]
     out = randomized_positivity_suite(30, seed=1, grids=grids)

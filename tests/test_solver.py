@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dgbsv
 from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, SolveReport, continuation_solve, solve
-from hitchinlab.system import LogMetricState, make_spec, make_system
+from hitchinlab.system import BlowupError, LogMetricState, make_spec, make_system
 
 from gauge import scale_last_arrow
 
@@ -153,8 +153,8 @@ def test_continuation_stops_at_first_failure():
     make_spec("general_cyclic", 3, (one, one, quadratic), t=2.0),
 ], ids=lambda s: s.variant)
 def test_damped_warm_start_off_the_dirichlet_data_lands_on_it(spec, monkeypatch):
-    # the boundary part of each step is -r_B and enters the free solve
-    # through the boundary coupling; damped steps move it only part way
+    # solve writes the Dirichlet data into the seed's boundary rows, and every
+    # step, damped or full, is 0 there, so the boundary rows stay on it
     monkeypatch.setattr(solver, "_SUFFICIENT_DECREASE", 0.9)
     g = build_grid(GridSpec("disc2d", 17, 0.8))
     sys = make_system(spec, g)
@@ -167,6 +167,33 @@ def test_damped_warm_start_off_the_dirichlet_data_lands_on_it(spec, monkeypatch)
     assert min(rep.step_sizes) < 1.0
     bv = sys.boundary_values[b]
     assert np.abs(rep.state.u[b] - bv).max() <= 1e-14 * max(1.0, np.abs(bv).max())
+
+
+@pytest.mark.parametrize("grid_spec", [GridSpec("radial_disc", 64, 0.8),
+                                       GridSpec("disc2d", 17, 0.8)],
+                         ids=["radial64", "disc2d17"])
+@pytest.mark.parametrize("spec", [
+    make_spec("hitchin_component", 3, (HolomorphicDatum.monomial(1.0, 1),)),
+    make_spec("general_cyclic", 3, (one, HolomorphicDatum.constant(1.5),
+                                    HolomorphicDatum.monomial(0.6, 1)), t=1.2),
+], ids=["hitchin_component", "general_cyclic"])
+def test_a_seed_off_the_dirichlet_data_solves_to_the_own_seed_solution(grid_spec, spec):
+    # the seed's Dirichlet rows are overwritten by the boundary values, so
+    # the solve ends exactly on them, at the solution of the own-seed solve;
+    # the caller's seed is left as it was
+    g = build_grid(grid_spec)
+    sys = make_system(spec, g)
+    config = SolverConfig(tol_residual=1e-10)
+    own = solve(sys, config=config)
+    b = g.boundary_mask
+    seed = sys.initial_state()
+    seed.u[b] += np.random.default_rng(2).normal(size=seed.u[b].shape)
+    moved = seed.u.copy()
+    rep = solve(sys, initial=seed, config=config)
+    assert own.converged and rep.converged
+    assert np.array_equal(seed.u, moved)
+    assert rep.state.u[b].tobytes() == sys.boundary_values[b].tobytes()
+    assert np.abs(rep.state.u - own.state.u).max() <= 10 * config.tol_residual
 
 
 def test_counters_count_residual_evaluations_and_backtracks(monkeypatch):
@@ -378,6 +405,17 @@ def test_singular_radial_newton_matrix_fails_the_solve(monkeypatch):
     assert rep.counters["factorizations"] == 1
 
 
+def test_blowup_in_a_newton_step_fails_the_solve(monkeypatch):
+    # a Jacobian that blows up is reported with its message, not raised
+    def blowup(self, u):
+        raise BlowupError("non-finite Jacobian entries (state blew up)")
+
+    monkeypatch.setattr(solver.HitchinSystem, "jacobian_matrix", blowup)
+    rep = solve(make_system(make_spec("hitchin_component", 3, (one,)), radial()))
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message == "non-finite Jacobian entries (state blew up)"
+
+
 def _record_factorisations(monkeypatch, fail_single=lambda count: False):
     """Record every holder and the dtype of every factorisation, asserting
     that no holder keeps one while another is made.  The single-precision
@@ -530,6 +568,22 @@ def test_right_hand_sides_far_outside_single_range_refine_in_single_precision(si
 
 def _backward_error(K, x, b):
     return np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max() + np.abs(b).max())
+
+
+def test_non_finite_refinement_residual_refactors():
+    # a kept factorisation far from K, here of K scaled by 2^-1024, sends
+    # b - K x past the float range at once: refinement gives up before a
+    # sweep and K is factored afresh in single precision
+    disc = build_grid(GridSpec("disc2d", 17, 0.8))
+    sys = make_system(make_spec("hitchin_component", 3, (quadratic,)), disc)
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    b = np.random.default_rng(2).normal(size=K.shape[0])
+    lu = solver._NewtonLU()
+    lu._keep(K * 2.0**-1024, np.float64)
+    assert not np.all(np.isfinite(b - K @ lu._apply(b)))
+    x = lu.solve(K, b)
+    assert lu.factorizations == 2 and lu.dtype is np.float32
+    assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
 
 
 def test_slowly_contracting_refinement_refactors_after_few_sweeps(monkeypatch):

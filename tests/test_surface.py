@@ -17,6 +17,10 @@ function, class and constant, and every private method, must be read in
 ``src/`` or ``perfbench/``, so a refactor that orphans a helper fails here.
 Dunder methods are called by the language and are not checked.
 
+Every name a library module imports at its top level must be read in that
+module or listed in its ``__all__``, so a deletion cannot leave an import
+behind; ``from __future__ import annotations`` is exempt.
+
 The CLI's config surface is checked the same way: every top-level config
 key that ``cli.py`` reads is documented in the README's CLI section, and no
 key of ``cli._RETIRED_KEYS`` is read anywhere in ``src/``.
@@ -169,6 +173,36 @@ def test_every_private_library_name_is_read_outside_the_tests():
              for qualified, name in _private_names(_parse(path))]
     assert names
     assert not [qualified for qualified, name in names if name not in read]
+
+
+def _imported_names(tree):
+    """Names that the module's top-level imports bind, but the future import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exported_names(tree):
+    """The string entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (e.value for e in node.value.elts if isinstance(e, ast.Constant))
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in LIBRARY:
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= set(_exported_names(tree))
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in read]
+    assert not unused
 
 
 def _mapping_reads(tree):

@@ -478,13 +478,10 @@ def _full_jacobian_reference(sys, u: np.ndarray) -> sparse.csr_matrix:
     w = u @ E.T
     D_full = (sys.coeff_sq * np.exp(np.roll(w, -1, axis=1) - w))[:, :, None] * d
     D = (D_full - np.roll(D_full, 1, axis=1))[:, :m]
-    if sys.boundary_values is not None:
-        D[g.boundary_mask, :, :] = 0.0
+    D[g.boundary_mask, :, :] = 0.0
     blocks = sparse.bsr_matrix((D, np.arange(N), np.arange(N + 1)), shape=(N * m, N * m))
     J = sparse.kron(g.lap, sparse.identity(m), format="csr") + blocks.tocsr()
-    if sys.boundary_values is not None:
-        J = J + sparse.diags(np.repeat(g.boundary_mask, m).astype(float))
-    return J.tocsr()
+    return (J + sparse.diags(np.repeat(g.boundary_mask, m).astype(float))).tocsr()
 
 
 _STEP_GRIDS = {"radial_disc": GridSpec("radial_disc", 16, 0.8),
@@ -529,7 +526,7 @@ def test_free_node_step_matches_full_jacobian_solve(kind, data):
     boundary = "periodic" if kind == "torus" else "fuchsian"
     sys = make_system(spec, g, boundary=boundary)
     rng = np.random.default_rng(seed)
-    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))  # boundary too
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m)) * sys.free[:, None]
     r = sys.residual_array(u)
     step = _newton_step(sys, u, r, _NewtonLU())
     ref = spla.splu(_full_jacobian_reference(sys, u).tocsc()).solve(-r.ravel()).reshape(u.shape)
@@ -550,8 +547,8 @@ def test_step_through_a_kept_factorisation_is_the_fresh_step(kind, data):
     g = build_grid(_REUSE_GRIDS[kind])
     sys = make_system(spec, g, boundary="periodic" if kind == "torus" else "fuchsian")
     rng = np.random.default_rng(seed)
-    u0 = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
-    u1 = u0 + jump * rng.normal(size=u0.shape)
+    u0 = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m)) * sys.free[:, None]
+    u1 = u0 + jump * rng.normal(size=u0.shape) * sys.free[:, None]
     lu = _NewtonLU()
     _newton_step(sys, u0, sys.residual_array(u0), lu)
     assert lu.factorizations == 1 and lu.lu is not None  # these 2-D matrices fill 2x or more
@@ -570,9 +567,7 @@ def test_step_through_a_kept_factorisation_is_the_fresh_step(kind, data):
 
 def _free_system(sys, u, r):
     """K and the right-hand side of the free-node Newton solve at ``u``."""
-    free = sys.free
-    b = (-r[free] @ sys.gram).ravel() + boundary_coupling(sys) @ r[~free].ravel()
-    return sys.jacobian_matrix(u), b
+    return sys.jacobian_matrix(u), (-r[sys.free] @ sys.gram).ravel()
 
 
 def _backward_error(K, x, b) -> float:
@@ -594,10 +589,10 @@ class _RecordingLU(_NewtonLU):
     make_spec("general_cyclic", 3, (one, HolomorphicDatum.constant(1.5),
                                     HolomorphicDatum.monomial(0.6, 1)), t=1.2),
 ], ids=["symmetric", "general_cyclic"])
-def test_newton_rhs_sees_the_boundary_step_through_the_coupling(grid_spec, spec):
-    # from a seed whose u_B is off the boundary values the step is nonzero at
-    # the boundary, and the free rows see it through lap_FB (x) E^T E; from
-    # the system's own seed it is zero and the right-hand side is -(r E^T E)_F
+def test_newton_step_is_zero_on_the_dirichlet_rows(grid_spec, spec):
+    # for any state, even one whose u_B is off the boundary values, the
+    # right-hand side is -(r E^T E)_F and the step is exactly 0 at the
+    # boundary; from the system's own seed r_B is 0 as well
     g = build_grid(grid_spec)
     sys = make_system(spec, g)
     rng = np.random.default_rng(7)
@@ -606,13 +601,9 @@ def test_newton_rhs_sees_the_boundary_step_through_the_coupling(grid_spec, spec)
     assert np.all(r[~sys.free] != 0)
     lu = _RecordingLU()
     _newton_step(sys, u, r, lu)
-    _, b = _free_system(sys, u, r)
-    projected = (-r[sys.free] @ sys.gram).ravel()
-    assert np.abs(b - projected).max() > 1e-3 * np.abs(b).max()
-    if spec.is_symmetric:  # E^T E = 2 I scales exactly
-        np.testing.assert_array_equal(lu.rhs, b)
-    else:
-        np.testing.assert_allclose(lu.rhs, b, rtol=1e-13, atol=1e-14 * np.abs(b).max())
+    np.testing.assert_array_equal(lu.rhs, (-r[sys.free] @ sys.gram).ravel())
+    step = _newton_step(sys, u, r, _NewtonLU())
+    assert not step[~sys.free].any() and step[sys.free].all()
 
     u0 = sys.initial_state().u
     r0 = sys.residual_array(u0)
@@ -631,7 +622,7 @@ def test_fresh_2d_step_factored_in_single_precision_is_the_double_solve(kind, da
     g = build_grid(_REUSE_GRIDS[kind])
     sys = make_system(spec, g, boundary="periodic" if kind == "torus" else "fuchsian")
     rng = np.random.default_rng(seed)
-    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m)) * sys.free[:, None]
     r = sys.residual_array(u)
     lu = _NewtonLU()
     step = _newton_step(sys, u, r, lu)
@@ -659,7 +650,7 @@ def test_radial_step_is_a_banded_solve_to_the_backward_error_of_a_direct_one(dat
     g = build_grid(GridSpec("radial_disc", data.draw(st.integers(8, 2048)), 0.8))
     sys = make_system(spec, g)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m))
+    u = sys.initial_state().u + 0.3 * rng.normal(size=(g.n_nodes, sys.m)) * sys.free[:, None]
     r = sys.residual_array(u)
     lu = _NewtonLU()
     step = _newton_step(sys, u, r, lu)
@@ -726,12 +717,10 @@ def test_omitted_boundary_is_the_grids_own(kind, data):
     assert default.coeff_sq.tobytes() == named.coeff_sq.tobytes()
     seed = default.initial_state().u
     assert seed.tobytes() == named.initial_state().u.tobytes()
-    if kind == "torus":
-        assert default.boundary_values is None and named.boundary_values is None
-        assert not seed.any()
-    else:
-        assert default.boundary_values.tobytes() == named.boundary_values.tobytes()
-        assert seed.tobytes() == default.boundary_values.tobytes()
+    assert default.boundary_values.tobytes() == named.boundary_values.tobytes()
+    assert seed.tobytes() == default.boundary_values.tobytes()
+    if kind == "torus":  # no Dirichlet rows: the seed is zeros
+        assert not default.boundary_values.any()
     b = g.boundary_mask
     assert b.any() == (kind != "torus")
     assert not default.residual_array(seed)[b].any()
