@@ -1,9 +1,10 @@
 """Derived geometry of solved states and theorem-verification reports.
 
-From a solved log-metric state this module computes the pullback metric of
-the harmonic map, the interior ratio invariants of Hitchin-section states,
-the extrinsic curvature of the image surface, the dedicated rank-4
-curvature formula, and sectional curvatures of the ambient symmetric
+From a solved log-metric state, which carries its system, this module
+computes the pullback metric of the harmonic map, the interior ratio
+invariants of Hitchin-section states, the extrinsic curvature of the image
+surface and the dedicated rank-4 curvature formula, all from the system's
+assembled ``coeff_sq``, and sectional curvatures of the ambient symmetric
 space.  On top of those sit ``verify_*`` runners that orchestrate solves
 and produce machine-checkable verdicts with explicit margins; the CLI and
 the acceptance suite both call these.  The verdicts are plain dicts, and so
@@ -53,7 +54,6 @@ from .system import (
     CyclicSpec,
     HitchinSystem,
     LogMetricState,
-    arrow_coefficients,
     arrows,
     log_ratios,
     make_system,
@@ -68,20 +68,20 @@ CURVATURE_SLACK = 1e-6
 # -- basic derived fields --------------------------------------------------
 
 
-def arrow_terms(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
+def arrow_terms(state: LogMetricState) -> np.ndarray:
     """All n arrow terms |gamma_k|^2 h_k^{-1} h_{k+1}, (N, n), t^2 included."""
-    return arrows(arrow_coefficients(spec, state.grid), log_ratios(spec, state.u))
+    return arrows(state.system.coeff_sq, log_ratios(state.spec, state.u))
 
 
-def metric_ratio_fields(spec: CyclicSpec, state: LogMetricState) -> np.ndarray:
+def metric_ratio_fields(state: LogMetricState) -> np.ndarray:
     """Consecutive metric ratios h_k^{-1} h_{k+1}, (N, n).
 
     The corner column carries the |t|^2 factor (so it is the quantity that
     is monotone in the family scale); the holomorphic coefficients are not
     included.
     """
-    ratios = np.exp(log_ratios(spec, state.u))
-    ratios[:, -1] *= spec.scale_sq
+    ratios = np.exp(log_ratios(state.spec, state.u))
+    ratios[:, -1] *= state.spec.scale_sq
     return ratios
 
 
@@ -97,9 +97,12 @@ def pullback_metric(spec: CyclicSpec, state: LogMetricState) -> MetricReport:
     """Metric pulled back by the harmonic map, plus the integrated energy.
 
     The energy integrates tr(phi phi*) = sum_k arrow_k against the area
-    form 2 dx dy (the real form of the |dz|^2 volume).
+    form 2 dx dy (the real form of the |dz|^2 volume).  ``spec`` must be
+    ``state.spec``; ROADMAP item 18 retires the argument.
     """
-    a = arrow_terms(spec, state)
+    if spec != state.spec:
+        raise ValueError("spec is not the spec the state was solved with")
+    a = arrow_terms(state)
     density = 2.0 * spec.n * a.sum(axis=1)
     energy = float((a.sum(axis=1) * 2.0 * state.grid.area_weights()).sum())
     return MetricReport(density, energy)
@@ -114,7 +117,7 @@ class NuRatioReport:
     reference: list[Fraction]    # exact uniformising values, per k
 
 
-def nu_ratios(spec: CyclicSpec, state: LogMetricState) -> NuRatioReport:
+def nu_ratios(state: LogMetricState) -> NuRatioReport:
     """Successive arrow-term ratios of a Hitchin-section state.
 
     nu_1 = (corner term)/(first rung term); nu_k = a_{k-1}/a_k for
@@ -123,14 +126,12 @@ def nu_ratios(spec: CyclicSpec, state: LogMetricState) -> NuRatioReport:
     places the solved ratios strictly between those values and 1 away from
     the zeros of q_n.
     """
+    spec = state.spec
     if spec.variant != "hitchin_component":
         raise ValueError("ratio invariants are defined for hitchin_component states")
     n, m = spec.n, spec.n_unknowns
-    a = arrow_terms(spec, state)
-    vals = np.empty((m, state.grid.n_nodes))
-    vals[0] = a[:, n - 1] / a[:, 0]
-    for k in range(2, m + 1):
-        vals[k - 1] = a[:, k - 2] / a[:, k - 1]
+    a = arrow_terms(state)
+    vals = np.vstack([a[:, n - 1] / a[:, 0], (a[:, :m - 1] / a[:, 1:m]).T])
     ref = [Fraction(0)] + [Fraction((k - 1) * (n + 1 - k), k * (n - k)) for k in range(2, m + 1)]
     return NuRatioReport(vals, ref)
 
@@ -149,7 +150,7 @@ class CurvatureReport:
         return float(vals.min()), float(vals.max())
 
 
-def extrinsic_curvature(spec: CyclicSpec, state: LogMetricState) -> CurvatureReport:
+def extrinsic_curvature(state: LogMetricState) -> CurvatureReport:
     """Curvature of the image of the harmonic map in the symmetric space.
 
     For rank >= 3 the cyclic structure gives the closed form
@@ -160,15 +161,15 @@ def extrinsic_curvature(spec: CyclicSpec, state: LogMetricState) -> CurvatureRep
     vanishing) are masked.  For rank 2 the image is totally geodesic of
     constant curvature -1/2, which is reported directly.
     """
-    a = arrow_terms(spec, state)
+    a, n = arrow_terms(state), state.spec.n
     total = a.sum(axis=1)
     defined = total > 0.0
     k_sigma = np.full(state.grid.n_nodes, np.nan)
-    if spec.n == 2:
+    if n == 2:
         k_sigma[defined] = -0.5
         return CurvatureReport(k_sigma, defined)
     num = (np.diff(a, axis=1, append=a[:, :1]) ** 2).sum(axis=1)
-    k_sigma[defined] = -num[defined] / (2.0 * spec.n * total[defined] ** 2)
+    k_sigma[defined] = -num[defined] / (2.0 * n * total[defined] ** 2)
     return CurvatureReport(k_sigma, defined)
 
 
@@ -179,16 +180,16 @@ class Sp4CurvatureReport:
     k_sigma: np.ndarray
 
 
-def sp4_curvature(spec: CyclicSpec, state: LogMetricState) -> Sp4CurvatureReport:
+def sp4_curvature(state: LogMetricState) -> Sp4CurvatureReport:
     """Rank-4 curvature through the two coefficient ratios.
 
     f1 = |nu|^2 h_1^2 / (h_1^{-1} h_2), f2 = |mu|^2 h_2^{-2} / (h_1^{-1} h_2);
     then K = -[(f1-1)^2 + (f2-1)^2] / (4 (2 + f1 + f2)^2), which agrees with
     the general cyclic formula on the unfolded state.
     """
-    if spec.variant != "sp4_gothen":
+    if state.spec.variant != "sp4_gothen":
         raise ValueError("this formula is specific to sp4_gothen states")
-    a = arrow_terms(spec, state)       # (a1, a2=mu-term, a3=a1, a4=nu-term)
+    a = arrow_terms(state)       # (a1, a2=mu-term, a3=a1, a4=nu-term)
     f1 = a[:, 3] / a[:, 0]
     f2 = a[:, 1] / a[:, 0]
     k = -((f1 - 1.0) ** 2 + (f2 - 1.0) ** 2) / (4.0 * (2.0 + f1 + f2) ** 2)
@@ -347,8 +348,8 @@ def _log_margin_report(quantity, lower_fields, upper_fields, masks, region, grid
 
 
 def compare_states(
-    spec_a: CyclicSpec, state_a: LogMetricState,
-    spec_b: CyclicSpec, state_b: LogMetricState,
+    state_a: LogMetricState,
+    state_b: LogMetricState,
     quantity: str = "pullback_metric",
     solver_tol: float = 1e-10,
 ) -> dict:
@@ -360,41 +361,41 @@ def compare_states(
     Hitchin-section partner and the inequality runs the other way:
     a-components dominate the weighted b-components).
     """
-    grid = state_a.grid
+    grid, n = state_a.grid, state_a.spec.n
     if state_b.grid.spec != grid.spec:
         raise ValueError("states must be solved on the same grid")
     region = grid.verdict_region()
     if quantity == "pullback_metric":
-        ga = pullback_metric(spec_a, state_a).density
-        gb = pullback_metric(spec_b, state_b).density
+        ga = pullback_metric(state_a.spec, state_a).density
+        gb = pullback_metric(state_b.spec, state_b).density
         return _log_margin_report("pullback_metric", [ga], [gb], [region], region,
                                   grid, solver_tol)
     if quantity == "ratio_fields":
-        ra = metric_ratio_fields(spec_a, state_a)
-        rb = metric_ratio_fields(spec_b, state_b)
-        k_max = spec_a.n if (spec_a.scale_sq > 0 and spec_b.scale_sq > 0) else spec_a.n - 1
+        ra, rb = metric_ratio_fields(state_a), metric_ratio_fields(state_b)
+        k_max = n if (state_a.spec.scale_sq > 0 and state_b.spec.scale_sq > 0) else n - 1
         los = [ra[:, k] for k in range(k_max)]
         his = [rb[:, k] for k in range(k_max)]
-        note = "corner ratio included" if k_max == spec_a.n else "corner ratio skipped (zero scale)"
+        note = "corner ratio included" if k_max == n else "corner ratio skipped (zero scale)"
         return _log_margin_report("ratio_fields", los, his, [region] * k_max, region,
                                   grid, solver_tol, note)
     if quantity == "harmonic_components":
-        return _harmonic_domination(spec_a, state_a, spec_b, state_b, region,
-                                    grid, solver_tol)
+        return _harmonic_domination(state_a, state_b, region, solver_tol)
     raise ValueError(f"unknown comparison quantity {quantity!r}")
 
 
-def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_tol):
+def _harmonic_domination(state, state_hit, region, solver_tol):
     """Componentwise h_k > weight_k * h~_k against the fiber partner.
 
     The weights multiply the partner metric by |mu| (even rank; |mu|^2 for
-    odd rank) and the squared magnitudes of the outer rungs.  Nodes where a
-    weight vanishes exactly are excluded (the inequality is trivial there).
+    odd rank) and the squared magnitudes of the outer rungs.  The partner's
+    system is symmetric of rank n with every arrow but the corner exactly 1.
+    Nodes where a weight vanishes exactly are excluded (the inequality is
+    trivial there).
     """
-    if spec_hit.variant != "hitchin_component" or spec_hit.n != spec.n:
-        raise ValueError("partner must be the hitchin_component spec of equal rank")
-    n, m = spec.n, spec.n_unknowns
-    G = arrow_coefficients(spec, grid)
+    hit, n, m = state_hit.system, state.spec.n, state.spec.n_unknowns
+    if not (hit.spec.is_symmetric and hit.spec.n == n and (hit.coeff_sq[:, :-1] == 1.0).all()):
+        raise ValueError("partner must be a Hitchin-section state of equal rank")
+    G = state.system.coeff_sq
     mu_weight = np.sqrt(G[:, m - 1]) if n % 2 == 0 else G[:, m - 1]
     lows, highs, masks = [], [], []
     for k in range(1, m + 1):
@@ -405,7 +406,7 @@ def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_
         highs.append(np.exp(state.u[:, k - 1]))
         masks.append(region & (w > 0.0))
     return _log_margin_report("harmonic_components", lows, highs, masks, region,
-                              grid, solver_tol, "weight zero set excluded")
+                              state.grid, solver_tol, "weight zero set excluded")
 
 
 # -- theorem runners -------------------------------------------------------
@@ -413,13 +414,12 @@ def _harmonic_domination(spec, state, spec_hit, state_hit, region, grid, solver_
 
 def _solve_spec(spec: CyclicSpec, grid: Grid, config: SolverConfig | None,
                 variant: str | None = None, refusal: str = ""):
-    """Assemble ``spec`` on ``grid`` and solve it: (system, solve report).
+    """Assemble ``spec`` on ``grid`` and solve it; the report's state holds the system.
     A spec of another variant than ``variant``, when one is named, is
     refused with ``refusal`` before any solve."""
     if variant is not None and spec.variant != variant:
         raise ValueError(refusal)
-    system = make_system(spec, grid)
-    return system, solve(system, config=config)
+    return solve(make_system(spec, grid), config=config)
 
 
 def _inconclusive(reports) -> dict:
@@ -454,23 +454,23 @@ def scale_family(spec: CyclicSpec, grid: Grid, t_values, config: SolverConfig | 
     """The scale family t -> spec at t on the grid's own boundary, solved by
     warm-started continuation.
 
-    Returns one (spec at t, solve report, pullback metric) per member in
-    ascending t; solving stops at the first member that fails, which comes
-    last and carries the metric None.  A family with a member whose assembled
-    corner vanishes at every node (t = 0, an underflowing |t|^2 or a zero
-    corner datum), when the declared degrees make that member unstable, is
-    refused before any solve.
+    Returns one (solve report, pullback metric) per member in ascending t;
+    each report's state holds its member's system and spec.  Solving stops
+    at the first member that fails, which comes last and carries the metric
+    None.  A family with a member whose assembled corner vanishes at every
+    node (t = 0, an underflowing |t|^2 or a zero corner datum), when the
+    declared degrees make that member unstable, is refused before any solve.
     """
     t_values = [float(t) for t in t_values]
-    scaled = {t: replace(spec, t=complex(t)) for t in t_values}
+    systems = {t: make_system(replace(spec, t=complex(t)), grid) for t in t_values}
     if spec.degrees is not None and not stability_check(spec.degrees) and any(
-            not arrow_coefficients(s, grid)[:, -1].any() for s in scaled.values()):
+            not s.coeff_sq[:, -1].any() for s in systems.values()):
         raise ValueError(f"refused — a member whose corner arrow vanishes is unstable for degrees "
                          f"{spec.degrees}: every partial sum of the degrees from the top of the "
                          "grading must be negative")
-    runs = continuation_solve(lambda t: make_system(scaled[t], grid), t_values, config)
-    return [(scaled[t], rep, pullback_metric(scaled[t], rep.state) if rep.converged else None)
-            for t, rep in runs]
+    runs = continuation_solve(systems.__getitem__, t_values, config)
+    return [(rep, pullback_metric(rep.state.spec, rep.state) if rep.converged else None)
+            for _, rep in runs]
 
 
 def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
@@ -492,24 +492,23 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     config = config or SolverConfig()
     region = grid.verdict_region()
     family = scale_family(spec, grid, t_values, config)
-    echo = {"t_values": [s.t.real for s, _, _ in family],
-            "converged": [r.converged for _, r, _ in family]}
+    states = [rep.state for rep, _ in family]
+    echo = {"t_values": [st.spec.t.real for st in states],
+            "converged": [rep.converged for rep, _ in family]}
     if not all(echo["converged"]):
-        return {**echo, **_inconclusive(r for _, r, _ in family)}
-    energies = [metric.morse_energy for _, _, metric in family]
+        return {**echo, **_inconclusive(rep for rep, _ in family)}
+    energies = [metric.morse_energy for _, metric in family]
     results = {**echo, "pairs": [], "passed": False, "morse_energies": energies}
 
     ok = True
-    for (sa, rep_a, _), (sb, rep_b, _) in zip(family[1:], family[:-1]):
-        ratios = compare_states(sb, rep_b.state, sa, rep_a.state, "ratio_fields",
-                                config.tol_residual)
-        metric = compare_states(sb, rep_b.state, sa, rep_a.state, "pullback_metric",
-                                config.tol_residual)
-        ds = maxprin.difference_system(sa, rep_a.state, sb, rep_b.state)
+    for st_a, st_b in zip(states[1:], states[:-1]):
+        ratios = compare_states(st_b, st_a, "ratio_fields", config.tol_residual)
+        metric = compare_states(st_b, st_a, "pullback_metric", config.tol_residual)
+        ds = maxprin.difference_system(st_a, st_b)
         cond = maxprin.check_conditions(ds.system)
         v_min = float(ds.v[:, region].min())
         pair = {
-            "t_low": sb.t.real, "t_high": sa.t.real,
+            "t_low": st_b.spec.t.real, "t_high": st_a.spec.t.real,
             "ratios": ratios,
             "pullback": metric,
             "difference_conditions": cond,
@@ -533,12 +532,12 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     verdict region; the k = 1 entry has no lower margin, as nu_1 > 0 is a
     ratio of positive arrow terms.
     """
-    system, rep = _solve_spec(spec, grid, config, "hitchin_component",
-                              "ratio invariants are defined for hitchin_component states")
+    rep = _solve_spec(spec, grid, config, "hitchin_component",
+                      "ratio invariants are defined for hitchin_component states")
     if not rep.converged:
         return _inconclusive([rep])
     region = grid.verdict_region()
-    ratios = nu_ratios(spec, rep.state)
+    ratios = nu_ratios(rep.state)
     vals, refs = ratios.values[:, region], [float(r) for r in ratios.reference]
     out = {"n": spec.n, "bounds": [], "solver": rep.to_json_dict()}
     for k, ref in enumerate(refs):
@@ -548,7 +547,7 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
         out["bounds"].append(entry)
     out["passed"] = all(v > 0 for e in out["bounds"] for key, v in e.items() if "margin" in key)
     holds = "the lower bounds nu_k >= reference_k hold"
-    _flag_equality_case(out, _uniformising_note(system, holds),
+    _flag_equality_case(out, _uniformising_note(rep.state.system, holds),
                         lambda: np.abs(vals - np.array(refs)[:, None]).max())
     return out
 
@@ -563,12 +562,13 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     corner |t q|^2 vanishes (``qzero_k_max``), the most any arrows with
     a_n = 0 give.
     """
-    system, rep = _solve_spec(spec, grid, config, "hitchin_component",
-                              "the curvature bounds are proved for hitchin_component states")
+    rep = _solve_spec(spec, grid, config, "hitchin_component",
+                      "the curvature bounds are proved for hitchin_component states")
+    system = rep.state.system
     if not rep.converged:
         return _inconclusive([rep])
     region = grid.verdict_region()
-    curv = extrinsic_curvature(spec, rep.state)
+    curv = extrinsic_curvature(rep.state)
     kmin, kmax = curv.interior_range(region)
     bound = -1.0 / (spec.n * (spec.n - 1) ** 2)
     fuchs = Fraction(-6, spec.n**2 * (spec.n**2 - 1))
@@ -598,23 +598,21 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     and the strict ``passed`` is false.  That system is then solved once.
     """
     config = config or SolverConfig()
-    partner = CyclicSpec(spec.n, "hitchin_component", (spec.partner_differential(),))
-    partner_system = make_system(partner, grid)
-    system, rep_a = _solve_spec(spec, grid, config)
-    same = np.array_equal(system.coeff_sq, partner_system.coeff_sq)
+    partner_system = make_system(
+        CyclicSpec(spec.n, "hitchin_component", (spec.partner_differential(),)), grid)
+    rep_a = _solve_spec(spec, grid, config)
+    same = np.array_equal(rep_a.state.system.coeff_sq, partner_system.coeff_sq)
     rep_b = rep_a if same else solve(partner_system, config=config)
     if not (rep_a.converged and rep_b.converged):
         return _inconclusive([rep_a, rep_b])
     out = {"n": spec.n, "passed": True}
     if spec.n <= 4:
-        metric = compare_states(spec, rep_a.state, partner, rep_b.state,
-                                "pullback_metric", config.tol_residual)
+        metric = compare_states(rep_a.state, rep_b.state, "pullback_metric", config.tol_residual)
         out["metric"] = metric
         out["passed"] = out["passed"] and metric["verdict"]
     else:
         out["metric"] = None
-    comp = compare_states(spec, rep_a.state, partner, rep_b.state,
-                          "harmonic_components", config.tol_residual)
+    comp = compare_states(rep_a.state, rep_b.state, "harmonic_components", config.tol_residual)
     out["components"] = comp
     out["passed"] = bool(out["passed"] and comp["verdict"])
     note = ("the two sides assemble identical systems; the comparison reduces to a "
@@ -642,12 +640,12 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     |f2 - 4/3| and |K + 1/40| over the verdict region; the strict
     ``passed`` is false there.
     """
-    system, rep = _solve_spec(spec, grid, config, "sp4_gothen",
-                              "sp4 bounds apply to sp4_gothen specs")
+    rep = _solve_spec(spec, grid, config, "sp4_gothen", "sp4 bounds apply to sp4_gothen specs")
+    system = rep.state.system
     if not rep.converged:
         return _inconclusive([rep])
     region = grid.verdict_region()
-    curv = sp4_curvature(spec, rep.state)
+    curv = sp4_curvature(rep.state)
     f1max, f2max = float(curv.f1[region].max()), float(curv.f2[region].max())
     out = {"mu_fuchsian": not system.coeff_sq[:, -1].any(), "f1_max": f1max, "f2_max": f2max,
            "k_min": float(curv.k_sigma[region].min()), "k_max": float(curv.k_sigma[region].max()),

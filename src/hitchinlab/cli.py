@@ -332,11 +332,11 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     region = grid.verdict_region()
     family = analysis.scale_family(spec, grid, t_list, sc)
     members = []
-    for spec_t, rep, metric in family:
-        member = {"t": spec_t.t.real, "converged": metric is not None,
+    for rep, metric in family:
+        member = {"t": rep.state.spec.t.real, "converged": metric is not None,
                   "solver": rep.to_json_dict()}
         if metric is not None:
-            curv = analysis.extrinsic_curvature(spec_t, rep.state)
+            curv = analysis.extrinsic_curvature(rep.state)
             kmin, kmax = curv.interior_range(region)
             g = metric.density[region]
             member.update(morse_energy=metric.morse_energy, g_min=float(g.min()),
@@ -355,10 +355,9 @@ def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
     # check is `verify --theorem monotonicity`
     ratio_margins = []
     if all_converged:
-        for (sa, ra, _), (sb, rb, _) in zip(family[:-1], family[1:]):
-            cmpres = analysis.compare_states(sa, ra.state, sb, rb.state,
-                                             "ratio_fields", sc.tol_residual)
-            ratio_margins.append({"t_low": sa.t.real, "t_high": sb.t.real,
+        for (ra, _), (rb, _) in zip(family[:-1], family[1:]):
+            cmpres = analysis.compare_states(ra.state, rb.state, "ratio_fields", sc.tol_residual)
+            ratio_margins.append({"t_low": ra.state.spec.t.real, "t_high": rb.state.spec.t.real,
                                   "min_margin": cmpres["min_margin"]})
     verdict = {"passed": bool(all_converged and monotone),
                "all_converged": all_converged,

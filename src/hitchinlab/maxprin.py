@@ -43,7 +43,7 @@ out in the serial order, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -51,7 +51,7 @@ import scipy.sparse.linalg as spla
 
 from ._parallel import imap_in_order
 from .geometry import Grid, hyperbolic_metric
-from .system import CyclicSpec, LogMetricState, arrow_coefficients, log_ratios
+from .system import LogMetricState, arrows, log_ratios
 
 POLE_VALUE = 1.0e6          # Dirichlet value at excluded (pole) nodes
 CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
@@ -288,24 +288,24 @@ def _phi(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
-                      spec_b: CyclicSpec, state_b: LogMetricState) -> DifferenceSystem:
+def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> DifferenceSystem:
     """Assemble the cooperative system for v_k = log(u_k^a / u_k^b).
 
-    The two specs must share all holomorphic data and differ only in the
-    last-arrow scale, with |t_a| > |t_b| >= 0.  The consecutive-metric
+    The two states' specs must share all holomorphic data and differ only
+    in the last-arrow scale, with |t_a| > |t_b| >= 0.  The consecutive-metric
     ratios u_k (with |t|^2 folded into the corner ratio) satisfy a closed
     cyclic system; subtracting the two copies and applying the exact
     mean-value identity e^x - e^y = (x - y) * mean(e) yields
 
         (1/g0) Lap v_k + c_{k-1} v_{k-1} - 2 c_k v_k + c_{k+1} v_{k+1} = f_k,
 
-    where c_k = g0^{-1} |gamma_k|^2 u_k^b Phi(v_k) >= 0.  With |t_b|^2 > 0 the
-    right side vanishes and the column sums are exactly zero; with |t_b|^2 = 0
-    (t_b = 0 or an underflow) the corner column drops out and the a-side
-    corner term moves to the (nonpositive) right-hand side.
+    where c_k = g0^{-1} a_k^b Phi(v_k) >= 0, a^b being the b-state's arrow
+    terms |gamma_k|^2 u_k^b.  With |t_b|^2 > 0 the right side vanishes and
+    the column sums are exactly zero; with |t_b|^2 = 0 (t_b = 0 or an
+    underflow) the corner column drops out and the a-side corner arrow term
+    moves to the (nonpositive) right-hand side.
     """
-    grid = state_a.grid
+    grid, spec_a, spec_b = state_a.grid, state_a.spec, state_b.spec
     if state_b.grid.spec != grid.spec:
         raise ValueError("states live on different grids")
     if grid.kind == "torus":
@@ -316,13 +316,12 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     if not ta > tb:
         raise ValueError("need |t_a| > |t_b|")
 
-    n = spec_a.n
-    N = grid.n_nodes
-    g0 = hyperbolic_metric(grid)
-    G = arrow_coefficients(replace(spec_a, t=1.0), grid)        # t enters through v
-
+    n, N, g0 = spec_a.n, grid.n_nodes, hyperbolic_metric(grid)
     lr_a = log_ratios(spec_a, state_a.u)           # log consecutive ratios
     lr_b = log_ratios(spec_b, state_b.u)
+    a_b = arrows(state_b.system.coeff_sq, lr_b).T   # (n, N) b-side arrow terms
+    # the a-side corner arrow term, the source in the vanishing-corner mode
+    corner_a = arrows(state_a.system.coeff_sq[:, -1], lr_a[:, -1]) / g0
     mode = "cyclic" if spec_b.scale_sq > 0 else "vanishing_corner"
 
     if mode == "cyclic":
@@ -332,14 +331,7 @@ def difference_system(spec_a: CyclicSpec, state_a: LogMetricState,
     else:
         n_v = n - 1
     v = (lr_a - lr_b)[:, :n_v].T                    # (n_v, N)
-
-    u_b = np.exp(lr_b).T                            # (n, N); corner scaled iff cyclic
-    v_pad = np.vstack([v, np.zeros((n - n_v, N))])
-    c_k = G.T * u_b * _phi(v_pad) / g0
-    # a-side corner arrow term |t_a gamma_n|^2 h_n^{-1} h_1 (source in the
-    # vanishing-corner mode); lr_a already contains the t_a^2 in cyclic mode
-    corner_scale = 1.0 if mode == "cyclic" else spec_a.scale_sq
-    corner_a = corner_scale * G[:, n - 1] * np.exp(lr_a[:, n - 1]) / g0
+    c_k = a_b[:n_v] * _phi(v) / g0
 
     C = np.zeros((n_v, n_v, N))
     f = np.zeros((n_v, N))

@@ -212,7 +212,8 @@ class _NewtonLU:
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """LU^-1 b in double precision, b scaled to max-norm ~1 for the cast."""
         scale = _pow2(b)
-        return self._solve((b / scale).astype(self.dtype, copy=False)) * scale
+        with np.errstate(over="ignore", invalid="ignore"):  # far from K: _refine gives up
+            return self._solve((b / scale).astype(self.dtype, copy=False)) * scale
 
     def _refine(self, K, b: np.ndarray, forcing: float = 0.0) -> np.ndarray | None:
         """x with |b - K x| within ``forcing`` or the backward error of a
@@ -252,7 +253,8 @@ def _newton_step(system: HitchinSystem, u: np.ndarray, r: np.ndarray,
     ``lu`` to the ``forcing`` tolerance by the band or in the order of K's
     pattern."""
     step, free = np.zeros_like(r), system.free
-    rhs = -r[free] @ system.gram
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, refused by K
+        rhs = -r[free] @ system.gram
     K = system.jacobian_matrix(u)
     *_, band, order = system.grid.block_laplacian(system.gram)
     step[free] = lu.solve(K, rhs.ravel(), band, forcing, order).reshape(-1, system.m)
@@ -269,18 +271,17 @@ def solve(
     """Run damped Newton from ``initial`` (default: the system's seed state).
 
     The seed's Dirichlet rows are set to ``system.boundary_values``, so every
-    iterate holds the Dirichlet data and no step moves it.  ``_lu`` is the
-    factorisation a continuation hands on; a plain solve starts with none.
+    iterate holds the Dirichlet data and no step moves it.  The report's
+    state is ``system``'s, whichever system ``initial`` belongs to.  ``_lu``
+    is the factorisation a continuation hands on; a plain solve starts with none.
     """
     config = config or SolverConfig()
-    state = (initial.copy() if initial is not None else system.initial_state())
-    if state.u.shape != (system.grid.n_nodes, system.m):
-        raise ValueError("initial state does not match the system layout")
+    u = (LogMetricState(system, initial.u.copy()) if initial is not None
+         else system.initial_state()).u
     b = system.grid.boundary_mask
-    state.u[b] = system.boundary_values[b]
+    u[b] = system.boundary_values[b]
     lu = _lu if _lu is not None else _NewtonLU()
     counts0 = lu.counts()
-    u = state.u
     t0 = time.perf_counter()
     norms: list[float] = []
     steps: list[float] = []
@@ -289,7 +290,7 @@ def solve(
     def report(converged: bool, iterations: int, message: str) -> SolveReport:
         counters = {k: v - counts0[k] for k, v in lu.counts().items()}
         counters.update(residual_evals=residual_evals, backtracks=backtracks)
-        return SolveReport(LogMetricState(system.grid, u), converged, iterations,
+        return SolveReport(LogMetricState(system, u), converged, iterations,
                            norms, steps, message, time.perf_counter() - t0, counters)
 
     r = system.residual_array(u)

@@ -186,18 +186,24 @@ def make_spec(
 
 @dataclass
 class LogMetricState:
-    """Per-node log-metric unknowns, stored node-major as an (N, m) array."""
+    """Per-node log-metric unknowns of ``system``, stored node-major as an
+    (N, m) array; its grid, spec and coefficients are the system's."""
 
-    grid: Grid
+    system: HitchinSystem
     u: np.ndarray
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
-        if self.u.ndim != 2 or self.u.shape[0] != self.grid.n_nodes:
-            raise ValueError("state array must have shape (n_nodes, n_unknowns)")
+        if self.u.shape != (self.grid.n_nodes, self.system.m):
+            raise ValueError("state array must have its system's shape (n_nodes, m)")
 
-    def copy(self) -> "LogMetricState":
-        return LogMetricState(self.grid, self.u.copy())
+    @property
+    def grid(self) -> Grid:
+        return self.system.grid
+
+    @property
+    def spec(self) -> CyclicSpec:
+        return self.system.spec
 
 
 # -- Fuchsian reference state ---------------------------------------------
@@ -310,7 +316,8 @@ class HitchinSystem:
         The pattern is built at the first call and kept by the grid; each
         call scatters the node blocks into a fresh copy of its data.
         """
-        hess = self._arrows(u)[self.free] @ self._dd
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, refused below
+            hess = self._arrows(u)[self.free] @ self._dd
         if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
         lap_k, blocks, *_ = self.grid.block_laplacian(self.gram)
@@ -322,7 +329,7 @@ class HitchinSystem:
 
     def initial_state(self) -> LogMetricState:
         """Default Newton seed: uniformising state on discs, zeros on the torus."""
-        return LogMetricState(self.grid, self.boundary_values.copy())
+        return LogMetricState(self, self.boundary_values.copy())
 
 
 def arrow_coefficients(spec: CyclicSpec, grid: Grid, fields=None) -> np.ndarray:

@@ -38,7 +38,7 @@ from hitchinlab.analysis import (
 )
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, solve
-from hitchinlab.system import LogMetricState, fuchsian_log_metrics, make_spec, make_system
+from hitchinlab.system import make_spec, make_system
 
 from gauge import gauge_image, gauge_log_offsets, scale_last_arrow
 
@@ -95,8 +95,8 @@ def test_02_uniformising_curvature_constants():
     worst = 0.0
     for n in (3, 4, 5):
         spec = make_spec("hitchin_component", n, (zero,))
-        state = LogMetricState(g, fuchsian_log_metrics(n, spec.n_unknowns, g))
-        curv = extrinsic_curvature(spec, state)
+        state = make_system(spec, g).initial_state()
+        curv = extrinsic_curvature(state)
         inner = ~g.boundary_mask
         expect = -6.0 / (n**2 * (n**2 - 1))
         worst = max(worst, float(np.abs(curv.k_sigma[inner] - expect).max()))

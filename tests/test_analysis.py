@@ -34,7 +34,7 @@ from hitchinlab.analysis import (
 from hitchinlab.geometry import (GridSpec, HolomorphicDatum, build_grid, eval_norm_squared,
                                  hyperbolic_metric)
 from hitchinlab.solver import SolveReport, SolverConfig, solve
-from hitchinlab.system import LogMetricState, fuchsian_log_metrics, make_spec, make_system
+from hitchinlab.system import LogMetricState, make_spec, make_system
 
 one = HolomorphicDatum.constant(1.0)
 zero = HolomorphicDatum.zero()
@@ -48,7 +48,7 @@ def radial(n=64, radius=0.8):
 
 def uniformising(n, grid):
     spec = make_spec("hitchin_component", n, (zero,))
-    return spec, LogMetricState(grid, fuchsian_log_metrics(n, spec.n_unknowns, grid))
+    return spec, make_system(spec, grid).initial_state()
 
 
 # -- closed-form constants on the uniformising state -----------------------
@@ -58,7 +58,7 @@ def uniformising(n, grid):
 def test_uniformising_curvature_constant(n):
     g = radial(64)
     spec, st = uniformising(n, g)
-    curv = extrinsic_curvature(spec, st)
+    curv = extrinsic_curvature(st)
     expect = -6.0 / (n**2 * (n**2 - 1))
     assert curv.defined_mask.all()
     np.testing.assert_allclose(curv.k_sigma, expect, rtol=1e-13)
@@ -67,7 +67,7 @@ def test_uniformising_curvature_constant(n):
 def test_rank_two_image_is_hyperbolic_of_curvature_minus_half():
     g = radial(48)
     spec, st = uniformising(2, g)
-    curv = extrinsic_curvature(spec, st)
+    curv = extrinsic_curvature(st)
     np.testing.assert_allclose(curv.k_sigma[curv.defined_mask], -0.5)
 
 
@@ -75,13 +75,13 @@ def test_curvature_hand_oracle_three_equal_arrows():
     # arrows (c, c, c, 0) at every node: K = -(0+0+c^2+c^2)/(2*4*(3c)^2) = -1/36
     g = radial(24)
     spec = make_spec("general_cyclic", 4, (one, one, one, one), t=0.0)
-    st = LogMetricState(g, np.zeros((g.n_nodes, 3)))
-    curv = extrinsic_curvature(spec, st)
+    st = LogMetricState(make_system(spec, g), np.zeros((g.n_nodes, 3)))
+    curv = extrinsic_curvature(st)
     np.testing.assert_allclose(curv.k_sigma, -1.0 / 36.0, rtol=1e-14)
     # all four arrows equal: flat directions, K = 0
-    st2 = LogMetricState(g, np.zeros((g.n_nodes, 3)))
     spec2 = make_spec("general_cyclic", 4, (one, one, one, one), t=1.0)
-    np.testing.assert_allclose(extrinsic_curvature(spec2, st2).k_sigma, 0.0,
+    st2 = LogMetricState(make_system(spec2, g), np.zeros((g.n_nodes, 3)))
+    np.testing.assert_allclose(extrinsic_curvature(st2).k_sigma, 0.0,
                                atol=1e-16)
 
 
@@ -89,7 +89,7 @@ def test_uniformising_arrow_terms_match_closed_form():
     g = radial(64)
     n = 4
     spec, st = uniformising(n, g)
-    a = arrow_terms(spec, st)
+    a = arrow_terms(st)
     g0 = hyperbolic_metric(g)
     for k in range(1, n):
         np.testing.assert_allclose(a[:, k - 1], 0.5 * k * (n - k) * g0, rtol=1e-12)
@@ -102,18 +102,22 @@ def test_nu_reference_values_are_exact_rationals():
                     (4, [Fraction(0), Fraction(3, 4)]),
                     (5, [Fraction(0), Fraction(2, 3)])]:
         spec, st = uniformising(n, g)
-        rep = nu_ratios(spec, st)
+        rep = nu_ratios(st)
         assert rep.reference == refs
 
 
 def test_nu_ratios_equal_reference_on_uniformising_state():
     g = radial(64)
     spec, st = uniformising(5, g)
-    rep = nu_ratios(spec, st)
+    rep = nu_ratios(st)
     np.testing.assert_allclose(rep.values[0], 0.0)
     np.testing.assert_allclose(rep.values[1], 2.0 / 3.0, rtol=1e-13)
+    a = arrow_terms(st)     # reference: one ratio per k
+    assert np.array_equal(rep.values[0], a[:, 4] / a[:, 0])
+    for k in range(2, spec.n_unknowns + 1):
+        assert np.array_equal(rep.values[k - 1], a[:, k - 2] / a[:, k - 1])
     with pytest.raises(ValueError):
-        nu_ratios(make_spec("slnr_even", 4, (one, one, one)), st)
+        nu_ratios(make_system(make_spec("slnr_even", 4, (one, one, one)), g).initial_state())
 
 
 def test_morse_energy_against_hyperbolic_area_integral():
@@ -125,7 +129,25 @@ def test_morse_energy_against_hyperbolic_area_integral():
     rep = pullback_metric(spec, st)
     exact = 2 * np.pi * R**2 / (1 - R**2)
     assert abs(rep.morse_energy - exact) / exact < 2e-3
-    np.testing.assert_allclose(rep.density, 2 * 2 * arrow_terms(spec, st).sum(axis=1))
+    np.testing.assert_allclose(rep.density, 2 * 2 * arrow_terms(st).sum(axis=1))
+
+
+def test_a_state_solved_with_coefficient_fields_is_analysed_with_them():
+    # the pullback metric once re-evaluated the spec's unit data instead of
+    # the fields the state was solved with: 16.7 % off 2n sum_k a_k here
+    g = build_grid(GridSpec("torus", 16))
+    spec = make_spec("general_cyclic", 3, (one, one, one))
+    x = g.xy[:, 0] / g.spec.periods[0]
+    fields = [1.0 + 0.4 * np.cos(2.0 * np.pi * x), np.ones(g.n_nodes), np.ones(g.n_nodes)]
+    rep = solve(make_system(spec, g, coefficient_fields=fields))
+    assert rep.converged
+    state = rep.state
+    a = state.system.coeff_sq * np.exp(state.u @ spec.ratio_matrix.T)
+    np.testing.assert_allclose(pullback_metric(state.spec, state).density,
+                               2 * spec.n * a.sum(axis=1), rtol=1e-14)
+    for other in (replace(spec, t=2.0), make_spec("general_cyclic", 3, (one, one, Z))):
+        with pytest.raises(ValueError, match="not the spec the state was solved with"):
+            pullback_metric(other, state)
 
 
 # -- rank-4 symplectic curvature -------------------------------------------
@@ -136,14 +158,14 @@ def test_sp4_curvature_agrees_with_cyclic_formula():
     spec = make_spec("sp4_gothen", 4, (one, one), t=1.0)
     rep = solve(make_system(spec, g), config=SolverConfig(tol_residual=1e-11))
     assert rep.converged
-    s4 = sp4_curvature(spec, rep.state)
-    cyc = extrinsic_curvature(spec, rep.state)
+    s4 = sp4_curvature(rep.state)
+    cyc = extrinsic_curvature(rep.state)
     np.testing.assert_allclose(s4.k_sigma, cyc.k_sigma, rtol=1e-11)
-    a = arrow_terms(spec, rep.state)
+    a = arrow_terms(rep.state)
     np.testing.assert_allclose(s4.f1, a[:, 3] / a[:, 0], rtol=1e-14)
     np.testing.assert_allclose(s4.f2, a[:, 1] / a[:, 0], rtol=1e-14)
     with pytest.raises(ValueError):
-        sp4_curvature(make_spec("hitchin_component", 4, (one,)), rep.state)
+        sp4_curvature(make_system(make_spec("hitchin_component", 4, (one,)), g).initial_state())
 
 
 def test_sp4_vanishing_corner_reduces_to_constant_curvature():
@@ -153,7 +175,7 @@ def test_sp4_vanishing_corner_reduces_to_constant_curvature():
     spec = make_spec("sp4_gothen", 4, (one, one), t=0.0)
     rep = solve(make_system(spec, g), config=SolverConfig(tol_residual=1e-11))
     assert rep.converged
-    s4 = sp4_curvature(spec, rep.state)
+    s4 = sp4_curvature(rep.state)
     inner = g.verdict_region()
     np.testing.assert_allclose(s4.k_sigma[inner], -1.0 / 40.0, atol=1e-11)
     np.testing.assert_allclose(s4.f1[inner], 0.0, atol=1e-13)
@@ -300,7 +322,7 @@ def _noisy_verdict(runner, spec, grid, sigma, seed):
 
     def noisy_solve(system, config=None):
         u0 = system.initial_state().u
-        states.append(LogMetricState(grid, u0 + sigma * rng.standard_normal(u0.shape)))
+        states.append(LogMetricState(system, u0 + sigma * rng.standard_normal(u0.shape)))
         return SolveReport(states[-1], converged=True, iterations=0)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -345,7 +367,7 @@ def test_the_removed_identities_hold_on_every_noisy_state(noisy_verdicts):
         region = grid.verdict_region()
         if runner is verify_nu_bounds:
             # nu_1 = a_n / a_1 >= 0, and > 0 off the zeros of q
-            nu1 = nu_ratios(spec, state).values[0]
+            nu1 = nu_ratios(state).values[0]
             off_zeros = eval_norm_squared(spec.cyclic_data()[-1], grid) > 0
             assert (nu1 >= 0).all() and (nu1[off_zeros] > 0).all()
             assert "min_lower_margin" not in v["bounds"][0]
@@ -365,7 +387,7 @@ def test_the_removed_identities_hold_on_every_noisy_state(noisy_verdicts):
                 # f2 = 4/3, and K = -1/8 exactly at a zero of mu, where f2 = 0 too
                 assert v["k_max"] <= -1.0 / 40.0 + 1e-15
                 mu_zeros = region & (eval_norm_squared(spec.cyclic_data()[1], grid) == 0)
-                assert (sp4_curvature(spec, state).k_sigma[mu_zeros] == -0.125).all()
+                assert (sp4_curvature(state).k_sigma[mu_zeros] == -0.125).all()
                 mu_zero_nodes += int(mu_zeros.sum())
     assert mu_zero_nodes > 0 and sp4_in_window > 0
 
@@ -575,7 +597,7 @@ def test_compare_state_with_itself_is_false_with_zero_margins():
     rep = solve(make_system(spec, g))
     assert rep.converged
     for quantity in ("pullback_metric", "ratio_fields"):
-        out = compare_states(spec, rep.state, spec, rep.state, quantity)
+        out = compare_states(rep.state, rep.state, quantity)
         assert not out["verdict"]
         assert all(m == 0.0 for m in out["margins"])
 
@@ -588,12 +610,12 @@ def test_scale_pair_comparison_is_ordered():
     rep_lo = solve(make_system(lo, g), config=cfg)
     rep_hi = solve(make_system(hi, g), config=cfg)
     assert rep_lo.converged and rep_hi.converged
-    fwd = compare_states(lo, rep_lo.state, hi, rep_hi.state, "ratio_fields")
+    fwd = compare_states(rep_lo.state, rep_hi.state, "ratio_fields")
     assert fwd["verdict"] and fwd["min_margin"] > 0
     assert "corner ratio included" in fwd["notes"]
-    bwd = compare_states(hi, rep_hi.state, lo, rep_lo.state, "ratio_fields")
+    bwd = compare_states(rep_hi.state, rep_lo.state, "ratio_fields")
     assert not bwd["verdict"]
-    met = compare_states(lo, rep_lo.state, hi, rep_hi.state, "pullback_metric")
+    met = compare_states(rep_lo.state, rep_hi.state, "pullback_metric")
     assert met["verdict"] and met["min_margin"] == min(met["margins"])
 
 
@@ -609,30 +631,43 @@ def test_ratio_margin_on_the_verdict_region_is_resolution_independent():
         lo, hi = (make_spec("hitchin_component", 3, (q,), t=t) for t in (1.0, 2.0))
         rep_lo, rep_hi = (solve(make_system(s, g), config=cfg) for s in (lo, hi))
         assert rep_lo.converged and rep_hi.converged
-        margins.append(compare_states(lo, rep_lo.state, hi, rep_hi.state, "ratio_fields",
+        margins.append(compare_states(rep_lo.state, rep_hi.state, "ratio_fields",
                                       solver_tol=cfg.tol_residual)["min_margin"])
     assert min(margins) > 0 and max(margins) <= 1.01 * min(margins), margins
 
 
 def test_compare_states_grid_mismatch_rejected():
     spec = make_spec("hitchin_component", 3, (one,))
-    st_a, st_b = (LogMetricState(g, fuchsian_log_metrics(3, 1, g))
-                  for g in (radial(32), radial(48)))
+    st_a, st_b = (make_system(spec, g).initial_state() for g in (radial(32), radial(48)))
     with pytest.raises(ValueError):
-        compare_states(spec, st_a, spec, st_b)
+        compare_states(st_a, st_b)
     with pytest.raises(ValueError):
-        compare_states(spec, st_a, spec, st_a, "determinant")
+        compare_states(st_a, st_a, "determinant")
     # equal node counts and equal spacings on grids of different kinds:
     # the comparison once took them for one grid and returned a verdict
     period = 0.8 * 16 / 255
     torus = build_grid(GridSpec("torus", (16, 16), periods=(period, period)))
     disc = radial(256)
     assert (torus.n_nodes, torus.spacing) == (disc.n_nodes, disc.spacing)
-    st_t = LogMetricState(torus, np.zeros((torus.n_nodes, 1)))
-    st_r = LogMetricState(disc, fuchsian_log_metrics(3, 1, disc))
+    st_t, st_r = (make_system(spec, g).initial_state() for g in (torus, disc))
     for a, b in ((st_t, st_r), (st_r, st_t)):
         with pytest.raises(ValueError, match="same grid"):
-            compare_states(spec, a, spec, b)
+            compare_states(a, b)
+
+
+def test_harmonic_components_need_a_hitchin_section_partner():
+    # the partner is read from its assembled system: symmetric, of equal
+    # rank, every arrow but the corner exactly 1, whatever variant spells it
+    g = radial(32)
+    two = HolomorphicDatum.constant(2.0)
+    bundle = make_system(make_spec("slnr_even", 4, (one, two, Z)), g).initial_state()
+    for partner in (make_spec("slnr_even", 4, (one, two, Z)), make_spec("hitchin_component", 3, (Z,)),
+                    make_spec("general_cyclic", 4, (one, one, one, Z))):
+        with pytest.raises(ValueError, match="Hitchin-section state of equal rank"):
+            compare_states(bundle, make_system(partner, g).initial_state(), "harmonic_components")
+    for partner in (make_spec("hitchin_component", 4, (Z,)), make_spec("slnr_even", 4, (Z, one, one))):
+        out = compare_states(bundle, make_system(partner, g).initial_state(), "harmonic_components")
+        assert out["quantity"] == "harmonic_components"
 
 
 def test_fiber_comparison_distinct_data_passes():
@@ -688,8 +723,7 @@ def test_fiber_comparison_solves_a_self_partner_once(monkeypatch, spec, solves):
     rep_b = solve(make_system(partner, g), config=config)
     want = {"n": 4, "passed": True}
     for quantity, key in (("pullback_metric", "metric"), ("harmonic_components", "components")):
-        want[key] = compare_states(spec, rep_a.state, partner, rep_b.state, quantity,
-                                   config.tol_residual)
+        want[key] = compare_states(rep_a.state, rep_b.state, quantity, config.tol_residual)
         want["passed"] = bool(want["passed"] and want[key]["verdict"])
     calls = []
     monkeypatch.setattr(analysis, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))

@@ -829,6 +829,24 @@ def test_continuation_to_an_overflowing_scale_fails_without_warnings(tmp_path, c
     assert [m["converged"] for m in read_json(out / "sweep.json")["members"]] == [True, False]
 
 
+def test_solve_at_an_overflowing_scale_fails_without_warnings(tmp_path, capsys):
+    # the first Newton step's right-hand side and Hessian overflowed in their
+    # matrix products, and numpy's RuntimeWarnings reached stderr before the
+    # blow-up was reported
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "grid": {"kind": "radial_disc", "resolution": 16, "radius": 0.8},
+        "spec": {"variant": "hitchin_component", "n": 2, "t": 1e154,
+                 "data": [{"kind": "constant", "coefficient": 1.0}]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "solve: not converged (non-finite Jacobian entries (state blew up))\n")
+    assert read_json(out / "report.json")["converged"] is False
+
+
 def test_torus_solve_path(tmp_path):
     spec = {"variant": "general_cyclic", "n": 3, "t": 0.5,
             "data": [{"kind": "constant", "coefficient": 1.0},

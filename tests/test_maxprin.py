@@ -363,12 +363,12 @@ def _two_member_family(n=3, t_a=2.0, t_b=1.0, res=64):
     rep_a = solve(make_system(spec_a, g), config=cfg)
     rep_b = solve(make_system(spec_b, g), config=cfg)
     assert rep_a.converged and rep_b.converged
-    return spec_a, rep_a.state, spec_b, rep_b.state
+    return rep_a.state, rep_b.state
 
 
 def test_difference_system_cyclic_identities():
-    spec_a, st_a, spec_b, st_b = _two_member_family()
-    ds = difference_system(spec_a, st_a, spec_b, st_b)
+    st_a, st_b = _two_member_family()
+    ds = difference_system(st_a, st_b)
     assert ds.mode == "cyclic"
     # the log-ratios sum to log of the scale ratio squared: 2 log(t_a / t_b)
     assert np.abs(ds.v.sum(axis=0) - 2 * np.log(2.0 / 1.0)).max() < 1e-12
@@ -390,17 +390,17 @@ def test_difference_system_compares_one_bundle_spelled_by_two_variants():
     cfg = SolverConfig(tol_residual=1e-11)
     rep_a, rep_b = (solve(make_system(s, g), config=cfg) for s in (spec_a, spec_b))
     assert rep_a.converged and rep_b.converged
-    ds = difference_system(spec_a, rep_a.state, spec_b, rep_b.state)
+    ds = difference_system(rep_a.state, rep_b.state)
     assert ds.mode == "cyclic"
     assert check_conditions(ds.system)["passed"]
 
 
 def test_difference_system_vanishing_corner_mode():
-    spec_a, st_a, spec_b, st_b = _two_member_family(t_a=1.0, t_b=0.0)
-    ds = difference_system(spec_a, st_a, spec_b, st_b)
+    st_a, st_b = _two_member_family(t_a=1.0, t_b=0.0)
+    ds = difference_system(st_a, st_b)
     assert ds.mode == "vanishing_corner"
     # log(t_a / t_b) is infinite: the corner log-ratio drops out of v
-    assert ds.v.shape == (spec_a.n - 1, st_a.grid.n_nodes)
+    assert ds.v.shape == (st_a.spec.n - 1, st_a.grid.n_nodes)
     # source terms are nonpositive and not identically zero
     assert ds.system.f.max() <= 0.0
     assert ds.system.f.min() < 0.0
@@ -409,12 +409,12 @@ def test_difference_system_vanishing_corner_mode():
 
 
 def test_difference_system_input_validation():
-    spec_a, st_a, spec_b, st_b = _two_member_family(res=32)
+    st_a, st_b = _two_member_family(res=32)
     with pytest.raises(ValueError):
-        difference_system(spec_b, st_b, spec_a, st_a)  # needs |t_a| > |t_b|
+        difference_system(st_b, st_a)  # needs |t_a| > |t_b|
     other = make_spec("hitchin_component", 3, (HolomorphicDatum.constant(2.0),), t=2.0)
-    with pytest.raises(ValueError):
-        difference_system(other, st_a, spec_b, st_b)
+    with pytest.raises(ValueError, match="share all holomorphic data"):
+        difference_system(make_system(other, st_a.grid).initial_state(), st_b)
 
 
 # -- reference: the per-node drift loop and per-block assembly it replaced --

@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dgbsv
 from hitchinlab import solver
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.solver import SolverConfig, SolveReport, continuation_solve, solve
-from hitchinlab.system import BlowupError, LogMetricState, make_spec, make_system
+from hitchinlab.system import BlowupError, make_spec, make_system
 
 from gauge import scale_last_arrow
 
@@ -84,8 +84,8 @@ def test_iteration_budget_reported_not_raised():
 def test_initial_state_shape_checked():
     g = radial(16)
     sys = make_system(make_spec("hitchin_component", 4, (one,)), g)
-    bad = LogMetricState(g, np.zeros((g.n_nodes, 3)))
-    with pytest.raises(ValueError):
+    bad = make_system(make_spec("hitchin_component", 6, (one,)), g).initial_state()
+    with pytest.raises(ValueError, match="its system.s shape"):
         solve(sys, initial=bad)
 
 
@@ -668,7 +668,28 @@ def test_conjugate_gradients_break_down_at_once_on_a_wrong_sign(case, n):
         assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
 
 
-_ORDER_GRIDS = {"disc2d33": GridSpec("disc2d", 33, 0.8), "radial64": GridSpec("radial_disc", 64, 0.8),
+@pytest.mark.parametrize("exponent", [-1000, -1010, -1021])
+def test_a_kept_factorisation_far_from_k_is_replaced_without_warnings(exponent):
+    # through a kept factorisation of K 2^exponent the first LU^-1 r is
+    # about 2^-exponent times too large; its rescaling overflowed, and numpy
+    # warned before refinement gave up on the infinite residual
+    disc = build_grid(GridSpec("disc2d", 17, 0.8))
+    sys = make_system(make_spec("hitchin_component", 3, (HolomorphicDatum.monomial(1.0, 1),)),
+                      disc)
+    K = sys.jacobian_matrix(sys.initial_state().u)
+    *_, band, order = disc.block_laplacian(sys.gram)
+    b = np.random.default_rng(0).normal(size=K.shape[0])
+    lu = solver._NewtonLU()
+    lu._keep((K * np.ldexp(1.0, exponent)).tocsc(), np.float64, order)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x = lu.solve(K, b, band, 0.0, order)
+    assert [str(w.message) for w in caught] == []
+    assert lu.factorizations == 2 and lu.dtype is np.float32
+    assert _backward_error(K, x, b) <= 4 * np.finfo(float).eps
+
+
+_ORDER_GRIDS = {"disc2d33":GridSpec("disc2d", 33, 0.8), "radial64": GridSpec("radial_disc", 64, 0.8),
                 "torus16": GridSpec("torus", 16)}
 
 

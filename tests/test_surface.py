@@ -24,6 +24,12 @@ behind; ``from __future__ import annotations`` is exempt.
 The CLI's config surface is checked the same way: every top-level config
 key that ``cli.py`` reads is documented in the README's CLI section, and no
 key of ``cli._RETIRED_KEYS`` is read anywhere in ``src/``.
+
+Arrow coefficients have one owner: only ``system.py`` evaluates them
+(``arrow_coefficients``, ``eval_norm_squared``), and every reduction in
+``analysis`` and ``maxprin`` reads them from the state's system, so no
+function there takes a spec beside a state (``pullback_metric``, whose
+spec is checked against its state's, excepted).
 """
 
 import ast
@@ -242,3 +248,43 @@ def test_no_retired_config_key_is_read():
     assert _RETIRED_KEYS
     read = {key for path in LIBRARY for _, key in _mapping_reads(_parse(path))}
     assert not read & set(_RETIRED_KEYS)
+
+
+COEFFICIENT_EVALUATORS = {"arrow_coefficients", "eval_norm_squared"}
+
+
+def test_only_the_system_evaluates_arrow_coefficients():
+    stray = []
+    for path in LIBRARY:
+        if path.stem == "system":
+            continue
+        tree = _parse(path)
+        names = set(_references(tree)) | {alias.name for node in ast.walk(tree)
+                                          if isinstance(node, ast.ImportFrom)
+                                          for alias in node.names}
+        stray += [f"{path.stem}.{name}" for name in sorted(names & COEFFICIENT_EVALUATORS)]
+    assert not stray
+
+
+def _parameter_kind(arg):
+    """"spec" or "state" for a parameter annotated or named as one, else None."""
+    annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+    if "CyclicSpec" in annotation or arg.arg == "spec" or arg.arg.startswith("spec_"):
+        return "spec"
+    if "LogMetricState" in annotation or "state" in arg.arg.split("_"):
+        return "state"
+    return None
+
+
+def test_no_reduction_takes_a_spec_beside_a_state():
+    both = []
+    for path in LIBRARY:
+        if path.stem not in ("analysis", "maxprin"):
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef) and node.name != "pullback_metric":
+                a = node.args
+                kinds = {_parameter_kind(arg) for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"spec", "state"} <= kinds:
+                    both.append(f"{path.stem}.{node.name}")
+    assert not both

@@ -386,12 +386,13 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
 
     ratios = np.exp(lr)
     ratios[:, -1] *= spec.scale_sq
-    state = LogMetricState(g, u)
-    _assert_same_up_to_cancellation(spec, analysis_module.metric_ratio_fields(spec, state),
+    state = LogMetricState(sys_, u)
+    _assert_same_up_to_cancellation(spec, analysis_module.metric_ratio_fields(state),
                                     ratios, ratios * (1 + S))
 
     spec_b = make_spec(variant, n, (one,) * size, t=t_b)
-    ds = maxprin_module.difference_system(spec, state, spec_b, LogMetricState(g, u_b))
+    state_b = LogMetricState(system_module.HitchinSystem(spec_b, g, G), u_b)
+    ds = maxprin_module.difference_system(state, state_b)
     lr_b, n_v = _expand_and_roll(spec_b, u_b), n - (t_b == 0)
     if t_b > 0:
         lr[:, -1] += 2.0 * np.log(t_a)
@@ -675,7 +676,7 @@ def test_blowup_raised_on_huge_states():
     g = radial(16)
     spec = make_spec("hitchin_component", 3, (one,))
     sys = make_system(spec, g)
-    huge = LogMetricState(g, np.full((g.n_nodes, 1), 1e4))
+    huge = LogMetricState(sys, np.full((g.n_nodes, 1), 1e4))
     assert not np.all(np.isfinite(sys.residual_array(huge.u)))
     rep = solve(sys, initial=huge)
     assert not rep.converged
@@ -818,8 +819,13 @@ def test_palindromic_data_give_antisymmetric_log_metrics():
 
 def test_state_vector_roundtrip_and_validation():
     g = radial(12)
-    with pytest.raises(ValueError):
-        LogMetricState(g, np.zeros((5, 2)))
+    sys = make_system(make_spec("hitchin_component", 4, (one,)), g)
+    for shape in ((5, 2), (g.n_nodes, 3), (g.n_nodes,)):
+        with pytest.raises(ValueError):
+            LogMetricState(sys, np.zeros(shape))
+    state = sys.initial_state()
+    assert state.system is sys and (state.grid, state.spec) == (g, sys.spec)
+    assert state.u is not sys.boundary_values and np.array_equal(state.u, sys.boundary_values)
 
 
 # -- gauge moves and stability ---------------------------------------------
