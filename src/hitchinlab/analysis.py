@@ -3,9 +3,10 @@
 From a solved log-metric state, which carries its system, this module
 computes the pullback metric of the harmonic map, the interior ratio
 invariants of Hitchin-section states, the extrinsic curvature of the image
-surface and the dedicated rank-4 curvature formula, all from the system's
-assembled ``coeff_sq``, and sectional curvatures of the ambient symmetric
-space.  On top of those sit ``verify_*`` runners that orchestrate solves
+surface and the dedicated rank-4 curvature formula, all through the
+system's arrow kernel (``log_ratios``, ``arrow_terms``) and its assembled
+``coeff_sq``, and sectional curvatures of the ambient symmetric space.  On
+top of those sit ``verify_*`` runners that orchestrate solves
 and produce machine-checkable verdicts with explicit margins; the CLI and
 the acceptance suite both call these.  The verdicts are plain dicts, and so
 is each strict comparison that ``compare_states`` returns; the report
@@ -16,7 +17,8 @@ both ``verify_monotonicity`` and the CLI's ``sweep``.
 Every verdict is asserted on ``Grid.verdict_region()``: the interior nodes
 with |z| <= 7R/8 of a disc chart of radius R, one chart set at every
 resolution, so a margin measures the solution and not the Dirichlet
-boundary layer.
+boundary layer.  Each solve-based runner refuses a torus grid before it
+builds any system.
 
 Pairwise comparisons measure their margins on the log scale, field by
 field, and call a margin resolved when it exceeds
@@ -54,8 +56,6 @@ from .system import (
     CyclicSpec,
     HitchinSystem,
     LogMetricState,
-    arrows,
-    log_ratios,
     make_system,
     stability_check,
 )
@@ -68,11 +68,6 @@ CURVATURE_SLACK = 1e-6
 # -- basic derived fields --------------------------------------------------
 
 
-def arrow_terms(state: LogMetricState) -> np.ndarray:
-    """All n arrow terms |gamma_k|^2 h_k^{-1} h_{k+1}, (N, n), t^2 included."""
-    return arrows(state.system.coeff_sq, log_ratios(state.spec, state.u))
-
-
 def metric_ratio_fields(state: LogMetricState) -> np.ndarray:
     """Consecutive metric ratios h_k^{-1} h_{k+1}, (N, n).
 
@@ -80,7 +75,7 @@ def metric_ratio_fields(state: LogMetricState) -> np.ndarray:
     is monotone in the family scale); the holomorphic coefficients are not
     included.
     """
-    ratios = np.exp(log_ratios(state.spec, state.u))
+    ratios = np.exp(state.system.log_ratios(state.u))
     ratios[:, -1] *= state.spec.scale_sq
     return ratios
 
@@ -102,7 +97,7 @@ def pullback_metric(spec: CyclicSpec, state: LogMetricState) -> MetricReport:
     """
     if spec != state.spec:
         raise ValueError("spec is not the spec the state was solved with")
-    a = arrow_terms(state)
+    a = state.system.arrow_terms(state.u)
     density = 2.0 * spec.n * a.sum(axis=1)
     energy = float((a.sum(axis=1) * 2.0 * state.grid.area_weights()).sum())
     return MetricReport(density, energy)
@@ -130,7 +125,7 @@ def nu_ratios(state: LogMetricState) -> NuRatioReport:
     if spec.variant != "hitchin_component":
         raise ValueError("ratio invariants are defined for hitchin_component states")
     n, m = spec.n, spec.n_unknowns
-    a = arrow_terms(state)
+    a = state.system.arrow_terms(state.u)
     vals = np.vstack([a[:, n - 1] / a[:, 0], (a[:, :m - 1] / a[:, 1:m]).T])
     ref = [Fraction(0)] + [Fraction((k - 1) * (n + 1 - k), k * (n - k)) for k in range(2, m + 1)]
     return NuRatioReport(vals, ref)
@@ -161,7 +156,7 @@ def extrinsic_curvature(state: LogMetricState) -> CurvatureReport:
     vanishing) are masked.  For rank 2 the image is totally geodesic of
     constant curvature -1/2, which is reported directly.
     """
-    a, n = arrow_terms(state), state.spec.n
+    a, n = state.system.arrow_terms(state.u), state.spec.n
     total = a.sum(axis=1)
     defined = total > 0.0
     k_sigma = np.full(state.grid.n_nodes, np.nan)
@@ -189,7 +184,7 @@ def sp4_curvature(state: LogMetricState) -> Sp4CurvatureReport:
     """
     if state.spec.variant != "sp4_gothen":
         raise ValueError("this formula is specific to sp4_gothen states")
-    a = arrow_terms(state)       # (a1, a2=mu-term, a3=a1, a4=nu-term)
+    a = state.system.arrow_terms(state.u)   # (a1, a2=mu-term, a3=a1, a4=nu-term)
     f1 = a[:, 3] / a[:, 0]
     f2 = a[:, 1] / a[:, 0]
     k = -((f1 - 1.0) ** 2 + (f2 - 1.0) ** 2) / (4.0 * (2.0 + f1 + f2) ** 2)
@@ -412,6 +407,13 @@ def _harmonic_domination(state, state_hit, region, solver_tol):
 # -- theorem runners -------------------------------------------------------
 
 
+def _refuse_torus(grid: Grid, theorem: str) -> None:
+    """Refuse a torus before any system is built: a solve-based verdict is
+    asserted on a disc chart, against the uniformising Dirichlet data."""
+    if grid.kind == "torus":
+        raise ValueError(f"{theorem} needs a disc grid ('radial_disc' or 'disc2d'), not a torus")
+
+
 def _solve_spec(spec: CyclicSpec, grid: Grid, config: SolverConfig | None,
                 variant: str | None = None, refusal: str = ""):
     """Assemble ``spec`` on ``grid`` and solve it; the report's state holds the system.
@@ -485,6 +487,7 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
     list that is not strictly increasing with at least two members would
     compare nothing, or a member with itself, and is refused before any solve.
     """
+    _refuse_torus(grid, "monotonicity")
     t_values = [float(t) for t in t_values]
     if len(t_values) < 2 or any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("monotonicity needs a strictly increasing 't_list' of at least "
@@ -532,6 +535,7 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     verdict region; the k = 1 entry has no lower margin, as nu_1 > 0 is a
     ratio of positive arrow terms.
     """
+    _refuse_torus(grid, "nu-bounds")
     rep = _solve_spec(spec, grid, config, "hitchin_component",
                       "ratio invariants are defined for hitchin_component states")
     if not rep.converged:
@@ -562,6 +566,7 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     corner |t q|^2 vanishes (``qzero_k_max``), the most any arrows with
     a_n = 0 give.
     """
+    _refuse_torus(grid, "curvature")
     rep = _solve_spec(spec, grid, config, "hitchin_component",
                       "the curvature bounds are proved for hitchin_component states")
     system = rep.state.system
@@ -597,6 +602,7 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     ``degenerate`` note and ``equality_deviation``, the largest |margin|,
     and the strict ``passed`` is false.  That system is then solved once.
     """
+    _refuse_torus(grid, "hitchin-fiber-comparison")
     config = config or SolverConfig()
     partner_system = make_system(
         CyclicSpec(spec.n, "hitchin_component", (spec.partner_differential(),)), grid)
@@ -640,6 +646,7 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     |f2 - 4/3| and |K + 1/40| over the verdict region; the strict
     ``passed`` is false there.
     """
+    _refuse_torus(grid, "sp4-bounds")
     rep = _solve_spec(spec, grid, config, "sp4_gothen", "sp4 bounds apply to sp4_gothen specs")
     system = rep.state.system
     if not rep.converged:

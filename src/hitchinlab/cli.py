@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis
 from .geometry import VERDICT_FRACTION, Grid, GridSpec, HolomorphicDatum, build_grid
 from .solver import SolverConfig, solve
-from .system import BlowupError, CyclicSpec, make_spec, make_system
+from .system import CyclicSpec, make_spec, make_system
 
 # theorems checked on solved states: runner(spec, grid, [t_list,] config)
 SOLVE_RUNNERS = {
@@ -107,12 +107,10 @@ def parse_datum(obj) -> HolomorphicDatum:
     raise UsageError(f"unknown datum kind {kind!r}")
 
 
-def parse_grid(obj, resolution_override=None) -> Grid:
+def parse_grid(obj) -> Grid:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("config needs a 'grid' object with a 'kind'")
     res = obj.get("resolution", 128)
-    if resolution_override is not None:
-        res = resolution_override
     if isinstance(res, list):
         res = tuple(_int_from(r, "resolution") for r in res)
     else:
@@ -209,29 +207,21 @@ def load_config(path: str) -> dict:
 # -- output helpers --------------------------------------------------------
 
 
-def _json_ready(obj):
+def _json_ready(obj, drop):
+    """``obj`` in JSON types, with the keys in ``drop`` left out at every depth
+    and a non-finite number, numpy's too, written as its repr ('inf', 'nan')."""
     if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
+        return {str(k): _json_ready(v, drop) for k, v in obj.items() if k not in drop}
     if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
+        return [_json_ready(v, drop) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else repr(float(obj))
     return obj
 
 
+# wall-clock fields: write_json drops them unless volatile_ok, so verdicts
+# are byte-reproducible
 _VOLATILE_KEYS = ("wall_time_s",)
-
-
-def _strip_volatile(obj):
-    """Drop wall-clock fields so verdicts are byte-reproducible."""
-    if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items()
-                if k not in _VOLATILE_KEYS}
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -248,9 +238,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload: dict, volatile_ok: bool = False) -> None:
-    data = _json_ready(payload)
-    if not volatile_ok:
-        data = _strip_volatile(data)
+    data = _json_ready(payload, () if volatile_ok else _VOLATILE_KEYS)
     _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -271,8 +259,8 @@ def write_state_csv(path: str, grid: Grid, u: np.ndarray) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
-    grid = parse_grid(cfg.get("grid"), resolution)
+def cmd_solve(cfg: dict, out_dir: str) -> int:
+    grid = parse_grid(cfg.get("grid"))
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
     system = make_system(spec, grid)
@@ -288,13 +276,10 @@ def cmd_solve(cfg: dict, out_dir: str, resolution=None) -> int:
     return 0
 
 
-def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
+def _run_theorem(theorem: str, cfg: dict, seed: int) -> dict:
     sc = parse_solver(cfg.get("solver"))
     if theorem in SOLVE_RUNNERS:
-        grid = parse_grid(cfg.get("grid"), resolution)
-        if grid.kind == "torus":
-            raise UsageError(f"{theorem} needs a disc grid ('radial_disc' or 'disc2d'), "
-                             "not a torus")
+        grid = parse_grid(cfg.get("grid"))
         extra = [parse_t_list(cfg, theorem)] if theorem == "monotonicity" else []
         spec = parse_spec(cfg.get("spec"))
         return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc)
@@ -308,8 +293,8 @@ def _run_theorem(theorem: str, cfg: dict, seed: int, resolution) -> dict:
     raise UsageError(f"unknown theorem {theorem!r}")
 
 
-def cmd_verify(cfg: dict, theorem: str, out_dir: str, seed: int, resolution=None) -> int:
-    result = _run_theorem(theorem, cfg, seed, resolution)
+def cmd_verify(cfg: dict, theorem: str, out_dir: str, seed: int) -> int:
+    result = _run_theorem(theorem, cfg, seed)
     result["theorem"] = theorem
     result["seed"] = seed
     if "error" in result:
@@ -318,13 +303,11 @@ def cmd_verify(cfg: dict, theorem: str, out_dir: str, seed: int, resolution=None
     status = "pass" if result.get("passed") else (
         "inconclusive" if result.get("inconclusive") else "fail")
     print(f"verify[{theorem}]: {status}")
-    if result.get("inconclusive"):
-        return 2
     return 0 if result["passed"] else 2
 
 
-def cmd_sweep(cfg: dict, out_dir: str, resolution=None) -> int:
-    grid = parse_grid(cfg.get("grid"), resolution)
+def cmd_sweep(cfg: dict, out_dir: str) -> int:
+    grid = parse_grid(cfg.get("grid"))
     spec = parse_spec(cfg.get("spec"))
     sc = parse_solver(cfg.get("solver"))
     t_list = parse_t_list(cfg, "sweep")
@@ -401,22 +384,21 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else _int_from(cfg.get("seed", 0), "seed")
         if seed < 0:
             raise UsageError(f"'seed' must be a nonnegative integer, got {seed}")
+        if args.resolution is not None and isinstance(cfg.get("grid"), dict):
+            cfg["grid"] = {**cfg["grid"], "resolution": args.resolution}
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             print(f"cannot create output directory: {exc}", file=sys.stderr)
             return 3
         if args.command == "solve":
-            return cmd_solve(cfg, args.out, args.resolution)
+            return cmd_solve(cfg, args.out)
         if args.command == "verify":
-            return cmd_verify(cfg, args.theorem, args.out, seed, args.resolution)
-        return cmd_sweep(cfg, args.out, args.resolution)
+            return cmd_verify(cfg, args.theorem, args.out, seed)
+        return cmd_sweep(cfg, args.out)
     except (ValueError, MemoryError) as exc:     # UsageError included
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except BlowupError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 3

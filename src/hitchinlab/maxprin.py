@@ -51,7 +51,7 @@ import scipy.sparse.linalg as spla
 
 from ._parallel import imap_in_order
 from .geometry import Grid, hyperbolic_metric
-from .system import LogMetricState, arrows, log_ratios
+from .system import LogMetricState
 
 POLE_VALUE = 1.0e6          # Dirichlet value at excluded (pole) nodes
 CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
@@ -317,11 +317,11 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
         raise ValueError("need |t_a| > |t_b|")
 
     n, N, g0 = spec_a.n, grid.n_nodes, hyperbolic_metric(grid)
-    lr_a = log_ratios(spec_a, state_a.u)           # log consecutive ratios
-    lr_b = log_ratios(spec_b, state_b.u)
-    a_b = arrows(state_b.system.coeff_sq, lr_b).T   # (n, N) b-side arrow terms
+    lr_a = state_a.system.log_ratios(state_a.u)     # log consecutive ratios
+    lr_b = state_b.system.log_ratios(state_b.u)
+    a_b = state_b.system.arrow_terms(state_b.u).T   # (n, N) b-side arrow terms
     # the a-side corner arrow term, the source in the vanishing-corner mode
-    corner_a = arrows(state_a.system.coeff_sq[:, -1], lr_a[:, -1]) / g0
+    corner_a = state_a.system.arrow_terms(state_a.u)[:, -1] / g0
     mode = "cyclic" if spec_b.scale_sq > 0 else "vanishing_corner"
 
     if mode == "cyclic":

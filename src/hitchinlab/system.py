@@ -10,9 +10,9 @@ with indices mod n and Delta = del_z del_zbar.  Every variant is this one
 system read through a constant n x m embedding E of its independent
 unknowns u (an (N, m) array): w = u E^T, and the equations solved are the
 first m rows.  The arrows read w only through its consecutive differences,
-the log-ratios w_{k+1} - w_k = u D^T with the constant D = roll(E, -1) - E,
-so every reader of arrow terms computes a = G exp(u D^T) through
-``log_ratios`` and ``arrows``.
+the log-ratios w_{k+1} - w_k = u D^T with the constant D = roll(E, -1) - E.
+A ``HitchinSystem`` builds D once, and every reader of arrow terms computes
+a = G exp(u D^T) through its ``log_ratios`` and ``arrow_terms``.
 
 Variants
 --------
@@ -132,13 +132,6 @@ class CyclicSpec:
             E[n - 1] = -1.0
         return E
 
-    @property
-    def ratio_matrix(self) -> np.ndarray:
-        """The (n, m) matrix D = roll(E, -1, axis 0) - E taking unknowns to the
-        log consecutive ratios w_{k+1} - w_k (indices mod n): u D^T."""
-        E = self.embedding
-        return np.concatenate((E[1:], E[:1])) - E
-
     def cyclic_data(self) -> tuple[HolomorphicDatum, ...]:
         """All n arrows (gamma_1..gamma_n) of the equivalent cyclic bundle.
 
@@ -234,23 +227,15 @@ def fuchsian_log_metrics(n: int, n_unknowns: int, grid: Grid) -> np.ndarray:
     return w[:, :n_unknowns].copy()
 
 
-def log_ratios(spec: CyclicSpec, u: np.ndarray) -> np.ndarray:
-    """Log consecutive ratios log h_k^{-1} h_{k+1} of the unknowns u, (N, n)."""
-    return u @ spec.ratio_matrix.T
-
-
-def arrows(G: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    """Arrow terms a_k = G_k h_k^{-1} h_{k+1} from squared coefficients G and
-    log-ratios, both (N, n); overflow is left to the caller to detect."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return G * np.exp(log_ratio)
-
-
 # -- assembled system ------------------------------------------------------
 
 
 class HitchinSystem:
     """A spec bound to a grid with its coefficient fields.
+
+    The one arrow kernel: ``log_ratios(u)`` = u D^T with D = roll(E, -1) - E,
+    built once here, and ``arrow_terms(u)`` = G exp(u D^T).  The residual, the
+    Newton matrix and every reduction of a solved state read them.
 
     The boundary is the grid's own.  ``boundary_values`` is the Newton seed
     and holds the Dirichlet data: on a disc the uniformising state
@@ -287,18 +272,25 @@ class HitchinSystem:
         self.gram = E.T @ E
         # arrow i has log-derivative d[i] = d(w_{i+1} - w_i)/du; the Hessian
         # block sums a_i d[i]^T d[i], kept once per unordered pair (k, l)
-        self._d = d = spec.ratio_matrix
+        self._d = d = np.roll(E, -1, axis=0) - E
         self._pairs = np.triu_indices(self.m)
         self._dd = d[:, self._pairs[0]] * d[:, self._pairs[1]]
 
     # -- nonlinear couplings ----------------------------------------------
 
-    def _arrows(self, u: np.ndarray) -> np.ndarray:
-        return arrows(self.coeff_sq, u @ self._d.T)
+    def log_ratios(self, u: np.ndarray) -> np.ndarray:
+        """Log consecutive ratios log h_k^{-1} h_{k+1} of the unknowns u, (N, n)."""
+        return u @ self._d.T
+
+    def arrow_terms(self, u: np.ndarray) -> np.ndarray:
+        """Arrow terms |gamma_k|^2 h_k^{-1} h_{k+1} of the unknowns u, (N, n),
+        |t|^2 included; overflow is left to the caller to detect."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.coeff_sq * np.exp(self.log_ratios(u))
 
     def _coupling_residual(self, u: np.ndarray) -> np.ndarray:
         """a_k - a_{k-1} for k = 1..m, with a_0 = a_n."""
-        a, m = self._arrows(u), self.m
+        a, m = self.arrow_terms(u), self.m
         return a[:, :m] - np.concatenate((a[:, -1:], a[:, :m - 1]), axis=1)
 
     # -- residual and Newton matrix ----------------------------------------
@@ -317,7 +309,7 @@ class HitchinSystem:
         call scatters the node blocks into a fresh copy of its data.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, refused below
-            hess = self._arrows(u)[self.free] @ self._dd
+            hess = self.arrow_terms(u)[self.free] @ self._dd
         if not np.all(np.isfinite(hess)):
             raise BlowupError("non-finite Jacobian entries (state blew up)")
         lap_k, blocks, *_ = self.grid.block_laplacian(self.gram)

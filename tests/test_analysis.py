@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hitchinlab import analysis, solver
+from hitchinlab import analysis, maxprin, solver
 from hitchinlab.analysis import (
     CURVATURE_SLACK,
     MARGIN_COEFF_PAIRED,
@@ -18,7 +18,6 @@ from hitchinlab.analysis import (
     extrinsic_curvature,
     metric_ratio_fields,
     nu_ratios,
-    arrow_terms,
     pullback_metric,
     random_tangent_planes,
     sp4_curvature,
@@ -33,8 +32,8 @@ from hitchinlab.analysis import (
 )
 from hitchinlab.geometry import (GridSpec, HolomorphicDatum, build_grid, eval_norm_squared,
                                  hyperbolic_metric)
-from hitchinlab.solver import SolveReport, SolverConfig, solve
-from hitchinlab.system import LogMetricState, make_spec, make_system
+from hitchinlab.solver import SolveReport, SolverConfig, _NewtonLU, _newton_step, solve
+from hitchinlab.system import CyclicSpec, LogMetricState, make_spec, make_system
 
 one = HolomorphicDatum.constant(1.0)
 zero = HolomorphicDatum.zero()
@@ -89,7 +88,7 @@ def test_uniformising_arrow_terms_match_closed_form():
     g = radial(64)
     n = 4
     spec, st = uniformising(n, g)
-    a = arrow_terms(st)
+    a = st.system.arrow_terms(st.u)
     g0 = hyperbolic_metric(g)
     for k in range(1, n):
         np.testing.assert_allclose(a[:, k - 1], 0.5 * k * (n - k) * g0, rtol=1e-12)
@@ -112,7 +111,7 @@ def test_nu_ratios_equal_reference_on_uniformising_state():
     rep = nu_ratios(st)
     np.testing.assert_allclose(rep.values[0], 0.0)
     np.testing.assert_allclose(rep.values[1], 2.0 / 3.0, rtol=1e-13)
-    a = arrow_terms(st)     # reference: one ratio per k
+    a = st.system.arrow_terms(st.u)     # reference: one ratio per k
     assert np.array_equal(rep.values[0], a[:, 4] / a[:, 0])
     for k in range(2, spec.n_unknowns + 1):
         assert np.array_equal(rep.values[k - 1], a[:, k - 2] / a[:, k - 1])
@@ -129,7 +128,7 @@ def test_morse_energy_against_hyperbolic_area_integral():
     rep = pullback_metric(spec, st)
     exact = 2 * np.pi * R**2 / (1 - R**2)
     assert abs(rep.morse_energy - exact) / exact < 2e-3
-    np.testing.assert_allclose(rep.density, 2 * 2 * arrow_terms(st).sum(axis=1))
+    np.testing.assert_allclose(rep.density, 2 * 2 * st.system.arrow_terms(st.u).sum(axis=1))
 
 
 def test_a_state_solved_with_coefficient_fields_is_analysed_with_them():
@@ -142,12 +141,45 @@ def test_a_state_solved_with_coefficient_fields_is_analysed_with_them():
     rep = solve(make_system(spec, g, coefficient_fields=fields))
     assert rep.converged
     state = rep.state
-    a = state.system.coeff_sq * np.exp(state.u @ spec.ratio_matrix.T)
+    E = spec.embedding
+    a = state.system.coeff_sq * np.exp(state.u @ (np.roll(E, -1, axis=0) - E).T)
     np.testing.assert_allclose(pullback_metric(state.spec, state).density,
                                2 * spec.n * a.sum(axis=1), rtol=1e-14)
     for other in (replace(spec, t=2.0), make_spec("general_cyclic", 3, (one, one, Z))):
         with pytest.raises(ValueError, match="not the spec the state was solved with"):
             pullback_metric(other, state)
+
+
+def test_a_solved_state_is_reduced_by_its_system_alone(monkeypatch):
+    # the system builds D = roll(E, -1) - E once; no reduction, comparison or
+    # Newton step of a solved state reads the spec's embedding again
+    g = radial(32)
+    z2 = HolomorphicDatum.monomial(1.0, 2)
+    solved = lambda spec: solve(make_system(spec, g)).state
+    hitchin = [solved(make_spec("hitchin_component", 3, (Z,), t=t)) for t in (0.0, 0.5, 1.0)]
+    cyclic = solved(make_spec("general_cyclic", 3, (one, Z, Z)))
+    even = solved(make_spec("slnr_even", 2, (one, z2)))
+    odd = solved(make_spec("slnr_odd", 3, (one, z2)))
+    sp4 = solved(make_spec("sp4_gothen", 4, (one, Z)))
+    partner = solved(make_spec("hitchin_component", 2, (even.spec.partner_differential(),)))
+
+    def no_embedding(spec):
+        raise AssertionError("the spec's embedding was read after assembly")
+
+    monkeypatch.setattr(CyclicSpec, "embedding", property(no_embedding))
+    for state in (*hitchin, cyclic, even, odd, sp4, partner):
+        pullback_metric(state.spec, state)
+        metric_ratio_fields(state)
+        extrinsic_curvature(state)
+        sys_, u = state.system, state.system.initial_state().u
+        _newton_step(sys_, u, sys_.residual_array(u), _NewtonLU())
+    nu_ratios(hitchin[-1])
+    sp4_curvature(sp4)
+    for quantity in ("pullback_metric", "ratio_fields"):
+        compare_states(hitchin[1], hitchin[2], quantity)
+    compare_states(even, partner, "harmonic_components")
+    for st_b, st_a in zip(hitchin, hitchin[1:]):    # vanishing-corner and cyclic modes
+        maxprin.difference_system(st_a, st_b)
 
 
 # -- rank-4 symplectic curvature -------------------------------------------
@@ -161,7 +193,7 @@ def test_sp4_curvature_agrees_with_cyclic_formula():
     s4 = sp4_curvature(rep.state)
     cyc = extrinsic_curvature(rep.state)
     np.testing.assert_allclose(s4.k_sigma, cyc.k_sigma, rtol=1e-11)
-    a = arrow_terms(rep.state)
+    a = rep.state.system.arrow_terms(rep.state.u)
     np.testing.assert_allclose(s4.f1, a[:, 3] / a[:, 0], rtol=1e-14)
     np.testing.assert_allclose(s4.f2, a[:, 1] / a[:, 0], rtol=1e-14)
     with pytest.raises(ValueError):
@@ -406,6 +438,9 @@ def test_sym_space_input_validation():
         symmetric_space_curvature(Y, 2.0 * Y)  # degenerate span
     with pytest.raises(ValueError):
         symmetric_space_curvature(np.zeros((2, 2)), Z)  # zero vector, no plane
+    for shapes in ((3,), (3,)), ((2, 2), (3, 3)):
+        with pytest.raises(ValueError, match="square matrices of equal size"):
+            symmetric_space_curvature(*map(np.zeros, shapes))
 
 
 def test_sym_space_commuting_plane_is_flat():
@@ -419,6 +454,20 @@ def test_sym_space_commuting_plane_is_flat():
 def test_sym_space_extremal_planes_hit_the_bound(group, n):
     Y, Z = extremal_plane(group, n)
     assert abs(symmetric_space_curvature(Y, Z) + 1.0 / n) < 1e-14
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_tangent_planes("sp_real", 3, np.random.default_rng(0), 1), "even n"),
+    (lambda: random_tangent_planes("su", 3, np.random.default_rng(0), 1), "unknown group"),
+    (lambda: extremal_plane("sl_real", 3, 1, 1), "0 <= i < j < n"),
+    (lambda: extremal_plane("sl_complex", 3, 0, 3), "0 <= i < j < n"),
+    (lambda: extremal_plane("sp_real", 3), "even n and 0 <= i < n/2"),
+    (lambda: extremal_plane("sp_real", 4, 2), "even n and 0 <= i < n/2"),
+    (lambda: extremal_plane("su", 3), "unknown group"),
+], ids=["sp-odd", "group", "sl-pair", "sl-range", "sp-odd-plane", "sp-index", "plane-group"])
+def test_tangent_planes_refuse_bad_groups_ranks_and_indices(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sym_space_rotation_invariance_and_range():
@@ -772,6 +821,30 @@ def test_curvature_bounds_refuse_other_variants_before_solving(monkeypatch, spec
     with pytest.raises(ValueError, match="hitchin_component"):
         verify_curvature_bounds(spec, radial(32))
     assert calls == []
+
+
+@pytest.mark.parametrize("runner, extra, theorem", [
+    (verify_monotonicity, ([0.5, 1.0],), "monotonicity"),
+    (verify_nu_bounds, (), "nu-bounds"),
+    (verify_curvature_bounds, (), "curvature"),
+    (verify_fiber_comparison, (), "hitchin-fiber-comparison"),
+    (verify_sp4_bounds, (), "sp4-bounds"),
+], ids=["monotonicity", "nu-bounds", "curvature", "fiber-comparison", "sp4-bounds"])
+def test_solve_based_runners_refuse_a_torus_before_building_a_system(monkeypatch, runner, extra,
+                                                                     theorem):
+    # a verdict is asserted against the uniformising Dirichlet data of a disc;
+    # on torus 16 two runners once passed, two gave verdicts and monotonicity
+    # solved its whole family before refusing.  sp4 refuses the torus before
+    # the variant, and the fiber comparison before building its partner.
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built or solved")
+
+    monkeypatch.setattr(analysis, "make_system", never)
+    monkeypatch.setattr(analysis, "solve", never)
+    spec = make_spec("hitchin_component", 3, (Z,))
+    with pytest.raises(ValueError) as exc:
+        runner(spec, build_grid(GridSpec("torus", 16)), *extra)
+    assert str(exc.value) == f"{theorem} needs a disc grid ('radial_disc' or 'disc2d'), not a torus"
 
 
 @pytest.mark.parametrize("t_values", [[1.0], [1.0, 1.0, 2.0], [2.0, 1.0]],

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hitchinlab.cli import _RETIRED_KEYS, _write_table, main, write_state_csv
+from hitchinlab.cli import _RETIRED_KEYS, _write_table, main, write_json, write_state_csv
 from hitchinlab.geometry import GridSpec, build_grid
 from hitchinlab.solver import SolverConfig
 
@@ -59,6 +59,51 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--config", str(p), "--out", str(tmp_path)])
     assert rc == 1
     assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_config_root_that_is_no_object_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", [{"grid": RADIAL, "spec": HITCHIN3}])
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+    assert not out.exists()
+
+
+SYM_QUICK = {"samples": 10, "ranks": [2]}
+
+
+def test_output_directory_that_cannot_be_made_is_io_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", SYM_QUICK)
+    (tmp_path / "file").write_text("")
+    rc = main(["verify", "--theorem", "sym-space-curvature", "--config", cfg,
+               "--out", str(tmp_path / "file" / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
+
+
+def test_failed_write_leaves_no_partial_file_and_is_io_failure(tmp_path, capsys, monkeypatch):
+    def disk_full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("hitchinlab.cli.os.replace", disk_full)
+    cfg = write_cfg(tmp_path, "cfg.json", SYM_QUICK)
+    out = tmp_path / "out"
+    rc = main(["verify", "--theorem", "sym-space-curvature", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "I/O failure: [Errno 28] No space left on device\n")
+    assert list(out.iterdir()) == []
+
+
+def test_written_json_spells_non_finite_numbers_and_drops_wall_times(tmp_path):
+    payload = {"a": float("inf"), "b": [float("nan"), np.float64(-np.inf), np.float32(0.5)],
+               "c": {"wall_time_s": 1.5, "d": (np.float64(2.0),)}, "wall_time_s": 2.5}
+    path = tmp_path / "out.json"
+    write_json(str(path), payload)
+    assert read_json(path) == {"a": "inf", "b": ["nan", "-inf", 0.5], "c": {"d": [2.0]}}
+    write_json(str(path), payload, volatile_ok=True)
+    assert read_json(path) == {"a": "inf", "b": ["nan", "-inf", 0.5],
+                               "c": {"wall_time_s": 1.5, "d": [2.0]}, "wall_time_s": 2.5}
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

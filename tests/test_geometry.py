@@ -31,6 +31,12 @@ def test_grid_spec_validation():
         build_grid(GridSpec("klein_bottle", 64))
 
 
+@pytest.mark.parametrize("resolution", [7, (8, 7), (7, 12)])
+def test_torus_resolution_below_eight_is_refused(resolution):
+    with pytest.raises(ValueError, match="torus resolution must be >= 8 per dimension"):
+        GridSpec("torus", resolution)
+
+
 def test_radial_laplacian_exact_on_quadratic():
     # (1/4)(d_xx + d_yy) applied to x^2 + y^2 is identically 1, and the
     # radial stencil reproduces that exactly, including the axis row

@@ -415,6 +415,16 @@ def test_difference_system_input_validation():
     other = make_spec("hitchin_component", 3, (HolomorphicDatum.constant(2.0),), t=2.0)
     with pytest.raises(ValueError, match="share all holomorphic data"):
         difference_system(make_system(other, st_a.grid).initial_state(), st_b)
+    with pytest.raises(ValueError, match="different grids"):
+        difference_system(make_system(st_a.spec, radial(24)).initial_state(), st_b)
+    torus = build_grid(GridSpec("torus", 8))
+    with pytest.raises(ValueError, match="hyperbolic background"):
+        difference_system(*(make_system(st.spec, torus).initial_state() for st in (st_a, st_b)))
+
+
+def test_full_coupling_refuses_a_non_square_pattern():
+    with pytest.raises(ValueError, match="pattern must be square"):
+        fully_coupled(np.ones((2, 3), dtype=bool))
 
 
 # -- reference: the per-node drift loop and per-block assembly it replaced --

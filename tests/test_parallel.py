@@ -28,6 +28,14 @@ def force_workers(monkeypatch, count):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
+def test_workers_fall_back_to_the_cpu_count_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _parallel._workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)     # undeterminable
+    assert _parallel._workers() == 1
+
+
 @pytest.fixture(scope="module")
 def suite_grids():
     # the grids verify_max_principle uses by default

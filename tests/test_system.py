@@ -23,7 +23,7 @@ from hitchinlab.system import (
     BlowupError,
     CyclicSpec,
     LogMetricState,
-    log_ratios,
+    fuchsian_log_metrics,
     make_spec,
     make_system,
     stability_check,
@@ -206,6 +206,13 @@ def test_fuchsian_state_general_formulation_matches():
     assert worst < 500 * g.spacing**2
 
 
+@pytest.mark.parametrize("n_unknowns", [0, 1, 4])
+def test_fuchsian_log_metrics_refuse_another_unknown_count(n_unknowns):
+    # rank 4 has 2 unknowns (symmetric) or 3 (eliminated cyclic), no other count
+    with pytest.raises(ValueError, match="n_unknowns must be floor"):
+        fuchsian_log_metrics(4, n_unknowns, radial(16))
+
+
 def test_embedding_and_log_ratio_layouts():
     g = radial(16)
     N = g.n_nodes
@@ -217,7 +224,7 @@ def test_embedding_and_log_ratio_layouts():
     assert full.shape == (N, 4)
     np.testing.assert_allclose(full.sum(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(full[:, :3], u)
-    np.testing.assert_allclose(log_ratios(gen, u), np.roll(full, -1, axis=1) - full,
+    np.testing.assert_allclose(make_system(gen, g).log_ratios(u), np.roll(full, -1, axis=1) - full,
                                atol=1e-14)
 
     ev = make_spec("slnr_even", 4, (one, one, one))
@@ -225,7 +232,7 @@ def test_embedding_and_log_ratio_layouts():
     full = u @ ev.embedding.T
     np.testing.assert_allclose(full, np.column_stack([u, -u[:, ::-1]]))
     np.testing.assert_array_equal(
-        log_ratios(ev, u), np.column_stack([u[:, 1] - u[:, 0], -2 * u[:, 1],
+        make_system(ev, g).log_ratios(u), np.column_stack([u[:, 1] - u[:, 0], -2 * u[:, 1],
                                             u[:, 1] - u[:, 0], 2 * u[:, 0]]))
 
     od = make_spec("slnr_odd", 5, (one, one, one))
@@ -234,7 +241,8 @@ def test_embedding_and_log_ratio_layouts():
     assert full.shape == (N, 5)
     np.testing.assert_allclose(full[:, 2], 0.0)
     np.testing.assert_allclose(full[:, 3:], -u[:, ::-1])
-    assert np.array_equal(od.ratio_matrix, np.roll(od.embedding, -1, axis=0) - od.embedding)
+    assert np.array_equal(make_system(od, g).log_ratios(u),
+                          u @ (np.roll(od.embedding, -1, axis=0) - od.embedding).T)
 
 
 def test_symmetric_and_general_formulations_agree_pointwise():
@@ -373,13 +381,13 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
     abs_d = np.abs(np.roll(spec.embedding, -1, axis=0) - spec.embedding)
     S, S_b = np.abs(u) @ abs_d.T, np.abs(u_b) @ abs_d.T    # the sums each log-ratio cancels
 
-    lr = _expand_and_roll(spec, u)
-    _assert_same_up_to_cancellation(spec, log_ratios(spec, u), lr, S)
-
     sys_ = system_module.HitchinSystem(spec, g, G)
+    lr = _expand_and_roll(spec, u)
+    _assert_same_up_to_cancellation(spec, sys_.log_ratios(u), lr, S)
+
     a = G * np.exp(lr)
     scale = a * (1 + S)
-    _assert_same_up_to_cancellation(spec, sys_._arrows(u), a, scale)
+    _assert_same_up_to_cancellation(spec, sys_.arrow_terms(u), a, scale)
     _assert_same_up_to_cancellation(spec, sys_._coupling_residual(u),
                                     (a - np.roll(a, 1, axis=1))[:, :m],
                                     (scale + np.roll(scale, 1, axis=1))[:, :m])

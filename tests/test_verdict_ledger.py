@@ -1,5 +1,5 @@
-"""Every verdict of the radial theorem battery, on seeds 0-5, matches the
-committed ledger (see ``tests/verdict_ledger.py``, which also rewrites it)."""
+"""Every verdict of the radial theorem battery, on seeds 0-5, and of the
+seed-0 suites and ladder solves matches the committed ledger (see ``tests/verdict_ledger.py``, which also rewrites it)."""
 
 import json
 

@@ -1,10 +1,12 @@
-"""The verdict ledger: every fact the radial theorem battery reports.
+"""The verdict ledger: every fact the benchmark's verdicts and ladder report.
 
 The battery is the 30 verify operations of the benchmark's ``radial-study``
 workload (``perfbench/workloads._battery``), run on workload seeds 0-5.
 ``compute()`` runs it and flattens each verdict to ``{path: leaf}``: every
 boolean flag, note, margin, deviation and reported value, but not the solve
 diagnostics under ``solver`` and ``reports`` (timings, iteration counts).
+Seed 0 adds the two ``suites`` verdicts, flattened alike, and the 15 ladder
+solves of ``radial-study`` as ``{converged, iterations, message}``.
 ``tests/test_verdict_ledger.py`` recomputes the ledger and compares it with
 the committed ``verdict_ledger.json``: booleans, strings and ``None`` must
 match exactly and numbers within ``ATOL + RTOL * |x|``.
@@ -67,12 +69,21 @@ def flatten(value, path: str = "") -> dict:
 
 def compute(out_dir: str) -> dict:
     """``{"<seed>/<operation>": flattened verdict}`` for the battery on every
-    seed, its verdict files written under ``out_dir``."""
+    seed and, on seed 0, the suites and the ladder solves, their output
+    files written under ``out_dir``."""
     workloads = load_workloads()
+    ctx = workloads.OpContext(out_dir)
     ledger = {}
     for seed in SEEDS:
         for op in workloads._battery(workloads._battery_scale(seed)):
-            ledger[f"{seed}/{op.name}"] = flatten(op.run(workloads.OpContext(out_dir)))
+            ledger[f"{seed}/{op.name}"] = flatten(op.run(ctx))
+    for op in workloads.suites(0):
+        ledger[f"0/{op.name}"] = flatten(op.run(ctx))
+    for op in workloads.radial_study(0):
+        if op.name.startswith("solve/"):
+            rep = op.run(ctx)
+            ledger[f"0/{op.name}"] = {"converged": rep.converged,
+                                      "iterations": rep.iterations, "message": rep.message}
     return ledger
 
 
