@@ -4,11 +4,11 @@ From a solved log-metric state, which carries its system, this module
 computes the pullback metric of the harmonic map, the interior ratio
 invariants of Hitchin-section states, the extrinsic curvature of the image
 surface and the dedicated rank-4 curvature formula, all through the
-system's arrow kernel (``log_ratios``, ``arrow_terms``) and its assembled
-``coeff_sq``, and sectional curvatures of the ambient symmetric space.  On
-top of those sit ``verify_*`` runners that orchestrate solves
-and produce machine-checkable verdicts with explicit margins; the CLI and
-the acceptance suite both call these.  The verdicts are plain dicts, and so
+system's arrow kernel (``log_ratios``, ``scaled_log_ratios``, ``arrow_terms``)
+and its assembled ``coeff_sq``, and sectional curvatures of the ambient
+symmetric space.  On top of those sit ``verify_*`` runners that orchestrate
+solves and produce machine-checkable verdicts with explicit margins; the CLI
+and the acceptance suite both call these.  The verdicts are plain dicts, and so
 is each strict comparison that ``compare_states`` returns; the report
 classes hold only the fields a verdict or a caller reads.  ``scale_family``
 solves a t-family (stability gate, continuation, per-member metric) for
@@ -20,8 +20,10 @@ resolution, so a margin measures the solution and not the Dirichlet
 boundary layer.  Each solve-based runner refuses a torus grid before it
 builds any system.
 
-Pairwise comparisons measure their margins on the log scale, field by
-field, and call a margin resolved when it exceeds
+Pairwise comparisons take their margins as minima of log-gap fields, never
+through an exp: the ratio gaps are rows of the difference of the two states'
+``scaled_log_ratios``, the v that ``maxprin.difference_system`` certifies,
+and a margin is resolved when it exceeds
 
     max(10 * solver_tol, MARGIN_COEFF_PAIRED * spacing^2 * max|margin field|)
 
@@ -75,9 +77,7 @@ def metric_ratio_fields(state: LogMetricState) -> np.ndarray:
     is monotone in the family scale); the holomorphic coefficients are not
     included.
     """
-    ratios = np.exp(state.system.log_ratios(state.u))
-    ratios[:, -1] *= state.spec.scale_sq
-    return ratios
+    return np.exp(state.system.scaled_log_ratios(state.u))
 
 
 @dataclass
@@ -136,12 +136,10 @@ def nu_ratios(state: LogMetricState) -> NuRatioReport:
 
 @dataclass
 class CurvatureReport:
-    k_sigma: np.ndarray          # (N,), NaN where undefined
-    defined_mask: np.ndarray     # (N,) bool: image surface defined (phi != 0)
+    k_sigma: np.ndarray          # (N,), NaN where undefined (phi = 0)
 
     def interior_range(self, region: np.ndarray) -> tuple[float, float]:
-        sel = region & self.defined_mask
-        vals = self.k_sigma[sel]
+        vals = self.k_sigma[region & ~np.isnan(self.k_sigma)]
         return float(vals.min()), float(vals.max())
 
 
@@ -162,10 +160,10 @@ def extrinsic_curvature(state: LogMetricState) -> CurvatureReport:
     k_sigma = np.full(state.grid.n_nodes, np.nan)
     if n == 2:
         k_sigma[defined] = -0.5
-        return CurvatureReport(k_sigma, defined)
+        return CurvatureReport(k_sigma)
     num = (np.diff(a, axis=1, append=a[:, :1]) ** 2).sum(axis=1)
     k_sigma[defined] = -num[defined] / (2.0 * n * total[defined] ** 2)
-    return CurvatureReport(k_sigma, defined)
+    return CurvatureReport(k_sigma)
 
 
 @dataclass
@@ -320,19 +318,17 @@ def extremal_plane(group: str, n: int, i: int = 0, j: int = 1):
 # -- pairwise comparisons --------------------------------------------------
 
 
-def _log_margin_report(quantity, lower_fields, upper_fields, masks, region, grid,
-                       solver_tol, notes=""):
+def _log_margin_report(quantity, gaps, masks, region, grid, solver_tol, notes=""):
     """The verdict dict of a strict comparison on a verdict region.
 
-    ``margins`` holds the per-field minimum of log(hi) - log(lo) over each
-    field's mask, ``min_margin`` the least of them; the verdict is true only
-    when every margin exceeds its threshold max(10 * tol, C * h^2 * max|field|).
+    ``margins`` holds the minimum of each log-gap field log(hi) - log(lo) over
+    its mask, ``min_margin`` the least of them; the verdict is true only when
+    every margin exceeds its threshold max(10 * tol, C * h^2 * max|field|).
     """
     margins, thresholds = [], []
     floor = 10.0 * solver_tol
-    for lo, hi, mask in zip(lower_fields, upper_fields, masks):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.log(hi[mask]) - np.log(lo[mask])
+    for gap, mask in zip(gaps, masks):
+        m = gap[mask]
         margins.append(float(np.min(m)))
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         thresholds.append(max(floor, MARGIN_COEFF_PAIRED * grid.spacing**2 * scale))
@@ -363,15 +359,14 @@ def compare_states(
     if quantity == "pullback_metric":
         ga = pullback_metric(state_a.spec, state_a).density
         gb = pullback_metric(state_b.spec, state_b).density
-        return _log_margin_report("pullback_metric", [ga], [gb], [region], region,
-                                  grid, solver_tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.log(gb) - np.log(ga)
+        return _log_margin_report("pullback_metric", [gap], [region], region, grid, solver_tol)
     if quantity == "ratio_fields":
-        ra, rb = metric_ratio_fields(state_a), metric_ratio_fields(state_b)
         k_max = n if (state_a.spec.scale_sq > 0 and state_b.spec.scale_sq > 0) else n - 1
-        los = [ra[:, k] for k in range(k_max)]
-        his = [rb[:, k] for k in range(k_max)]
+        la, lb = (s.system.scaled_log_ratios(s.u)[:, :k_max] for s in (state_a, state_b))
         note = "corner ratio included" if k_max == n else "corner ratio skipped (zero scale)"
-        return _log_margin_report("ratio_fields", los, his, [region] * k_max, region,
+        return _log_margin_report("ratio_fields", (lb - la).T, [region] * k_max, region,
                                   grid, solver_tol, note)
     if quantity == "harmonic_components":
         return _harmonic_domination(state_a, state_b, region, solver_tol)
@@ -392,15 +387,15 @@ def _harmonic_domination(state, state_hit, region, solver_tol):
         raise ValueError("partner must be a Hitchin-section state of equal rank")
     G = state.system.coeff_sq
     mu_weight = np.sqrt(G[:, m - 1]) if n % 2 == 0 else G[:, m - 1]
-    lows, highs, masks = [], [], []
+    gaps, masks = [], []
     for k in range(1, m + 1):
         w = mu_weight.copy()
         for j in range(k - 1, m - 1):
             w = w * G[:, j]
-        lows.append(w * np.exp(state_hit.u[:, k - 1]))
-        highs.append(np.exp(state.u[:, k - 1]))
+        with np.errstate(divide="ignore"):
+            gaps.append(state.u[:, k - 1] - state_hit.u[:, k - 1] - np.log(w))
         masks.append(region & (w > 0.0))
-    return _log_margin_report("harmonic_components", lows, highs, masks, region,
+    return _log_margin_report("harmonic_components", gaps, masks, region,
                               state.grid, solver_tol, "weight zero set excluded")
 
 
@@ -585,7 +580,7 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
         out["qzero_k_max"] = float(curv.k_sigma[qzero].max())
         out["qzero_bound"] = float(fuchs)
     _flag_equality_case(out, _uniformising_note(system, f"K = {fuchs} holds"), lambda: np.abs(
-        curv.k_sigma[region & curv.defined_mask] - float(fuchs)).max())
+        curv.k_sigma[region & ~np.isnan(curv.k_sigma)] - float(fuchs)).max())
     return out
 
 

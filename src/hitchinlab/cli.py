@@ -78,6 +78,17 @@ def _list_from(value, key: str) -> list:
     return value
 
 
+def _ints_from(value, key: str) -> tuple[int, ...]:
+    return tuple(_int_from(v, key) for v in _list_from(value, key))
+
+
+def _given_options(obj: dict, readers: dict) -> dict:
+    """Keyword arguments for the keys ``obj`` sets, each read by its
+    ``readers[key] = (argument, reader)``; a key left out is not passed,
+    so the library's own default applies."""
+    return {arg: read(obj[key], key) for key, (arg, read) in readers.items() if key in obj}
+
+
 def _complex_from(value, key: str) -> complex:
     """A complex config number: a real number or an [re, im] pair of them."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -110,19 +121,14 @@ def parse_datum(obj) -> HolomorphicDatum:
 def parse_grid(obj) -> Grid:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("config needs a 'grid' object with a 'kind'")
-    res = obj.get("resolution", 128)
-    if isinstance(res, list):
-        res = tuple(_int_from(r, "resolution") for r in res)
-    else:
-        res = _int_from(res, "resolution")
-    kwargs = {}
-    if "radius" in obj:
-        kwargs["radius"] = _float_from(obj["radius"], "radius")
-    if "periods" in obj:
-        kwargs["periods"] = tuple(_float_from(p, "periods")
-                                  for p in _list_from(obj["periods"], "periods"))
+    kwargs = _given_options(obj, {
+        "resolution": ("resolution",
+                       lambda v, k: _ints_from(v, k) if isinstance(v, list) else _int_from(v, k)),
+        "radius": ("radius", _float_from),
+        "periods": ("periods", lambda v, k: tuple(_float_from(p, k) for p in _list_from(v, k))),
+    })
     try:
-        return build_grid(GridSpec(obj["kind"], res, **kwargs))
+        return build_grid(GridSpec(obj["kind"], **kwargs))
     except ValueError as exc:
         raise UsageError(f"bad grid: {exc}") from exc
 
@@ -134,7 +140,7 @@ def parse_spec(obj) -> CyclicSpec:
         data = tuple(parse_datum(d) for d in _list_from(obj["data"], "data"))
         degrees = obj.get("degrees")
         return make_spec(obj["variant"], _int_from(obj["n"], "n"), data,
-                         t=_complex_from(obj.get("t", 1.0), "t"),
+                         **_given_options(obj, {"t": ("t", _complex_from)}),
                          degrees=None if degrees is None else _list_from(degrees, "degrees"))
     except KeyError as exc:
         raise UsageError(f"spec is missing field {exc}") from exc
@@ -284,12 +290,12 @@ def _run_theorem(theorem: str, cfg: dict, seed: int) -> dict:
         spec = parse_spec(cfg.get("spec"))
         return SOLVE_RUNNERS[theorem](spec, grid, *extra, sc)
     if theorem == "max-principle":
-        return analysis.verify_max_principle(_int_from(cfg.get("count", 200), "count"), seed)
+        return analysis.verify_max_principle(
+            seed=seed, **_given_options(cfg, {"count": ("count", _int_from)}))
     if theorem == "sym-space-curvature":
-        ns = tuple(_int_from(n, "ranks")
-                   for n in _list_from(cfg.get("ranks", [2, 3, 4, 5, 6]), "ranks"))
-        return analysis.verify_sym_space(_int_from(cfg.get("samples", 10000), "samples"),
-                                         seed, ns)
+        return analysis.verify_sym_space(seed=seed, **_given_options(cfg, {
+            "samples": ("samples", _int_from),
+            "ranks": ("ns", _ints_from)}))
     raise UsageError(f"unknown theorem {theorem!r}")
 
 

@@ -9,7 +9,10 @@ off-diagonal entry of L stays nonnegative.  Positivity of solutions with
 f <= 0 rests on three structure conditions:
 
   (a) cooperative:        c_ij >= 0 for i != j,
-  (b) column dominance:   sum_i c_ij <= 0 for every j,
+  (b) column dominance:   sum_i c_ij <= 0 for every j, and on a periodic
+                          grid with no pole (no Dirichlet row at all) also
+                          sum_i c_ij < 0 for some j at some node, since
+                          zero column sums everywhere leave L + C singular,
   (c) fully coupled:      no partition (alpha, beta) of the unknowns with
                           c_ij identically zero for i in alpha, j in beta.
 
@@ -29,11 +32,12 @@ upwinded drift, and on a 2-D grid this ordering fills about half as much
 as the default COLAMD.
 
 ``difference_system`` assembles the cooperative system satisfied by the
-log-ratios of two solved cyclic states that share holomorphic data and
-differ only in the last-arrow scale.  Its coefficients use the exact
-integral-mean closed form (e^v - 1)/v, and the column sums vanish
-identically, so conditions (a)-(c) prove the scale-monotonicity
-comparison by the same mechanism as the continuum argument.
+gap v of the ``HitchinSystem.scaled_log_ratios`` of two solved cyclic states
+that share holomorphic data and differ only in the last-arrow scale; the
+ratio margins of ``analysis.compare_states`` are its row minima.  Its
+coefficients use the exact integral-mean closed form (e^v - 1)/v, and the
+column sums vanish identically, so conditions (a)-(c) prove the
+scale-monotonicity comparison by the same mechanism as the continuum argument.
 
 ``randomized_positivity_suite`` draws its systems from one stream on the
 calling thread, in case order, and runs their certified solves on one
@@ -181,8 +185,10 @@ def fully_coupled(pattern: np.ndarray):
 def check_conditions(system: CooperativeSystem) -> dict:
     """Verify conditions (a), (b), (c) with worst-case witnesses.
 
-    (a) and (b) allow ``CONDITION_TOL`` of round-off; (c) counts a coupling
-    that is nonzero at any scanned node.  Returns the verdict dict: the
+    (a) and (b) allow ``CONDITION_TOL`` of round-off; on a grid with no
+    boundary node and a system with no pole, (b) also needs some scanned
+    column sum below -``CONDITION_TOL``.  (c) counts a coupling that is
+    nonzero at any scanned node.  Returns the verdict dict: the
     three flags, the witnesses ``worst_offdiag`` [i, j, node, c_ij],
     ``worst_column_sum`` [j, node, sum] and the decoupling ``partition``
     (each None when there is none), ``tol`` and ``passed``.
@@ -206,6 +212,10 @@ def check_conditions(system: CooperativeSystem) -> dict:
         j, k = np.unravel_index(np.argmax(colsums), colsums.shape)
         worst_col = [int(j), int(scan_idx[k]), float(colsums[j, k])]
     column_ok = worst_col is None or worst_col[2] <= CONDITION_TOL
+    if not (system.grid.boundary_mask.any() or system.excluded.any()):
+        # nothing pins the operator: zero column sums at every node leave a
+        # left null vector (the invariant measure of L, once per unknown)
+        column_ok = bool(column_ok and (colsums < -CONDITION_TOL).any())
 
     coupled_ok, partition = fully_coupled(coupling_pattern(system))
     return {"cooperative_ok": cooperative_ok, "column_dominance_ok": column_ok,
@@ -293,8 +303,8 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
 
     The two states' specs must share all holomorphic data and differ only
     in the last-arrow scale, with |t_a| > |t_b| >= 0.  The consecutive-metric
-    ratios u_k (with |t|^2 folded into the corner ratio) satisfy a closed
-    cyclic system; subtracting the two copies and applying the exact
+    ratios u_k (logs ``scaled_log_ratios``, |t|^2 in the corner) satisfy a
+    closed cyclic system; subtracting the two copies and applying the exact
     mean-value identity e^x - e^y = (x - y) * mean(e) yields
 
         (1/g0) Lap v_k + c_{k-1} v_{k-1} - 2 c_k v_k + c_{k+1} v_{k+1} = f_k,
@@ -312,25 +322,17 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
         raise ValueError("the scale-family comparison needs the hyperbolic background")
     if spec_a.cyclic_data() != spec_b.cyclic_data():
         raise ValueError("specs must share all holomorphic data (only t may differ)")
-    ta, tb = abs(spec_a.t), abs(spec_b.t)
-    if not ta > tb:
+    if not abs(spec_a.t) > abs(spec_b.t):
         raise ValueError("need |t_a| > |t_b|")
 
     n, N, g0 = spec_a.n, grid.n_nodes, hyperbolic_metric(grid)
-    lr_a = state_a.system.log_ratios(state_a.u)     # log consecutive ratios
-    lr_b = state_b.system.log_ratios(state_b.u)
     a_b = state_b.system.arrow_terms(state_b.u).T   # (n, N) b-side arrow terms
     # the a-side corner arrow term, the source in the vanishing-corner mode
     corner_a = state_a.system.arrow_terms(state_a.u)[:, -1] / g0
     mode = "cyclic" if spec_b.scale_sq > 0 else "vanishing_corner"
-
-    if mode == "cyclic":
-        lr_a[:, n - 1] += 2.0 * np.log(ta)
-        lr_b[:, n - 1] += 2.0 * np.log(tb)
-        n_v = n
-    else:
-        n_v = n - 1
-    v = (lr_a - lr_b)[:, :n_v].T                    # (n_v, N)
+    n_v = n if mode == "cyclic" else n - 1
+    L_a, L_b = (s.system.scaled_log_ratios(s.u)[:, :n_v] for s in (state_a, state_b))
+    v = (L_a - L_b).T                               # (n_v, N)
     c_k = a_b[:n_v] * _phi(v) / g0
 
     C = np.zeros((n_v, n_v, N))

@@ -234,8 +234,9 @@ class HitchinSystem:
     """A spec bound to a grid with its coefficient fields.
 
     The one arrow kernel: ``log_ratios(u)`` = u D^T with D = roll(E, -1) - E,
-    built once here, and ``arrow_terms(u)`` = G exp(u D^T).  The residual, the
-    Newton matrix and every reduction of a solved state read them.
+    built once here, ``scaled_log_ratios(u)``, the same with log |t|^2 in the
+    corner, and ``arrow_terms(u)`` = G exp(u D^T).  The residual, the Newton
+    matrix and every reduction of a solved state read them.
 
     The boundary is the grid's own.  ``boundary_values`` is the Newton seed
     and holds the Dirichlet data: on a disc the uniformising state
@@ -281,6 +282,13 @@ class HitchinSystem:
     def log_ratios(self, u: np.ndarray) -> np.ndarray:
         """Log consecutive ratios log h_k^{-1} h_{k+1} of the unknowns u, (N, n)."""
         return u @ self._d.T
+
+    def scaled_log_ratios(self, u: np.ndarray) -> np.ndarray:
+        """``log_ratios(u)`` plus log |t|^2 in the corner (-inf where |t|^2 = 0)."""
+        lr = self.log_ratios(u)
+        with np.errstate(divide="ignore"):
+            lr[:, -1] += np.log(self.spec.scale_sq)
+        return lr
 
     def arrow_terms(self, u: np.ndarray) -> np.ndarray:
         """Arrow terms |gamma_k|^2 h_k^{-1} h_{k+1} of the unknowns u, (N, n),

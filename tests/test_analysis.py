@@ -59,7 +59,7 @@ def test_uniformising_curvature_constant(n):
     spec, st = uniformising(n, g)
     curv = extrinsic_curvature(st)
     expect = -6.0 / (n**2 * (n**2 - 1))
-    assert curv.defined_mask.all()
+    assert not np.isnan(curv.k_sigma).any()
     np.testing.assert_allclose(curv.k_sigma, expect, rtol=1e-13)
 
 
@@ -67,7 +67,7 @@ def test_rank_two_image_is_hyperbolic_of_curvature_minus_half():
     g = radial(48)
     spec, st = uniformising(2, g)
     curv = extrinsic_curvature(st)
-    np.testing.assert_allclose(curv.k_sigma[curv.defined_mask], -0.5)
+    np.testing.assert_allclose(curv.k_sigma[~np.isnan(curv.k_sigma)], -0.5)
 
 
 def test_curvature_hand_oracle_three_equal_arrows():
@@ -857,6 +857,29 @@ def test_monotonicity_refuses_a_family_that_is_not_strictly_increasing(monkeypat
     with pytest.raises(ValueError, match="strictly increasing 't_list' of at least 2"):
         verify_monotonicity(spec, radial(32), t_values)
     assert calls == []
+
+
+@pytest.mark.parametrize("s", [1.0, 0.95, 0.9, 0.87])
+@pytest.mark.parametrize("variant, n, data", [
+    ("general_cyclic", 3, lambda s: (HolomorphicDatum.constant(s),) + (
+        HolomorphicDatum.monomial(s, 1),) * 2),
+    ("sp4_gothen", 4, lambda s: (HolomorphicDatum.constant(s), HolomorphicDatum.monomial(s, 1))),
+], ids=["cyclic-n3", "sp4"])
+def test_ratio_margins_are_the_row_minima_of_the_certified_difference_field(
+        monkeypatch, variant, n, data, s):
+    # the ratio margins once took log(exp(l) |t|^2) and v added 2 log|t|:
+    # on these families 10 of 104 margins differed from min v in their last bits
+    fields = []
+    real = maxprin.difference_system
+    monkeypatch.setattr(maxprin, "difference_system",
+                        lambda a, b: fields.append(real(a, b)) or fields[-1])
+    g = radial(256)
+    out = verify_monotonicity(make_spec(variant, n, data(s)), g, [0.0, 0.5, 1.0, 2.0, 3.7])
+    assert out["passed"] and len(fields) == len(out["pairs"]) == 4
+    region = g.verdict_region()
+    for pair, ds in zip(out["pairs"], fields):
+        assert pair["ratios"]["margins"] == [float(v[region].min()) for v in ds.v]
+        assert pair["v_min_verdict_region"] == pair["ratios"]["min_margin"]
 
 
 def test_verify_max_principle_quick():

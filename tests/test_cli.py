@@ -257,6 +257,36 @@ def test_verify_sym_space_vacuous_config_is_usage_error(tmp_path, capsys, payloa
     assert not (out / "verdict.json").exists()
 
 
+def test_omitted_options_take_the_library_defaults(tmp_path, monkeypatch):
+    # the CLI once restated resolution 128, t = 1.0, count 200, samples 10000
+    # and ranks [2, ..., 6] as its own fallbacks, so a changed library default
+    # never reached a config that omitted the key
+    from hitchinlab import analysis, cli, system
+    monkeypatch.setattr(GridSpec.__init__, "__defaults__", (24, 0.8, (1.0, 1.0)))
+    monkeypatch.setattr(system.make_spec, "__defaults__", (0.5, None))
+    monkeypatch.setattr(analysis.verify_max_principle, "__defaults__", (3, 0, None))
+    monkeypatch.setattr(analysis.verify_sym_space, "__defaults__", (17, 0, (2, 3)))
+    assert cli.parse_grid({"kind": "radial_disc"}).spec.resolution == 24
+    spec = {k: v for k, v in HITCHIN3.items() if k != "t"}
+    assert cli.parse_spec(spec).t == 0.5
+    cfg = write_cfg(tmp_path, "cfg.json", {})
+    for theorem in ("max-principle", "sym-space-curvature"):
+        assert main(["verify", "--config", cfg, "--theorem", theorem,
+                     "--out", str(tmp_path / theorem)]) == 0
+    assert read_json(tmp_path / "max-principle" / "verdict.json")["suite"]["count"] == 3
+    sym = read_json(tmp_path / "sym-space-curvature" / "verdict.json")
+    assert sym["samples"] == 17 and {g["n"] for g in sym["groups"]} == {2, 3}
+
+
+def test_an_unknown_theorem_is_refused_before_anything_runs(tmp_path):
+    # argparse's choices refuse it first on the command line; the library
+    # entry point refuses it too, and writes no verdict
+    from hitchinlab.cli import UsageError, cmd_verify
+    with pytest.raises(UsageError, match="unknown theorem 'energy'"):
+        cmd_verify({}, "energy", str(tmp_path), 0)
+    assert not (tmp_path / "verdict.json").exists()
+
+
 _DEGREE_17 = dict(HITCHIN3, data=[{"kind": "monomial", "coefficient": 1.0, "degree": 1.7}])
 
 

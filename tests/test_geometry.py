@@ -378,6 +378,10 @@ def test_datum_constructors_and_algebra():
     zero = HolomorphicDatum.zero()
     assert (zero * p).is_zero()
     assert zero.scaled(3.0).is_zero()
+    # a product with anything but a datum is refused, never coerced
+    for other in (2.0, 1j, np.ones(3)[0], "z"):
+        with pytest.raises(TypeError):
+            z * other
 
 
 @pytest.mark.parametrize("valuation", [-1, 0.5, 1.0, True, False, -2])
@@ -499,6 +503,7 @@ def test_grid_spec_is_frozen():
         spec.radius = 0.5
     g = build_grid(spec)
     assert isinstance(g, Grid)
+    assert repr(g) == "Grid(radial_disc, n_nodes=16, spacing=0.06)"
     # derived arrays are handed out as copies, so callers cannot corrupt them
     w = g.area_weights()
     w[:] = 0.0

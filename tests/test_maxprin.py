@@ -236,7 +236,50 @@ def test_certification_refusal():
         solve_linear_cooperative(bad)
 
 
-_SOLVE_GRIDS = [radial(24), build_grid(GridSpec("disc2d", 11, 0.8)),
+def _torus_system(size, c, excluded=None):
+    """A constant coupling matrix ``c`` at every node of a torus, f = -1."""
+    g = build_grid(GridSpec("torus", (size, size)))
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    return CooperativeSystem(g, n, np.repeat(c[:, :, None], g.n_nodes, axis=2),
+                             -np.ones((n, g.n_nodes)), excluded=excluded)
+
+
+@pytest.mark.parametrize("size", [8, 16])
+@pytest.mark.parametrize("c", [[[0.0]], [[-1.0, 1.0], [1.0, -1.0]]], ids=["n1", "n2"])
+def test_zero_column_sums_on_a_periodic_grid_are_refused(size, c):
+    # nothing pins L + C there: (b) once held with equality at every node, the
+    # singular operator was certified and "solved" to max|u| of 1e14 - 1e15
+    sys_ = _torus_system(size, c)
+    rep = check_conditions(sys_)
+    assert rep["column_dominance_ok"] is False and not rep["passed"]
+    assert rep["cooperative_ok"] and rep["fully_coupled"]
+    assert rep["worst_column_sum"][2] == 0.0
+    with pytest.raises(CertificationError):
+        solve_linear_cooperative(sys_)
+
+
+def test_one_strictly_dominant_column_certifies_a_periodic_system():
+    sys_ = _torus_system(8, [[-1.0, 1.0], [1.0, -1.0]])
+    sys_.c[1, 1, 5] -= 0.5
+    rep = check_conditions(sys_)
+    assert rep["passed"] and rep["column_dominance_ok"] is True
+    u = solve_linear_cooperative(sys_)
+    _assert_matches_dense_oracle(sys_, u)
+    assert u.min() > 0.0
+
+
+def test_a_pole_pins_a_zero_sum_periodic_system():
+    excluded = np.zeros((2, 64), dtype=bool)
+    excluded[0, 9] = True
+    sys_ = _torus_system(8, [[-1.0, 1.0], [1.0, -1.0]], excluded)
+    assert check_conditions(sys_)["passed"]
+    u = solve_linear_cooperative(sys_)
+    _assert_matches_dense_oracle(sys_, u)
+    assert u[:, sys_.scan_mask()].min() > 0.0
+
+
+_SOLVE_GRIDS =[radial(24), build_grid(GridSpec("disc2d", 11, 0.8)),
                 build_grid(GridSpec("torus", (8, 8)))]
 
 

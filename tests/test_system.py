@@ -392,8 +392,10 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
                                     (a - np.roll(a, 1, axis=1))[:, :m],
                                     (scale + np.roll(scale, 1, axis=1))[:, :m])
 
+    # |t|^2 enters a log ratio in one place, as log |t|^2 added to the corner
+    lr[:, -1] += np.log(spec.scale_sq)
+    _assert_same_up_to_cancellation(spec, sys_.scaled_log_ratios(u), lr, S)
     ratios = np.exp(lr)
-    ratios[:, -1] *= spec.scale_sq
     state = LogMetricState(sys_, u)
     _assert_same_up_to_cancellation(spec, analysis_module.metric_ratio_fields(state),
                                     ratios, ratios * (1 + S))
@@ -403,10 +405,19 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
     ds = maxprin_module.difference_system(state, state_b)
     lr_b, n_v = _expand_and_roll(spec_b, u_b), n - (t_b == 0)
     if t_b > 0:
-        lr[:, -1] += 2.0 * np.log(t_a)
-        lr_b[:, -1] += 2.0 * np.log(t_b)
+        lr_b[:, -1] += np.log(spec_b.scale_sq)
     _assert_same_up_to_cancellation(spec, ds.v, (lr - lr_b)[:, :n_v].T,
                                     (S + S_b + np.abs(lr) + np.abs(lr_b))[:, :n_v].T)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [0.0, 1e-170])
+def test_a_vanishing_scale_puts_minus_infinity_in_the_scaled_corner(t):
+    sys_ = make_system(make_spec("general_cyclic", 3, (one,) * 3, t=t), KERNEL_GRID)
+    u = np.random.default_rng(0).standard_normal((KERNEL_GRID.n_nodes, 2))
+    scaled = sys_.scaled_log_ratios(u)
+    assert np.array_equal(scaled[:, :-1], sys_.log_ratios(u)[:, :-1])
+    assert (scaled[:, -1] == -np.inf).all()
 
 
 # -- Jacobian correctness --------------------------------------------------
