@@ -3,7 +3,7 @@
 From a solved log-metric state, which carries its system, this module
 computes the pullback metric of the harmonic map, the interior ratio
 invariants of Hitchin-section states, the extrinsic curvature of the image
-surface and the dedicated rank-4 curvature formula, all through the
+surface and the coefficient ratios of the rank-4 curvature, all through the
 system's arrow kernel (``log_ratios``, ``scaled_log_ratios``, ``arrow_terms``)
 and its assembled ``coeff_sq``, and sectional curvatures of the ambient
 symmetric space.  On top of those sit ``verify_*`` runners that orchestrate
@@ -20,18 +20,18 @@ resolution, so a margin measures the solution and not the Dirichlet
 boundary layer.  Each solve-based runner refuses a torus grid before it
 builds any system.
 
-Pairwise comparisons take their margins as minima of log-gap fields, never
-through an exp: the ratio gaps are rows of the difference of the two states'
-``scaled_log_ratios``, the v that ``maxprin.difference_system`` certifies,
-and a margin is resolved when it exceeds
+Every strict inequality a verdict conjoins is one ``_margin_report``: the
+minimum (margin) of a gap field positive where the inequality holds must
+exceed a threshold given as data, and ``passed`` conjoins the reports'
+verdicts.  Pairwise comparisons take log-gap fields, never through an exp
+(the ratio gaps are rows of the v that ``maxprin.difference_system``
+certifies), with the threshold
 
-    max(10 * solver_tol, MARGIN_COEFF_PAIRED * spacing^2 * max|margin field|)
+    max(10 * solver_tol, MARGIN_COEFF_PAIRED * spacing^2 * max|gap field|)
 
-Both states are solved on the same grid, so the shared discretisation bias
-cancels up to a term proportional to the difference field itself.  The
-curvature bound of ``verify_curvature_bounds`` is checked with the fixed
-slack ``CURVATURE_SLACK`` at every spacing, and the ratio bounds of
-``verify_nu_bounds`` and ``verify_sp4_bounds`` with no threshold at all.
+as both states share one grid, whose bias cancels up to a term proportional
+to the difference field.  The curvature bound has -CURVATURE_SLACK at every
+spacing, and the ratio bounds of nu-bounds and sp4-bounds have 0.
 
 A vanishing corner arrow is read from its assembled coefficient |t gamma_n|^2
 (``scale_sq`` where only the scale matters), never from t or the datum, so
@@ -170,23 +170,19 @@ def extrinsic_curvature(state: LogMetricState) -> CurvatureReport:
 class Sp4CurvatureReport:
     f1: np.ndarray
     f2: np.ndarray
-    k_sigma: np.ndarray
 
 
 def sp4_curvature(state: LogMetricState) -> Sp4CurvatureReport:
-    """Rank-4 curvature through the two coefficient ratios.
+    """The two coefficient ratios of the rank-4 curvature.
 
-    f1 = |nu|^2 h_1^2 / (h_1^{-1} h_2), f2 = |mu|^2 h_2^{-2} / (h_1^{-1} h_2);
-    then K = -[(f1-1)^2 + (f2-1)^2] / (4 (2 + f1 + f2)^2), which agrees with
-    the general cyclic formula on the unfolded state.
+    f1 = |nu|^2 h_1^2 / (h_1^{-1} h_2), f2 = |mu|^2 h_2^{-2} / (h_1^{-1} h_2),
+    in which K = -[(f1-1)^2 + (f2-1)^2] / (4 (2 + f1 + f2)^2); the K itself
+    is ``extrinsic_curvature``'s cyclic closed form on the unfolded state.
     """
     if state.spec.variant != "sp4_gothen":
         raise ValueError("this formula is specific to sp4_gothen states")
     a = state.system.arrow_terms(state.u)   # (a1, a2=mu-term, a3=a1, a4=nu-term)
-    f1 = a[:, 3] / a[:, 0]
-    f2 = a[:, 1] / a[:, 0]
-    k = -((f1 - 1.0) ** 2 + (f2 - 1.0) ** 2) / (4.0 * (2.0 + f1 + f2) ** 2)
-    return Sp4CurvatureReport(f1, f2, k)
+    return Sp4CurvatureReport(a[:, 3] / a[:, 0], a[:, 1] / a[:, 0])
 
 
 # -- symmetric-space sectional curvature -----------------------------------
@@ -318,23 +314,17 @@ def extremal_plane(group: str, n: int, i: int = 0, j: int = 1):
 # -- pairwise comparisons --------------------------------------------------
 
 
-def _log_margin_report(quantity, gaps, masks, region, grid, solver_tol, notes=""):
-    """The verdict dict of a strict comparison on a verdict region.
+def _margin_report(quantity, gaps, masks, region, thresholds, notes=""):
+    """The verdict dict of strict inequalities on a verdict region.
 
-    ``margins`` holds the minimum of each log-gap field log(hi) - log(lo) over
-    its mask, ``min_margin`` the least of them; the verdict is true only when
-    every margin exceeds its threshold max(10 * tol, C * h^2 * max|field|).
+    Each gap field is positive where its inequality holds; ``margins`` holds
+    its minimum over its mask, ``min_margin`` the least of them, and the
+    verdict is true only when every margin exceeds its threshold.
     """
-    margins, thresholds = [], []
-    floor = 10.0 * solver_tol
-    for gap, mask in zip(gaps, masks):
-        m = gap[mask]
-        margins.append(float(np.min(m)))
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        thresholds.append(max(floor, MARGIN_COEFF_PAIRED * grid.spacing**2 * scale))
+    margins = [float(np.min(gap[mask])) for gap, mask in zip(gaps, masks, strict=True)]
     return {"quantity": quantity,
-            "verdict": bool(all(m > t for m, t in zip(margins, thresholds))),
-            "min_margin": min(margins), "margins": margins, "thresholds": thresholds,
+            "verdict": bool(all(m > t for m, t in zip(margins, thresholds, strict=True))),
+            "min_margin": min(margins), "margins": margins, "thresholds": list(thresholds),
             "region_nodes": int(region.sum()), "notes": notes}
 
 
@@ -360,21 +350,24 @@ def compare_states(
         ga = pullback_metric(state_a.spec, state_a).density
         gb = pullback_metric(state_b.spec, state_b).density
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.log(gb) - np.log(ga)
-        return _log_margin_report("pullback_metric", [gap], [region], region, grid, solver_tol)
-    if quantity == "ratio_fields":
+            gaps, masks, note = [np.log(gb) - np.log(ga)], [region], ""
+    elif quantity == "ratio_fields":
         k_max = n if (state_a.spec.scale_sq > 0 and state_b.spec.scale_sq > 0) else n - 1
         la, lb = (s.system.scaled_log_ratios(s.u)[:, :k_max] for s in (state_a, state_b))
+        gaps, masks = (lb - la).T, [region] * k_max
         note = "corner ratio included" if k_max == n else "corner ratio skipped (zero scale)"
-        return _log_margin_report("ratio_fields", (lb - la).T, [region] * k_max, region,
-                                  grid, solver_tol, note)
-    if quantity == "harmonic_components":
-        return _harmonic_domination(state_a, state_b, region, solver_tol)
-    raise ValueError(f"unknown comparison quantity {quantity!r}")
+    elif quantity == "harmonic_components":
+        gaps, masks = _harmonic_gaps(state_a, state_b, region)
+        note = "weight zero set excluded"
+    else:
+        raise ValueError(f"unknown comparison quantity {quantity!r}")
+    thresholds = [max(10.0 * solver_tol, MARGIN_COEFF_PAIRED * grid.spacing**2
+                      * float(np.max(np.abs(gap[mask])))) for gap, mask in zip(gaps, masks)]
+    return _margin_report(quantity, gaps, masks, region, thresholds, note)
 
 
-def _harmonic_domination(state, state_hit, region, solver_tol):
-    """Componentwise h_k > weight_k * h~_k against the fiber partner.
+def _harmonic_gaps(state, state_hit, region):
+    """Log-gap fields and masks of h_k > weight_k * h~_k against the fiber partner.
 
     The weights multiply the partner metric by |mu| (even rank; |mu|^2 for
     odd rank) and the squared magnitudes of the outer rungs.  The partner's
@@ -395,8 +388,7 @@ def _harmonic_domination(state, state_hit, region, solver_tol):
         with np.errstate(divide="ignore"):
             gaps.append(state.u[:, k - 1] - state_hit.u[:, k - 1] - np.log(w))
         masks.append(region & (w > 0.0))
-    return _log_margin_report("harmonic_components", gaps, masks, region,
-                              state.grid, solver_tol, "weight zero set excluded")
+    return gaps, masks
 
 
 # -- theorem runners -------------------------------------------------------
@@ -504,17 +496,16 @@ def verify_monotonicity(spec: CyclicSpec, grid: Grid, t_values,
         metric = compare_states(st_b, st_a, "pullback_metric", config.tol_residual)
         ds = maxprin.difference_system(st_a, st_b)
         cond = maxprin.check_conditions(ds.system)
-        v_min = float(ds.v[:, region].min())
         pair = {
             "t_low": st_b.spec.t.real, "t_high": st_a.spec.t.real,
             "ratios": ratios,
             "pullback": metric,
             "difference_conditions": cond,
             "difference_mode": ds.mode,
-            "v_min_verdict_region": v_min,
+            "v_min_verdict_region": float(ds.v[:, region].min()),
             "difference_defect": ds.residual_inf,
         }
-        ok = ok and ratios["verdict"] and metric["verdict"] and cond["passed"] and v_min > 0
+        ok = ok and ratios["verdict"] and metric["verdict"] and cond["passed"]
         results["pairs"].append(pair)
     energy_ok = all(b > a for a, b in zip(energies, energies[1:]))
     results["morse_energy_increasing"] = energy_ok
@@ -527,8 +518,9 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
     """Interior ratio bounds for a Hitchin-section state.
 
     Strictly between the uniformising reference values and 1 on the
-    verdict region; the k = 1 entry has no lower margin, as nu_1 > 0 is a
-    ratio of positive arrow terms.
+    verdict region: one ``bounds`` report of the gaps 1 - nu_k for
+    k = 1..m, then nu_k - reference_k for k = 2..m (nu_1 > 0 is a ratio of
+    positive arrow terms), each with threshold 0.
     """
     _refuse_torus(grid, "nu-bounds")
     rep = _solve_spec(spec, grid, config, "hitchin_component",
@@ -537,17 +529,15 @@ def verify_nu_bounds(spec: CyclicSpec, grid: Grid,
         return _inconclusive([rep])
     region = grid.verdict_region()
     ratios = nu_ratios(rep.state)
-    vals, refs = ratios.values[:, region], [float(r) for r in ratios.reference]
-    out = {"n": spec.n, "bounds": [], "solver": rep.to_json_dict()}
-    for k, ref in enumerate(refs):
-        entry = {"k": k + 1, "reference": ref, "min_upper_margin": float((1.0 - vals[k]).min())}
-        if k:
-            entry["min_lower_margin"] = float((vals[k] - ref).min())
-        out["bounds"].append(entry)
-    out["passed"] = all(v > 0 for e in out["bounds"] for key, v in e.items() if "margin" in key)
+    nu, refs = ratios.values, [float(r) for r in ratios.reference]
+    gaps = [1.0 - v for v in nu] + [v - ref for v, ref in zip(nu[1:], refs[1:])]
+    bounds = _margin_report("nu_ratios", gaps, [region] * len(gaps), region, [0.0] * len(gaps),
+                            "1 - nu_k for k = 1..m, then nu_k - reference_k for k = 2..m")
+    out = {"n": spec.n, "references": refs, "bounds": bounds, "passed": bounds["verdict"],
+           "solver": rep.to_json_dict()}
     holds = "the lower bounds nu_k >= reference_k hold"
     _flag_equality_case(out, _uniformising_note(rep.state.system, holds),
-                        lambda: np.abs(vals - np.array(refs)[:, None]).max())
+                        lambda: np.abs(nu[:, region] - np.array(refs)[:, None]).max())
     return out
 
 
@@ -555,7 +545,8 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
                             config: SolverConfig | None = None) -> dict:
     """Pinched curvature of a Hitchin-section image surface.
 
-    K >= -1/(n (n-1)^2) - CURVATURE_SLACK on the defined verdict region.
+    One ``lower`` report of K - lower_bound, lower_bound = -1/(n (n-1)^2),
+    on the defined verdict region, with threshold -CURVATURE_SLACK.
     Reported but not checked, as identities of the closed form: K <= 0
     (``k_max``), and for n >= 4 K <= -6/(n^2(n^2-1)) where the assembled
     corner |t q|^2 vanishes (``qzero_k_max``), the most any arrows with
@@ -568,19 +559,20 @@ def verify_curvature_bounds(spec: CyclicSpec, grid: Grid,
     if not rep.converged:
         return _inconclusive([rep])
     region = grid.verdict_region()
-    curv = extrinsic_curvature(rep.state)
-    kmin, kmax = curv.interior_range(region)
+    k = extrinsic_curvature(rep.state).k_sigma
+    defined = region & ~np.isnan(k)
     bound = -1.0 / (spec.n * (spec.n - 1) ** 2)
     fuchs = Fraction(-6, spec.n**2 * (spec.n**2 - 1))
-    out = {"n": spec.n, "k_min": kmin, "k_max": kmax, "lower_bound": bound,
-           "passed": bool(kmin >= bound - CURVATURE_SLACK),
-           "solver": rep.to_json_dict()}
+    lower = _margin_report("extrinsic_curvature", [k - bound], [defined], region,
+                           [-CURVATURE_SLACK], "K - lower_bound; branch points excluded")
+    out = {"n": spec.n, "k_max": float(k[defined].max()), "lower_bound": bound,
+           "lower": lower, "passed": lower["verdict"], "solver": rep.to_json_dict()}
     qzero = region & (system.coeff_sq[:, -1] == 0)
     if spec.n >= 4 and qzero.any():
-        out["qzero_k_max"] = float(curv.k_sigma[qzero].max())
+        out["qzero_k_max"] = float(k[qzero].max())
         out["qzero_bound"] = float(fuchs)
-    _flag_equality_case(out, _uniformising_note(system, f"K = {fuchs} holds"), lambda: np.abs(
-        curv.k_sigma[region & ~np.isnan(curv.k_sigma)] - float(fuchs)).max())
+    _flag_equality_case(out, _uniformising_note(system, f"K = {fuchs} holds"),
+                        lambda: np.abs(k[defined] - float(fuchs)).max())
     return out
 
 
@@ -606,20 +598,16 @@ def verify_fiber_comparison(spec: CyclicSpec, grid: Grid,
     rep_b = rep_a if same else solve(partner_system, config=config)
     if not (rep_a.converged and rep_b.converged):
         return _inconclusive([rep_a, rep_b])
-    out = {"n": spec.n, "passed": True}
-    if spec.n <= 4:
-        metric = compare_states(rep_a.state, rep_b.state, "pullback_metric", config.tol_residual)
-        out["metric"] = metric
-        out["passed"] = out["passed"] and metric["verdict"]
-    else:
-        out["metric"] = None
-    comp = compare_states(rep_a.state, rep_b.state, "harmonic_components", config.tol_residual)
-    out["components"] = comp
-    out["passed"] = bool(out["passed"] and comp["verdict"])
+    a, b, tol = rep_a.state, rep_b.state, config.tol_residual
+    metric = compare_states(a, b, "pullback_metric", tol) if spec.n <= 4 else None
+    comp = compare_states(a, b, "harmonic_components", tol)
+    reports = [r for r in (metric, comp) if r is not None]
+    out = {"n": spec.n, "metric": metric, "components": comp,
+           "passed": all(r["verdict"] for r in reports)}
     note = ("the two sides assemble identical systems; the comparison reduces to a "
             "self-comparison and the strict verdict is false by construction")
-    _flag_equality_case(out, note if same else None, lambda: max(
-        abs(m) for v in (out["metric"], comp) if v for m in v["margins"]))
+    _flag_equality_case(out, note if same else None,
+                        lambda: max(abs(m) for r in reports for m in r["margins"]))
     return out
 
 
@@ -627,9 +615,10 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
                       config: SolverConfig | None = None) -> dict:
     """Rank-4 coefficient-ratio and curvature bounds.
 
-    ``passed`` asks both ratios to stay below 4/3 on the verdict region, off
-    the uniformising locus.  Identities of the closed form are reported but
-    not checked: K <= 0 (``k_max``); K >= -1/8 (``k_min``) wherever f1, f2
+    ``passed`` is the verdict of one ``ratios`` report of the gaps 4/3 - f1
+    and 4/3 - f2 on the verdict region, each with threshold 0, off the
+    uniformising locus.  Identities of the closed form are reported but not
+    checked: K <= 0 (``k_max``); K >= -1/8 (``k_min``) wherever f1, f2
     <= 4/3, since (f1 - f2)^2 <= 8 (f1 + f2) there; and when the assembled
     corner coefficient vanishes at every node (``mu_fuchsian``, so f1 = 0)
     K <= -1/40, with equality only at f2 = 4/3, and K = -1/8 at a zero of mu.
@@ -647,15 +636,16 @@ def verify_sp4_bounds(spec: CyclicSpec, grid: Grid,
     if not rep.converged:
         return _inconclusive([rep])
     region = grid.verdict_region()
-    curv = sp4_curvature(rep.state)
-    f1max, f2max = float(curv.f1[region].max()), float(curv.f2[region].max())
-    out = {"mu_fuchsian": not system.coeff_sq[:, -1].any(), "f1_max": f1max, "f2_max": f2max,
-           "k_min": float(curv.k_sigma[region].min()), "k_max": float(curv.k_sigma[region].max()),
-           "passed": f1max < 4.0 / 3.0 and f2max < 4.0 / 3.0, "solver": rep.to_json_dict()}
+    f, k = sp4_curvature(rep.state), extrinsic_curvature(rep.state).k_sigma
+    ratios = _margin_report("sp4_ratios", [4.0 / 3.0 - f.f1, 4.0 / 3.0 - f.f2], [region] * 2,
+                            region, [0.0, 0.0], "4/3 - f1, 4/3 - f2")
+    out = {"mu_fuchsian": not system.coeff_sq[:, -1].any(), "ratios": ratios,
+           "k_min": float(k[region].min()), "k_max": float(k[region].max()),
+           "passed": ratios["verdict"], "solver": rep.to_json_dict()}
     holds = "f1 = 0, f2 = 4/3 and K = -1/40 hold"
     _flag_equality_case(out, _uniformising_note(system, holds), lambda: max(
-        np.abs(curv.f1[region]).max(), np.abs(curv.f2[region] - 4.0 / 3.0).max(),
-        np.abs(curv.k_sigma[region] + 1.0 / 40.0).max()))
+        np.abs(f.f1[region]).max(), np.abs(f.f2[region] - 4.0 / 3.0).max(),
+        np.abs(k[region] + 1.0 / 40.0).max()))
     return out
 
 

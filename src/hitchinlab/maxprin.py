@@ -302,10 +302,11 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
     """Assemble the cooperative system for v_k = log(u_k^a / u_k^b).
 
     The two states' specs must share all holomorphic data and differ only
-    in the last-arrow scale, with |t_a| > |t_b| >= 0.  The consecutive-metric
-    ratios u_k (logs ``scaled_log_ratios``, |t|^2 in the corner) satisfy a
-    closed cyclic system; subtracting the two copies and applying the exact
-    mean-value identity e^x - e^y = (x - y) * mean(e) yields
+    in the last-arrow scale, with |t_a| > |t_b| >= 0, and so must their
+    assembled coefficients.  The consecutive-metric ratios u_k (logs
+    ``scaled_log_ratios``, |t|^2 in the corner) satisfy a closed cyclic
+    system; subtracting the two copies and applying the exact mean-value
+    identity e^x - e^y = (x - y) * mean(e) yields
 
         (1/g0) Lap v_k + c_{k-1} v_{k-1} - 2 c_k v_k + c_{k+1} v_{k+1} = f_k,
 
@@ -320,10 +321,22 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
         raise ValueError("states live on different grids")
     if grid.kind == "torus":
         raise ValueError("the scale-family comparison needs the hyperbolic background")
-    if spec_a.cyclic_data() != spec_b.cyclic_data():
-        raise ValueError("specs must share all holomorphic data (only t may differ)")
     if not abs(spec_a.t) > abs(spec_b.t):
         raise ValueError("need |t_a| > |t_b|")
+    # so must the assembled coefficients, which ``coefficient_fields`` can set
+    # apart: the rungs bit for bit, and each corner / |t|^2, one field rounded
+    # twice, within 4 eps relative plus smallest_subnormal / |t|^2 (underflow)
+    G_a, G_b = state_a.system.coeff_sq, state_b.system.coeff_sq
+    s_a, s_b, fl = spec_a.scale_sq, spec_b.scale_sq, np.finfo(float)
+    same = (spec_a.cyclic_data() == spec_b.cyclic_data()
+            and np.array_equal(G_a[:, :-1], G_b[:, :-1]))
+    if same and s_b > 0:
+        F_a, F_b = G_a[:, -1] / s_a, G_b[:, -1] / s_b
+        tiny = fl.smallest_subnormal
+        slack = 4 * fl.eps * np.maximum(F_a, F_b) + tiny / s_a + tiny / s_b
+        same = bool((np.abs(F_a - F_b) <= slack).all())
+    if not same:
+        raise ValueError("specs must share all holomorphic data (only t may differ)")
 
     n, N, g0 = spec_a.n, grid.n_nodes, hyperbolic_metric(grid)
     a_b = state_b.system.arrow_terms(state_b.u).T   # (n, N) b-side arrow terms

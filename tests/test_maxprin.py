@@ -465,6 +465,42 @@ def test_difference_system_input_validation():
         difference_system(*(make_system(st.spec, torus).initial_state() for st in (st_a, st_b)))
 
 
+UNIT_CYCLIC = make_spec("general_cyclic", 3, (one, one, one), t=1.0)
+
+
+def _with_fields(spec, g, fields):
+    return make_system(spec, g, coefficient_fields=[np.full(g.n_nodes, c) for c in fields])
+
+
+@pytest.mark.parametrize("fields", [(3.0, 1.0, 1.0), (1.0, 1.0, 3.0)], ids=["rung", "corner"])
+def test_difference_system_refuses_coefficient_fields_that_are_not_the_data(fields):
+    # on radial 64 the solved t = 2 states with these fields, against the
+    # plain t = 1 state, once gave difference systems with defects 3.51
+    # (rung) and 1.07 (corner) that check_conditions certified
+    g = radial(64)
+    st_b = make_system(UNIT_CYCLIC, g).initial_state()
+    st_a = _with_fields(scale_last_arrow(UNIT_CYCLIC, 2.0), g, fields).initial_state()
+    with pytest.raises(ValueError, match="share all holomorphic data"):
+        difference_system(st_a, st_b)
+
+
+def test_difference_system_takes_coefficient_fields_equal_to_the_data():
+    g = radial(64)
+    cfg = SolverConfig(tol_residual=1e-11)
+    rep_b = solve(make_system(UNIT_CYCLIC, g), config=cfg)
+    rep_a = solve(_with_fields(scale_last_arrow(UNIT_CYCLIC, 2.0), g, (1.0, 1.0, 1.0)),
+                  config=cfg)
+    assert rep_a.converged and rep_b.converged
+    ds = difference_system(rep_a.state, rep_b.state)
+    assert ds.residual_inf < 1e-11 and check_conditions(ds.system)["passed"]
+    # a subnormal |t_b|^2 rounds the b-corner coarsely, within the stated slack
+    for t_a, t_b in ((3e-160, 1e-160), (1e-155, 1e-160)):
+        sys_a, sys_b = (_with_fields(scale_last_arrow(UNIT_CYCLIC, t), g, (1.0, 1.0, 1.7))
+                        for t in (t_a, t_b))
+        assert 0.0 < sys_b.spec.scale_sq < np.finfo(float).tiny
+        difference_system(sys_a.initial_state(), sys_b.initial_state())
+
+
 def test_full_coupling_refuses_a_non_square_pattern():
     with pytest.raises(ValueError, match="pattern must be square"):
         fully_coupled(np.ones((2, 3), dtype=bool))

@@ -400,8 +400,11 @@ def test_arrow_kernel_matches_expand_and_roll(case, data):
     _assert_same_up_to_cancellation(spec, analysis_module.metric_ratio_fields(state),
                                     ratios, ratios * (1 + S))
 
+    # the b-side assembles the same fields at t_b: its corner is G's times |t_b/t_a|^2
     spec_b = make_spec(variant, n, (one,) * size, t=t_b)
-    state_b = LogMetricState(system_module.HitchinSystem(spec_b, g, G), u_b)
+    G_b = G.copy()
+    G_b[:, -1] *= spec_b.scale_sq / spec.scale_sq
+    state_b = LogMetricState(system_module.HitchinSystem(spec_b, g, G_b), u_b)
     ds = maxprin_module.difference_system(state, state_b)
     lr_b, n_v = _expand_and_roll(spec_b, u_b), n - (t_b == 0)
     if t_b > 0:
