@@ -6,15 +6,16 @@ A cooperative system couples n scalar fields u_1..u_n through
 
 where the drift is discretised with first-order upwinding so every
 off-diagonal entry of L stays nonnegative.  Positivity of solutions with
-f <= 0 rests on three structure conditions:
+f <= 0 rests on three structure conditions on the rows (i, k) the solve
+keeps, ``CooperativeSystem.free_rows``:
 
-  (a) cooperative:        c_ij >= 0 for i != j,
-  (b) column dominance:   sum_i c_ij <= 0 for every j, and on a periodic
-                          grid with no pole (no Dirichlet row at all) also
-                          sum_i c_ij < 0 for some j at some node, since
-                          zero column sums everywhere leave L + C singular,
+  (a) cooperative:        c_ij >= 0 for i != j on every free row i,
+  (b) column dominance:   sum_i c_ij <= 0 over the free rows, for every free
+                          column j, and with every row free (a periodic grid
+                          with no pole) also < 0 for some j at some node,
+                          since zero column sums everywhere leave L + C singular,
   (c) fully coupled:      no partition (alpha, beta) of the unknowns with
-                          c_ij identically zero for i in alpha, j in beta.
+                          c_ij zero wherever rows i in alpha, j in beta are free.
 
 ``check_conditions`` verifies all three with witnesses and returns the
 dict a verdict writes, ``fully_coupled`` decides (c) from the boolean
@@ -35,9 +36,10 @@ as the default COLAMD.
 gap v of the ``HitchinSystem.scaled_log_ratios`` of two solved cyclic states
 that share holomorphic data and differ only in the last-arrow scale; the
 ratio margins of ``analysis.compare_states`` are its row minima.  Its
-coefficients use the exact integral-mean closed form (e^v - 1)/v, and the
-column sums vanish identically, so conditions (a)-(c) prove the
-scale-monotonicity comparison by the same mechanism as the continuum argument.
+coefficients are exact integral means, the closed form (e^v - 1)/v near
+v = 0 and a difference quotient beyond, and the column sums vanish
+identically, so conditions (a)-(c) prove the scale-monotonicity comparison
+by the same mechanism as the continuum argument.
 
 ``randomized_positivity_suite`` draws its systems from one stream on the
 calling thread, in case order, and runs their certified solves on one
@@ -61,6 +63,7 @@ POLE_VALUE = 1.0e6          # Dirichlet value at excluded (pole) nodes
 CONDITION_TOL = 1e-12       # slack on conditions (a) and (b)
 SUITE_RANKS = (2, 3, 4)     # unknowns per system in the randomized suite
 POSITIVITY_TOL = 1e-8       # relative slack on the suite's positivity verdict
+PHI_CUTOFF = 1.0            # |v| beyond which a difference coefficient is a quotient
 
 
 class CertificationError(ValueError):
@@ -77,7 +80,7 @@ class CooperativeSystem:
     (n, n_nodes) boolean mask, None for no poles, of the nodes where each
     unknown is a Dirichlet pole with the large positive value ``POLE_VALUE``
     (the discrete stand-in for points where the comparison quantity
-    diverges).
+    diverges).  A pole pins only its own unknown (see ``free_rows``).
     """
 
     grid: Grid
@@ -106,10 +109,10 @@ class CooperativeSystem:
         if self.excluded.shape != (self.n, N):
             raise ValueError(f"excluded must be a boolean mask of shape ({self.n}, {N})")
 
-    def scan_mask(self) -> np.ndarray:
-        """Nodes where the structure conditions are checked: off poles and
-        off the Dirichlet boundary."""
-        return ~(self.excluded.any(axis=0) | self.grid.boundary_mask)
+    def free_rows(self) -> np.ndarray:
+        """(n, n_nodes) mask of the unknowns the solve keeps: row (i, k) is
+        free unless node k is on the Dirichlet boundary or a pole of u_i."""
+        return ~(self.excluded | self.grid.boundary_mask)
 
     def elliptic_operator(self) -> sparse.csr_matrix:
         """L = (1/g) Lap + upwinded drift, with zero rows at boundary nodes."""
@@ -150,10 +153,9 @@ def _upwind_drift(grid: Grid, velocity: np.ndarray) -> sparse.csr_matrix:
 
 
 def coupling_pattern(system: CooperativeSystem) -> np.ndarray:
-    """Boolean matrix: entry (i, j) iff c_ij is not identically zero."""
-    scan = system.scan_mask()
-    c = system.c[:, :, scan]
-    return np.any(np.abs(c) > 0.0, axis=2)
+    """Boolean matrix: entry (i, j) iff c_ij != 0 where rows i and j are free."""
+    free = system.free_rows()
+    return np.any((np.abs(system.c) > 0.0) & free[:, None] & free[None, :], axis=2)
 
 
 def fully_coupled(pattern: np.ndarray):
@@ -185,34 +187,33 @@ def fully_coupled(pattern: np.ndarray):
 def check_conditions(system: CooperativeSystem) -> dict:
     """Verify conditions (a), (b), (c) with worst-case witnesses.
 
-    (a) and (b) allow ``CONDITION_TOL`` of round-off; on a grid with no
-    boundary node and a system with no pole, (b) also needs some scanned
-    column sum below -``CONDITION_TOL``.  (c) counts a coupling that is
-    nonzero at any scanned node.  Returns the verdict dict: the
-    three flags, the witnesses ``worst_offdiag`` [i, j, node, c_ij],
-    ``worst_column_sum`` [j, node, sum] and the decoupling ``partition``
-    (each None when there is none), ``tol`` and ``passed``.
+    Each reads the ``free_rows``, the rows ``assemble_matrix`` keeps, as the
+    module docstring states.  (a) and (b) allow ``CONDITION_TOL`` of
+    round-off; with every row free, (b) also needs some column sum below
+    -``CONDITION_TOL``.  Returns the verdict dict: the three flags, the
+    witnesses ``worst_offdiag`` [i, j, node, c_ij], ``worst_column_sum``
+    [j, node, sum] and the decoupling ``partition`` (each None when there is
+    none), ``tol`` and ``passed``.
     """
-    scan = system.scan_mask()
-    scan_idx = np.nonzero(scan)[0]
-    n = system.n
-
-    off_diag = ~np.eye(n, dtype=bool)
-    off = system.c[off_diag][:, scan]  # (n(n-1), n_scan), pairs (i, j) in i-major order
+    free = system.free_rows()
+    # (a) couplings into a pole count too: c_ij POLE_VALUE enters the right side
+    i_off, j_off = np.nonzero(~np.eye(system.n, dtype=bool))  # (i, j) in i-major order
+    p, k = np.nonzero(free[i_off])
+    off = system.c[i_off[p], j_off[p], k]
     worst_off = None
     if off.size:
-        p, k = np.unravel_index(np.argmin(off), off.shape)
-        i, j = np.argwhere(off_diag)[p]
-        worst_off = [int(i), int(j), int(scan_idx[k]), float(off[p, k])]
+        w = np.argmin(off)
+        worst_off = [int(i_off[p[w]]), int(j_off[p[w]]), int(k[w]), float(off[w])]
     cooperative_ok = worst_off is None or worst_off[3] >= -CONDITION_TOL
 
-    colsums = system.c.sum(axis=0)[:, scan]  # (n, n_scan)
+    j, k = np.nonzero(free)
+    colsums = np.where(free[:, None], system.c, 0.0).sum(axis=0)[j, k]
     worst_col = None
     if colsums.size:
-        j, k = np.unravel_index(np.argmax(colsums), colsums.shape)
-        worst_col = [int(j), int(scan_idx[k]), float(colsums[j, k])]
+        w = np.argmax(colsums)
+        worst_col = [int(j[w]), int(k[w]), float(colsums[w])]
     column_ok = worst_col is None or worst_col[2] <= CONDITION_TOL
-    if not (system.grid.boundary_mask.any() or system.excluded.any()):
+    if free.all():
         # nothing pins the operator: zero column sums at every node leave a
         # left null vector (the invariant measure of L, once per unknown)
         column_ok = bool(column_ok and (colsums < -CONDITION_TOL).any())
@@ -233,9 +234,7 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     """
     N = system.grid.n_nodes
     n = system.n
-    pins = system.excluded.ravel()      # unknown-major, like the rows: i*N + k
-    dirichlet = np.tile(system.grid.boundary_mask, n) | pins
-    free = ~dirichlet
+    free = system.free_rows().ravel()   # unknown-major, like the rows: i*N + k
     # L's entries repeated on every diagonal block, offset by i*N
     L = system.elliptic_operator()
     offset = (np.arange(n) * N)[:, None]
@@ -248,13 +247,13 @@ def assemble_matrix(system: CooperativeSystem) -> tuple[sparse.csr_matrix, np.nd
     vals = np.concatenate([np.tile(L.data, n), system.c.ravel()])
     keep = free[rows]
     # Dirichlet and pole rows are identity rows
-    d = np.nonzero(dirichlet)[0]
+    d = np.nonzero(~free)[0]
     A = sparse.csr_matrix((np.concatenate([vals[keep], np.ones(d.size)]),
                            (np.concatenate([rows[keep], d]), np.concatenate([cols[keep], d]))),
                           shape=(n * N, n * N))
     A.eliminate_zeros()
     rhs = np.where(free, system.f.ravel(), 0.0)
-    rhs[pins] = POLE_VALUE
+    rhs[system.excluded.ravel()] = POLE_VALUE
     return A, rhs
 
 
@@ -310,8 +309,9 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
 
         (1/g0) Lap v_k + c_{k-1} v_{k-1} - 2 c_k v_k + c_{k+1} v_{k+1} = f_k,
 
-    where c_k = g0^{-1} a_k^b Phi(v_k) >= 0, a^b being the b-state's arrow
-    terms |gamma_k|^2 u_k^b.  With |t_b|^2 > 0 the right side vanishes and
+    where c_k = g0^{-1} a_k^b Phi(v_k) = g0^{-1} (a_k^a - a_k^b) / v_k >= 0,
+    a the states' arrow terms |gamma_k|^2 u_k, in the first form where
+    |v_k| <= ``PHI_CUTOFF``.  With |t_b|^2 > 0 the right side vanishes and
     the column sums are exactly zero; with |t_b|^2 = 0 (t_b = 0 or an
     underflow) the corner column drops out and the a-side corner arrow term
     moves to the (nonpositive) right-hand side.
@@ -319,8 +319,6 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
     grid, spec_a, spec_b = state_a.grid, state_a.spec, state_b.spec
     if state_b.grid.spec != grid.spec:
         raise ValueError("states live on different grids")
-    if grid.kind == "torus":
-        raise ValueError("the scale-family comparison needs the hyperbolic background")
     if not abs(spec_a.t) > abs(spec_b.t):
         raise ValueError("need |t_a| > |t_b|")
     # so must the assembled coefficients, which ``coefficient_fields`` can set
@@ -339,14 +337,16 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
         raise ValueError("specs must share all holomorphic data (only t may differ)")
 
     n, N, g0 = spec_a.n, grid.n_nodes, hyperbolic_metric(grid)
-    a_b = state_b.system.arrow_terms(state_b.u).T   # (n, N) b-side arrow terms
-    # the a-side corner arrow term, the source in the vanishing-corner mode
-    corner_a = state_a.system.arrow_terms(state_a.u)[:, -1] / g0
+    a_a, a_b = (s.system.arrow_terms(s.u).T for s in (state_a, state_b))   # (n, N)
     mode = "cyclic" if spec_b.scale_sq > 0 else "vanishing_corner"
     n_v = n if mode == "cyclic" else n - 1
     L_a, L_b = (s.system.scaled_log_ratios(s.u)[:, :n_v] for s in (state_a, state_b))
     v = (L_a - L_b).T                               # (n_v, N)
-    c_k = a_b[:n_v] * _phi(v) / g0
+    # the quotient cancels near v = 0; e^v overflows for a subnormal |t_b|^2
+    far = np.abs(v) > PHI_CUTOFF
+    c_k = a_b[:n_v] * _phi(np.where(far, 0.0, v))
+    c_k[far] = (a_a[:n_v] - a_b[:n_v])[far] / v[far]
+    c_k /= g0
 
     C = np.zeros((n_v, n_v, N))
     f = np.zeros((n_v, N))
@@ -358,14 +358,13 @@ def difference_system(state_a: LogMetricState, state_b: LogMetricState) -> Diffe
                 C[k, jj] += c_k[jj]
             else:
                 # neighbor is the vanished corner: its a-side term is a source
-                f[k] -= corner_a
+                f[k] -= a_a[-1] / g0
     sys_ = CooperativeSystem(grid, n_v, C, f, metric_weight=g0)
 
     L = sys_.elliptic_operator()
     defect = np.stack([L @ v[k] for k in range(n_v)])
     defect += np.einsum("kjN,jN->kN", C, v) - f
-    interior = grid.interior_mask
-    residual_inf = float(np.abs(defect[:, interior]).max()) if interior.any() else 0.0
+    residual_inf = float(np.abs(defect[sys_.free_rows()]).max(initial=0.0))
     return DifferenceSystem(sys_, v, mode, residual_inf)
 
 
@@ -474,9 +473,9 @@ def randomized_positivity_suite(count: int, seed: int, grids: list[Grid]) -> dic
         # the module attribute is looked up per call, so a wrapper installed
         # on it sees every solve, whichever thread makes it
         u = solve_linear_cooperative(sys_)
-        free = sys_.scan_mask()
-        umin = float(u[:, free].min())
-        scale = float(np.abs(u[:, free]).max())
+        free = sys_.free_rows()
+        umin = float(u[free].min())
+        scale = float(np.abs(u[free]).max())
         return {"case": k, "grid": sys_.grid.kind, "n": sys_.n,
                 "drift": with_drift, "poles": with_poles,
                 "min_u": umin, "scale": scale, "relative_min": umin / max(scale, 1e-300)}

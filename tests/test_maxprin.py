@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from hitchinlab import analysis
+from hitchinlab import analysis, maxprin
 from hitchinlab.geometry import GridSpec, HolomorphicDatum, build_grid
 from hitchinlab.maxprin import (
     POLE_VALUE,
@@ -60,9 +60,9 @@ def test_pole_mask_must_cover_every_unknown_on_the_grid():
             CooperativeSystem(g, 2, c, f, excluded=np.zeros(shape, dtype=bool))
     mask = np.zeros((2, N), dtype=bool)
     mask[0, 3], mask[1, 5] = True, True
-    # a pole of either unknown leaves the scan; no mask means no poles
-    scan = CooperativeSystem(g, 2, c, f, excluded=mask).scan_mask()
-    np.testing.assert_array_equal(np.nonzero(scan != ~g.boundary_mask)[0], [3, 5])
+    # a pole pins only its own unknown's row; no mask means no poles
+    free = CooperativeSystem(g, 2, c, f, excluded=mask).free_rows()
+    np.testing.assert_array_equal(np.argwhere(free != ~g.boundary_mask), [[0, 3], [1, 5]])
     assert not CooperativeSystem(g, 2, c, f).excluded.any()
 
 
@@ -174,44 +174,99 @@ def test_bitmask_bruteforce_matches_itertools_oracle(n, density, seed):
 
 
 def _worst_offdiag_loop(system):
-    """Oracle: the n(n-1) pair scan that ``check_conditions`` replaced.  The
+    """Oracle: the n(n-1) pair scan that ``check_conditions`` replaced, over
+    the nodes where row i is free (a pole of u_j does not drop c_ij).  The
     witness is the first pair (i, j) in i-major order holding the minimum,
-    and that pair's first scanned node holding it."""
-    scan = system.scan_mask()
-    scan_idx = np.nonzero(scan)[0]
+    and that pair's first free node holding it."""
+    free = system.free_rows()
     worst = None
     for i in range(system.n):
+        nodes = np.nonzero(free[i])[0]
         for j in range(system.n):
-            if i == j:
+            if i == j or nodes.size == 0:
                 continue
-            vals = system.c[i, j, scan]
-            if vals.size == 0:
-                continue
+            vals = system.c[i, j, nodes]
             k = int(np.argmin(vals))
             if worst is None or vals[k] < worst[3]:
-                worst = (i, j, int(scan_idx[k]), float(vals[k]))
+                worst = (i, j, int(nodes[k]), float(vals[k]))
     return worst
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(n=st.integers(1, 4), levels=st.integers(1, 3), constant=st.booleans(),
-       poles=st.lists(st.integers(0, 7), max_size=8), seed=st.integers(0, 2**32 - 1))
+       poles=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=16),
+       seed=st.integers(0, 2**32 - 1))
 @example(n=3, levels=1, constant=True, poles=[], seed=0)
-@example(n=3, levels=2, constant=False, poles=list(range(8)), seed=0)
+@example(n=3, levels=2, constant=False, poles=[(i, k) for i in range(3) for k in range(8)],
+         seed=0)
+@example(n=2, levels=1, constant=True, poles=[(0, k) for k in range(8)], seed=1)
 def test_worst_offdiag_witness_matches_the_pair_loop(n, levels, constant, poles, seed):
     # couplings drawn from a few integers tie across pairs and nodes, and
-    # constant fields tie at every node; poles shrink the scan, down to empty
+    # constant fields tie at every node; a pole (i, k) pins row i at node k
+    # alone, and the poles can pin every row of an unknown, or every row
     g = radial(8)
     c = np.random.default_rng(seed).integers(-levels, levels + 1, size=(n, n, g.n_nodes))
     if constant:
         c[:] = c[..., :1]
     excluded = np.zeros((n, g.n_nodes), dtype=bool)
-    excluded[:, poles] = True
+    for i, k in poles:
+        excluded[i % n, k] = True
     sys_ = CooperativeSystem(g, n, c, np.zeros((n, g.n_nodes)), excluded=excluded)
     rep = check_conditions(sys_)
     want = _worst_offdiag_loop(sys_)
     assert rep["worst_offdiag"] == (None if want is None else list(want))
     assert rep["cooperative_ok"] == (want is None or want[3] >= 0.0)
+
+
+def test_a_negative_coupling_into_a_pole_is_refused():
+    # row (1, 20) is free, its coupling into the pole of u_0 at node 20 enters
+    # the right-hand side as -c_10 POLE_VALUE; the per-node scan once dropped
+    # node 20, certified the system and solved it to u[1, 20] = -1.12e7
+    g = radial(64)
+    sys_ = random_cooperative_system(g, 2, np.random.default_rng(0))
+    sys_.excluded[0, 20] = True
+    sys_.c[1, 0, 20] = -1e3
+    rep = check_conditions(sys_)
+    assert rep["cooperative_ok"] is False and rep["worst_offdiag"] == [1, 0, 20, -1000.0]
+    with pytest.raises(CertificationError):
+        solve_linear_cooperative(sys_)
+
+
+_POLE_GRIDS = [radial(8), build_grid(GridSpec("torus", (8, 8))),
+               build_grid(GridSpec("disc2d", 9, 0.8))]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(grid=st.sampled_from(_POLE_GRIDS), n=st.integers(2, 4), density=st.floats(0.0, 0.5),
+       breach=st.sampled_from(["offdiag", "column"]), seed=st.integers(0, 2**32 - 1))
+def test_a_breach_on_a_free_row_is_refused_whatever_the_poles(grid, n, density, breach, seed):
+    # each unknown draws its own poles; the breach sits on a row i >= 1 left
+    # free at a pole k of u_0, a node the per-node scan once dropped
+    rng = np.random.default_rng(seed)
+    sys_ = random_cooperative_system(grid, n, rng)
+    sys_.excluded = (rng.random((n, grid.n_nodes)) < density) & grid.interior_mask
+    k, i = int(rng.choice(np.nonzero(grid.interior_mask)[0])), int(rng.integers(1, n))
+    sys_.excluded[0, k], sys_.excluded[i, k] = True, False
+    if breach == "offdiag":
+        j = int(rng.choice([j for j in range(n) if j != i]))
+        sys_.c[i, j, k] = -1.5
+        flag, other = "cooperative_ok", "column_dominance_ok"
+    else:
+        # column i sums to 1 over the rows free at k and to -1 over all rows:
+        # the pinned row 0 is an identity row, its coupling c_0i no entry
+        free = sys_.free_rows()[:, k]
+        sys_.c[i, i, k] += 1.0 - sys_.c[free, i, k].sum()
+        sys_.c[0, i, k] -= 2.0 + sys_.c[~free, i, k].sum()
+        flag, other = "column_dominance_ok", "cooperative_ok"
+    rep = check_conditions(sys_)
+    assert rep[flag] is False and rep[other] is True and not rep["passed"]
+    if breach == "offdiag":
+        assert rep["worst_offdiag"] == [i, j, k, -1.5]
+    else:
+        assert rep["worst_column_sum"][:2] == [i, k]
+        assert rep["worst_column_sum"][2] == pytest.approx(1.0)
+    with pytest.raises(CertificationError):
+        solve_linear_cooperative(sys_)
 
 
 def test_certified_solve_against_dense_oracle():
@@ -226,7 +281,7 @@ def test_certified_solve_against_dense_oracle():
     dense = np.linalg.solve(A.toarray(), rhs).reshape(3, g.n_nodes)
     assert np.abs(u - dense).max() < 1e-10 * max(1.0, np.abs(dense).max())
     # certified systems produce positive interior solutions
-    assert u[:, sys_.scan_mask()].min() > 0.0
+    assert u[sys_.free_rows()].min() > 0.0
 
 
 def test_certification_refusal():
@@ -276,7 +331,7 @@ def test_a_pole_pins_a_zero_sum_periodic_system():
     assert check_conditions(sys_)["passed"]
     u = solve_linear_cooperative(sys_)
     _assert_matches_dense_oracle(sys_, u)
-    assert u[:, sys_.scan_mask()].min() > 0.0
+    assert u[sys_.free_rows()].min() > 0.0
 
 
 _SOLVE_GRIDS =[radial(24), build_grid(GridSpec("disc2d", 11, 0.8)),
@@ -301,10 +356,10 @@ def test_reordered_solve_matches_dense_oracle(grid, n, with_drift, with_poles):
     u = solve_linear_cooperative(sys_)
     assert check_conditions(sys_)["passed"]
     dense = _assert_matches_dense_oracle(sys_, u)
-    scan = sys_.scan_mask()
+    free = sys_.free_rows()
     # an M-matrix solve is also accurate entry by entry where u > 0
-    np.testing.assert_allclose(u[:, scan], dense[:, scan], rtol=1e-10)
-    assert u[:, scan].min() > 0.0
+    np.testing.assert_allclose(u[free], dense[free], rtol=1e-10)
+    assert u[free].min() > 0.0
 
 
 @pytest.mark.parametrize("grid", _SOLVE_GRIDS, ids=lambda g: g.kind)
@@ -340,7 +395,7 @@ def test_poles_are_pinned_and_positive_elsewhere():
     u = solve_linear_cooperative(sys_)
     for i, e in enumerate(sys_.excluded):
         np.testing.assert_allclose(u[i, e], POLE_VALUE, rtol=1e-12)
-    assert u[:, sys_.scan_mask()].min() > 0.0
+    assert u[sys_.free_rows()].min() > 0.0
 
 
 def test_drift_keeps_offdiagonals_nonnegative():
@@ -351,7 +406,7 @@ def test_drift_keeps_offdiagonals_nonnegative():
         off = L.data[(L.row != L.col)]
         assert off.min() >= 0.0
         u = solve_linear_cooperative(sys_)
-        assert check_conditions(sys_)["passed"] and u[:, sys_.scan_mask()].min() > 0.0
+        assert check_conditions(sys_)["passed"] and u[sys_.free_rows()].min() > 0.0
 
 
 def test_drift_takes_one_column_per_grid_axis():
@@ -370,6 +425,28 @@ def test_randomized_suite_reports_positive_minima():
     assert out["passed"]
     assert out["worst_relative_min"] > -1e-8
     assert len(out["cases"]) == 30
+
+
+def test_suite_minimum_and_scale_read_every_free_row(monkeypatch):
+    # seed 0's first system on radial 24 has poles, and both its min_u and
+    # its scale sit on a free row at a pole of another unknown, a node the
+    # per-node scan once dropped for every unknown
+    solved = []
+
+    def recording(sys_):
+        u = solve_linear_cooperative(sys_)
+        solved.append((sys_, u))
+        return u
+
+    monkeypatch.setattr(maxprin, "solve_linear_cooperative", recording)
+    (case,) = randomized_positivity_suite(1, seed=0, grids=[radial(24)])["cases"]
+    ((sys_, u),) = solved
+    free = sys_.free_rows()
+    assert case["poles"] and case["n"] >= 2
+    assert case["min_u"] == u[free].min() and case["scale"] == np.abs(u[free]).max()
+    for value in (case["min_u"], case["scale"]):
+        _, k = np.argwhere(free & (np.abs(u) == abs(value)))[0]
+        assert sys_.excluded[:, k].any()
 
 
 @pytest.mark.parametrize("count", [0, -5])
@@ -499,6 +576,18 @@ def test_difference_system_takes_coefficient_fields_equal_to_the_data():
                         for t in (t_a, t_b))
         assert 0.0 < sys_b.spec.scale_sq < np.finfo(float).tiny
         difference_system(sys_a.initial_state(), sys_b.initial_state())
+
+
+@pytest.mark.parametrize("t_low", [1e-160, 1e-155])
+def test_a_subnormal_corner_scale_gives_a_finite_difference_system(t_low):
+    # |t_low|^2 is subnormal and the corner log-ratio v passes 709.78, where
+    # e^v overflows: (e^v - 1)/v once wrote an infinite defect and failed
+    g = radial(32)
+    spec = make_spec("general_cyclic", 3, (one, HolomorphicDatum.monomial(1.0, 1), one), t=1.0)
+    out = analysis.verify_monotonicity(spec, g, [t_low, 1.0])
+    (pair,) = out["pairs"]
+    assert out["passed"] and pair["difference_conditions"]["passed"]
+    assert pair["difference_mode"] == "cyclic" and pair["difference_defect"] < 1e-9
 
 
 def test_full_coupling_refuses_a_non_square_pattern():
